@@ -48,8 +48,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="netbisim", description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for corpus runs")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="reserved; runs are single-threaded")
     sub = parser.add_subparsers(dest="command", required=True,
                                parser_class=_Parser)
 

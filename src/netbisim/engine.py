@@ -42,14 +42,31 @@ class Refutation:
     responses: tuple = ()  # tuple[(OIMStep, Refutation)]
 
     def principal_moves(self) -> list[tuple[str, str, frozenset]]:
-        """The attacker moves along a deepest defender line."""
+        """The attacker moves along a deepest defender line; of equally deep
+        lines, the first response's.  Each node's line length is computed
+        once, so the cost is linear in the number of nodes."""
+        length: dict[int, int] = {}  # id(node) -> moves on its deepest line
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in length:
+                stack.pop()
+                continue
+            pending = [sub for _, sub in node.responses if id(sub) not in length]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            length[id(node)] = 0 if node.attacker is None else 1 + max(
+                (length[id(sub)] for _, sub in node.responses), default=0
+            )
         out = []
         node = self
         while node is not None and node.attacker is not None:
             out.append((node.side, node.attacker.tid, node.attacker.removed))
             node = max(
                 (sub for _, sub in node.responses),
-                key=lambda r: len(r.principal_moves()),
+                key=lambda r: length[id(r)],
                 default=None,
             )
         return out
@@ -185,6 +202,23 @@ class _Search:
         beta2 = beta_update(u1, g1, u2, g2, triple.beta)
         return GameTriple(left_step.target, right_step.target, beta2)
 
+    def admissible(self, triple: GameTriple, attack: OIMStep,
+                   attacker_left: bool, responses: list[OIMStep]):
+        """Yield (response, successor triple) for each defender response
+        with the attack's label that passes the deleted-token condition,
+        in the order of `responses`."""
+        transition = self.net.transition
+        label = transition(attack.tid).label
+        for resp in responses:
+            if transition(resp.tid).label != label:
+                continue
+            if not self.defender_ok(triple, attack, resp, attacker_left):
+                continue
+            if attacker_left:
+                yield resp, self.successor_triple(triple, attack, resp)
+            else:
+                yield resp, self.successor_triple(triple, resp, attack)
+
     def check(self, triple: GameTriple, stack: set, winning: set) -> bool:
         if triple in self.false_memo:
             return False
@@ -213,22 +247,11 @@ class _Search:
             (False, right_moves, left_moves),
         ):
             for attack in attacks:
-                label = self.net.transition(attack.tid).label
-                answered = False
-                for resp in responses:
-                    if self.net.transition(resp.tid).label != label:
-                        continue
-                    if not self.defender_ok(triple, attack, resp, attacker_left):
-                        continue
-                    nxt = (
-                        self.successor_triple(triple, attack, resp)
-                        if attacker_left
-                        else self.successor_triple(triple, resp, attack)
-                    )
+                for _, nxt in self.admissible(
+                        triple, attack, attacker_left, responses):
                     if self.check(nxt, stack, winning):
-                        answered = True
                         break
-                if not answered:
+                else:
                     return ("move", "left" if attacker_left else "right", attack)
         return None
 
@@ -254,20 +277,12 @@ class _Search:
         if reason == "size-gate":
             return Refutation(triple, "size-gate")
         attacker_left = side == "left"
-        label = self.net.transition(attack.tid).label
-        responses = []
-        for resp in self.successors(triple.right if attacker_left else triple.left):
-            if self.net.transition(resp.tid).label != label:
-                continue
-            if not self.defender_ok(triple, attack, resp, attacker_left):
-                continue
-            nxt = (
-                self.successor_triple(triple, attack, resp)
-                if attacker_left
-                else self.successor_triple(triple, resp, attack)
-            )
-            responses.append((resp, self.build_refutation(nxt)))
-        return Refutation(triple, "move", side, attack, tuple(responses))
+        responses = self.successors(triple.right if attacker_left else triple.left)
+        return Refutation(triple, "move", side, attack, tuple(
+            (resp, self.build_refutation(nxt))
+            for resp, nxt in self.admissible(
+                triple, attack, attacker_left, responses)
+        ))
 
 
 def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
@@ -326,16 +341,19 @@ def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
         for m in states
     }
     block = {m: 0 for m in states}
+    blocks = 1
+    # Each signature includes the old block, so refinement only splits
+    # blocks: the partition is stable once their number stops growing.
     while True:
         sigs = {
             m: (block[m], frozenset((lbl, block[m2]) for lbl, m2 in succ[m]))
             for m in states
         }
-        renum = {sig: i for i, sig in enumerate(sorted(set(sigs.values()), key=repr))}
-        new_block = {m: renum[sigs[m]] for m in states}
-        if new_block == block:
+        renum: dict = {}
+        block = {m: renum.setdefault(sigs[m], len(renum)) for m in states}
+        if len(renum) == blocks:
             break
-        block = new_block
+        blocks = len(renum)
     outcome = "equivalent" if block[m1] == block[m2] else "not-equivalent"
     return BisimVerdict(outcome, stats={"states": len(states),
                                         "seconds": time.monotonic() - t0})
@@ -356,22 +374,11 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
             attacks = helper.successors(triple.left if attacker_left else triple.right)
             responses = helper.successors(triple.right if attacker_left else triple.left)
             for attack in attacks:
-                label = net.transition(attack.tid).label
-                ok = False
-                for resp in responses:
-                    if net.transition(resp.tid).label != label:
-                        continue
-                    if not helper.defender_ok(triple, attack, resp, attacker_left):
-                        continue
-                    nxt = (
-                        helper.successor_triple(triple, attack, resp)
-                        if attacker_left
-                        else helper.successor_triple(triple, resp, attack)
-                    )
+                for _, nxt in helper.admissible(
+                        triple, attack, attacker_left, responses):
                     if nxt in witness:
-                        ok = True
                         break
-                if not ok:
+                else:
                     return False
     return True
 
@@ -388,24 +395,14 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor,
     attacks = helper.successors(triple.left if attacker_left else triple.right)
     if ref.attacker not in attacks:
         return False
-    label = net.transition(ref.attacker.tid).label
-    admissible = []
-    for resp in helper.successors(triple.right if attacker_left else triple.left):
-        if net.transition(resp.tid).label != label:
-            continue
-        if not helper.defender_ok(triple, ref.attacker, resp, attacker_left):
-            continue
-        admissible.append(resp)
-    recorded = {resp for resp, _ in ref.responses}
-    if recorded != set(admissible):
+    responses = helper.successors(triple.right if attacker_left else triple.left)
+    admissible = dict(
+        helper.admissible(triple, ref.attacker, attacker_left, responses)
+    )
+    if {resp for resp, _ in ref.responses} != set(admissible):
         return False
     for resp, sub in ref.responses:
-        nxt = (
-            helper.successor_triple(triple, ref.attacker, resp)
-            if attacker_left
-            else helper.successor_triple(triple, resp, ref.attacker)
-        )
-        if sub.triple != nxt:
+        if sub.triple != admissible[resp]:
             return False
         if not validate_refutation(net, sub, flavor, symmetric_reading):
             return False

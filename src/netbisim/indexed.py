@@ -11,7 +11,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .nets import BoundExceededError, Multiset, NetError, PTNet, enabled
+from .nets import (
+    BoundExceededError, Multiset, NetError, PTNet, _enabled_transitions,
+)
 
 Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
@@ -99,10 +101,9 @@ def im_successors(net: PTNet, k: IndexedMarking) -> list[IMStep]:
     """
     m = alpha(k)
     steps = []
-    for tid in enabled(net, m):
-        t = net.transition(tid)
+    for t in _enabled_transitions(net, m):
         for k2 in sorted(boxminus(k, t.pre), key=lambda x: sorted(k - x)):
-            steps.append(IMStep(tid, frozenset(k - k2), boxplus(k2, t.post)))
+            steps.append(IMStep(t.tid, frozenset(k - k2), boxplus(k2, t.post)))
     return steps
 
 

@@ -124,21 +124,6 @@ class Multiset:
 EMPTY = Multiset()
 
 
-def msum(a: Multiset, b: Multiset) -> Multiset:
-    """Pointwise sum."""
-    return a + b
-
-
-def mdiff(a: Multiset, b: Multiset) -> Multiset:
-    """Pointwise difference, truncated at zero."""
-    return a - b
-
-
-def msubset(a: Multiset, b: Multiset) -> bool:
-    """True iff a(s) <= b(s) for every place s."""
-    return a <= b
-
-
 @dataclass(frozen=True)
 class Transition:
     tid: str
@@ -157,13 +142,17 @@ class PTNet:
     labels: frozenset[str]
     transitions: tuple[Transition, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    # place -> positions, in declaration order, of the transitions whose
+    # preset contains it; places no transition consumes from are absent.
+    _consumers: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         place_set = set(self.places)
         if len(place_set) != len(self.places):
             raise NetError("duplicate place ids")
         by_id: dict[str, Transition] = {}
-        for t in self.transitions:
+        consumers: dict[str, list[int]] = {}
+        for pos, t in enumerate(self.transitions):
             if t.tid in by_id:
                 raise NetError(f"duplicate transition id {t.tid!r}")
             by_id[t.tid] = t
@@ -172,7 +161,12 @@ class PTNet:
             for p in set(t.pre) | set(t.post):
                 if p not in place_set:
                     raise NetError(f"place {p!r} of {t.tid!r} not declared")
+            for p in t.pre:
+                consumers.setdefault(p, []).append(pos)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(
+            self, "_consumers", {p: tuple(ts) for p, ts in consumers.items()}
+        )
 
     @classmethod
     def make(
@@ -207,9 +201,30 @@ class NetSystem:
         self.net.check_marking(self.initial)
 
 
+def _enabled_transitions(net: PTNet, m: Multiset) -> list[Transition]:
+    """The transitions enabled at m, in declaration order.
+
+    Every transition has a non-empty preset (Transition.__post_init__), so
+    an enabled transition consumes from some place marked in m: visiting
+    the consumers of the marked places finds all of them.
+    """
+    consumers = net._consumers
+    marked = [consumers[p] for p in m if p in consumers]
+    if len(marked) == 1:
+        positions = marked[0]
+    else:
+        positions = sorted(set().union(*marked))
+    transitions = net.transitions
+    return [transitions[i] for i in positions if transitions[i].pre <= m]
+
+
 def enabled(net: PTNet, m: Multiset) -> list[str]:
-    """Transition ids enabled at m, in declaration order."""
-    return [t.tid for t in net.transitions if t.pre <= m]
+    """Transition ids enabled at m, in declaration order.
+
+    The cost is proportional to the number of transitions that consume from
+    the places marked in m, not to the size of the net.
+    """
+    return [t.tid for t in _enabled_transitions(net, m)]
 
 
 def fire(net: PTNet, m: Multiset, tid: str) -> Multiset:

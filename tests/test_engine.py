@@ -1,11 +1,64 @@
 import pytest
 
 from netbisim import (
-    BoundExceededError, Limits, Multiset, beta_update, decide_interleaving,
-    decide_oim, decide_oimc, deleted_condition_cn, deleted_condition_fc,
-    format_refutation, format_witness, validate_refutation, validate_witness,
+    BoundExceededError, Limits, Multiset, OIMStep, PTNet, Refutation,
+    Transition, beta_update, decide_interleaving, decide_oim, decide_oimc,
+    deleted_condition_cn, deleted_condition_fc, format_refutation,
+    format_witness, validate_refutation, validate_witness,
 )
 from netbisim.engine import _initial_triple
+
+
+def buffer(k):
+    """A producer filling k slots, consumed by an always-ready `get`."""
+    net = PTNet.make(
+        ["pr", "free", "full"],
+        [
+            Transition("put", "a", Multiset.of("pr", "free"),
+                       Multiset.of("pr", "full")),
+            Transition("get", "b", Multiset.of("full"), Multiset.of("free")),
+        ],
+    )
+    return net, Multiset({"pr": 1, "free": k})
+
+
+def alarm_pair(k, g):
+    """Two disjoint k-slot buffers; the right one can also raise an alarm
+    `c` once g of its slots are full, so the two are never equivalent."""
+    transitions = []
+    for s in "LR":
+        transitions += [
+            Transition(f"put{s}", "a", Multiset.of(f"pr{s}", f"free{s}"),
+                       Multiset.of(f"pr{s}", f"full{s}")),
+            Transition(f"get{s}", "b", Multiset.of(f"full{s}"),
+                       Multiset.of(f"free{s}")),
+        ]
+    alarm = Multiset({"fullR": g})
+    transitions.append(Transition("alarm", "c", alarm, alarm))
+    net = PTNet.make(
+        ["prL", "freeL", "fullL", "prR", "freeR", "fullR"], transitions
+    )
+    return net, Multiset({"prL": 1, "freeL": k}), Multiset({"prR": 1, "freeR": k})
+
+
+def recursive_principal_moves(node):
+    """Reference for `Refutation.principal_moves`: the recursive definition,
+    exponential in the depth of the refutation."""
+    out = []
+    while node is not None and node.attacker is not None:
+        out.append((node.side, node.attacker.tid, node.attacker.removed))
+        node = max(
+            (sub for _, sub in node.responses),
+            key=lambda r: len(recursive_principal_moves(r)),
+            default=None,
+        )
+    return out
+
+
+def line_length(node):
+    return 0 if node.attacker is None else 1 + max(
+        (line_length(sub) for _, sub in node.responses), default=0
+    )
 
 
 def test_beta_update_restricts_and_pairs():
@@ -174,3 +227,66 @@ def test_tampered_witness_rejected(fig1_net):
             assert not validate_witness(
                 fig1_net, v.witness - {t}, root, "fc"
             )
+
+
+def test_interleaving_terminates_with_many_blocks():
+    """buf(10) has 11 reachable markings, each its own block."""
+    net, m0 = buffer(10)
+    v = decide_interleaving(net, m0, m0, 10)
+    assert v.outcome == "equivalent" and v.stats["states"] == 11
+    one_full = Multiset({"pr": 1, "free": 9, "full": 1})
+    assert decide_interleaving(net, m0, one_full, 10).outcome == "not-equivalent"
+    net, m_left, m_right = alarm_pair(5, 4)
+    assert decide_interleaving(
+        net, m_left, m_right, 5
+    ).outcome == "not-equivalent"
+
+
+def test_principal_moves_matches_recursive_definition(
+        fig1_net, parallel_choice_net):
+    refutations = []
+    for k, g in ((2, 1), (2, 2)):
+        net, m_left, m_right = alarm_pair(k, g)
+        for decide in (decide_oim, decide_oimc):
+            refutations.append(decide(net, m_left, m_right, k).refutation)
+    refutations.append(decide_oimc(
+        fig1_net, Multiset.of("s1"), Multiset.of("s3"), 4).refutation)
+    refutations.append(decide_oim(
+        parallel_choice_net, Multiset.of("p1", "p2"), Multiset.of("q0"), 4
+    ).refutation)
+    for ref in refutations:
+        assert ref.principal_moves() == recursive_principal_moves(ref)
+
+
+def test_principal_moves_ties_and_shared_nodes():
+    """Of equally deep lines the first response's is taken, also when a
+    node is shared by several parents."""
+    def move(tid):
+        return OIMStep(tid, frozenset(), None)
+
+    leaf = Refutation(None, "move", "left", move("leaf"))
+    shared = Refutation(None, "move", "right", move("shared"), ((None, leaf),))
+    tie = Refutation(None, "move", "left", move("tie"), ((None, leaf),))
+    gate = Refutation(None, "size-gate")
+    root = Refutation(None, "move", "left", move("root"), (
+        (None, gate), (None, tie), (None, shared),
+        (None, Refutation(None, "move", "left", move("x"), ((None, shared),))),
+    ))
+    assert root.principal_moves() == recursive_principal_moves(root)
+    assert [tid for _, tid, _ in root.principal_moves()] == [
+        "root", "x", "shared", "leaf"]
+    tied = Refutation(None, "move", "left", move("root"),
+                      ((None, tie), (None, shared)))
+    assert tied.principal_moves() == recursive_principal_moves(tied)
+    assert [tid for _, tid, _ in tied.principal_moves()] == [
+        "root", "tie", "leaf"]
+
+
+def test_principal_moves_on_deep_refutations():
+    """Deep lines that the recursive definition cannot format in time."""
+    for k, g in ((3, 1), (3, 3)):
+        net, m_left, m_right = alarm_pair(k, g)
+        ref = decide_oim(net, m_left, m_right, k).refutation
+        moves = ref.principal_moves()
+        assert len(moves) == line_length(ref) > 20
+        assert len(format_refutation(ref).splitlines()) == 1 + len(moves)

@@ -1,10 +1,28 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netbisim import (
     BoundExceededError, Multiset, NetError, NetSystem, NotEnabledError,
     PTNet, Transition, enabled, fire, reachable,
 )
-from netbisim.nets import EMPTY, mdiff, msubset, msum
+from netbisim.nets import EMPTY
+from netbisim.randnets import CorpusConfig, random_instance
+
+
+def full_scan(net, m):
+    """Reference for `enabled`: every transition, in declaration order."""
+    return [t.tid for t in net.transitions if t.pre <= m]
+
+
+def ring(n):
+    return PTNet.make(
+        [f"r{i}" for i in range(n)],
+        [Transition(f"t{i}", "a", Multiset.of(f"r{i}"),
+                    Multiset.of(f"r{(i + 1) % n}")) for i in range(n)],
+    )
 
 
 def test_multiset_construction_and_access():
@@ -23,11 +41,11 @@ def test_multiset_of_counts_repetitions():
 def test_multiset_algebra():
     a = Multiset({"x": 2, "y": 1})
     b = Multiset({"x": 1, "z": 3})
-    assert msum(a, b) == Multiset({"x": 3, "y": 1, "z": 3})
-    assert mdiff(a, b) == Multiset({"x": 1, "y": 1})
-    assert mdiff(b, a) == Multiset({"z": 3})
-    assert msubset(Multiset({"x": 1}), a)
-    assert not msubset(b, a)
+    assert a + b == Multiset({"x": 3, "y": 1, "z": 3})
+    assert a - b == Multiset({"x": 1, "y": 1})
+    assert b - a == Multiset({"z": 3})
+    assert Multiset({"x": 1}) <= a
+    assert not b <= a
     assert a.times(3) == Multiset({"x": 6, "y": 3})
     assert a.times(0) == EMPTY
 
@@ -100,3 +118,49 @@ def test_unbounded_net_hits_cap():
     )
     with pytest.raises(BoundExceededError):
         reachable(NetSystem(net, Multiset.of("p")), 10)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_enabled_matches_full_scan_on_random_nets(seed, data):
+    net, m1, m2 = random_instance(random.Random(seed), CorpusConfig())
+    m = data.draw(st.dictionaries(
+        st.sampled_from(net.places), st.integers(min_value=0, max_value=3)
+    ).map(Multiset))
+    for marking in (m1, m2, m):
+        assert enabled(net, marking) == full_scan(net, marking)
+
+
+def test_enabled_matches_full_scan_on_large_ring():
+    net = ring(2000)
+    markings = [
+        EMPTY, Multiset.of("r0"), Multiset.of("r1999"),
+        Multiset.of("r7", "r7", "r1000"),
+        Multiset({f"r{i}": 1 for i in range(0, 2000, 3)}),
+    ]
+    for m in markings:
+        assert enabled(net, m) == full_scan(net, m)
+    assert enabled(net, Multiset.of("r1000", "r7")) == ["t7", "t1000"]
+
+
+def test_enabled_matches_full_scan_with_multi_place_presets():
+    net = PTNet.make(
+        ["a", "b", "c"],
+        [
+            Transition("sync", "x", Multiset.of("a", "b"), Multiset.of("c")),
+            Transition("double", "y", Multiset.of("a", "a"), Multiset.of("b")),
+            Transition("back", "z", Multiset.of("c"), Multiset.of("a")),
+            Transition("all", "x", Multiset.of("c", "b", "a"), Multiset()),
+        ],
+    )
+    for counts in itertools.product(range(3), repeat=3):
+        m = Multiset(dict(zip("abc", counts)))
+        assert enabled(net, m) == full_scan(net, m)
+    assert enabled(net, Multiset.of("a", "b", "c")) == ["sync", "back", "all"]
+
+
+def test_equal_nets_compare_and_hash_equal():
+    a, b = ring(50), ring(50)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != ring(51)
