@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 
 from .nets import NetError, NetSystem, enabled, fire, reachable
 from .indexed import initial_indexed, reachable_im, im_successors
@@ -168,11 +169,13 @@ def _cmd_bound(args) -> int:
 def _cmd_corpus(args) -> int:
     rng = random.Random(args.seed)
     config = CorpusConfig()
+    tally: Counter[str] = Counter()  # "flavor:oracle outcome" -> instances
     disagreements = 0
     for i in range(args.count):
         net, m1, m2 = random_instance(rng, config)
         for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
             oracle = oracle_game(net, m1, m2, flavor, args.depth)
+            tally[f"{flavor}:{oracle.outcome}"] += 1
             if oracle.outcome == "unknown":
                 continue
             mine = decide(net, m1, m2, config.bound)
@@ -180,6 +183,10 @@ def _cmd_corpus(args) -> int:
                 disagreements += 1
                 print(f"disagreement on instance {i} ({flavor}): "
                       f"engine={mine.outcome} oracle={oracle.outcome}")
+                print(f"  net: {net}")
+                print(f"  m1={m1}  m2={m2}")
+    for key in sorted(tally):
+        print(f"{key}: {tally[key]}")
     print(f"checked {args.count} instances, {disagreements} disagreements")
     return EXIT_EQUIV if disagreements == 0 else EXIT_NOT_EQUIV
 

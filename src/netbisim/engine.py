@@ -2,17 +2,20 @@
 (= causal-net) bisimilarity, plus an interleaving baseline.
 
 The decision is an on-the-fly coinductive game over triples
-(oim1, oim2, beta).  Undecided triples on the search stack are assumed
-winning; a refutation is memoized permanently and restarts the pass, so
-every pass either adds a permanently-losing triple or completes with a
-self-supporting winning set (a bisimulation).
+(oim1, oim2, beta), searched depth first on an explicit stack.  Triples
+on the stack are assumed winning.  A refuted triple is memoized
+permanently as a refutation node, and every triple that was found winning
+since it was pushed is withdrawn, since only those can rest on its
+assumption; the search then resumes the frame below.  When the stack empties
+the winning set is self-supporting (a bisimulation), and refutations share
+the node of every triple they cite.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Literal, Optional
 
 from .nets import Multiset, NetSystem, PTNet, enabled, fire, reachable
@@ -41,22 +44,33 @@ class Refutation:
     attacker: Optional[OIMStep] = None
     responses: tuple = ()  # tuple[(OIMStep, Refutation)]
 
+    def nodes(self) -> list[Refutation]:
+        """The distinct nodes below this one, itself included, each after
+        the nodes its responses lead to.  Raises ValueError on a cycle."""
+        done: dict[int, Refutation] = {}  # id(node) -> node, children first
+        open_ids = {id(self)}
+        stack = [(self, iter(self.responses))]
+        while stack:
+            node, rest = stack[-1]
+            for _, sub in rest:
+                if id(sub) in open_ids:
+                    raise ValueError("refutation leads back to itself")
+                if id(sub) not in done:
+                    open_ids.add(id(sub))
+                    stack.append((sub, iter(sub.responses)))
+                    break
+            else:
+                stack.pop()
+                open_ids.discard(id(node))
+                done[id(node)] = node
+        return list(done.values())
+
     def principal_moves(self) -> list[tuple[str, str, frozenset]]:
         """The attacker moves along a deepest defender line; of equally deep
         lines, the first response's.  Each node's line length is computed
         once, so the cost is linear in the number of nodes."""
         length: dict[int, int] = {}  # id(node) -> moves on its deepest line
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if id(node) in length:
-                stack.pop()
-                continue
-            pending = [sub for _, sub in node.responses if id(sub) not in length]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
+        for node in self.nodes():
             length[id(node)] = 0 if node.attacker is None else 1 + max(
                 (length[id(sub)] for _, sub in node.responses), default=0
             )
@@ -94,33 +108,27 @@ def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> B
     """beta' = beta restricted to untouched x untouched, plus all pairs of
     freshly generated tokens."""
     pairs = {(a, b) for a, b in beta if a in untouched1 and b in untouched2}
-    pairs.update((a, b) for a in generated1 for b in generated2)
+    pairs.update(product(generated1, generated2))
     return frozenset(pairs)
 
 
-def deleted_condition_fc(
-    removed1, removed2, leq1, leq2, beta: Beta,
-    symmetric_reading: str = "definition",
-) -> bool:
+def deleted_condition_fc(removed1, removed2, leq1, leq2, beta: Beta) -> bool:
     """Every deleted token must be below some deleted token that is
-    beta-related to a token deleted on the other side.
-
-    `symmetric_reading` selects between the two published phrasings of the
-    right-to-left clause; resolving the free variable in the second one,
-    both collapse to the same predicate.
-    """
-    for p1 in removed1:
-        if not any(
-            (p1, q1) in leq1 and (q1, q2) in beta
-            for q1 in removed1 for q2 in removed2
-        ):
-            return False
-    for p2 in removed2:
-        if not any(
-            (p2, q2) in leq2 and (q1, q2) in beta
-            for q2 in removed2 for q1 in removed1
-        ):
-            return False
+    beta-related to a token deleted on the other side."""
+    related1, related2 = set(), set()  # deleted tokens with a deleted partner
+    for q1 in removed1:
+        for q2 in removed2:
+            if (q1, q2) in beta:
+                related1.add(q1)
+                related2.add(q2)
+    for removed, leq, related in ((removed1, leq1, related1),
+                                  (removed2, leq2, related2)):
+        for p in removed:
+            for q in related:
+                if (p, q) in leq:
+                    break
+            else:
+                return False
     return True
 
 
@@ -147,28 +155,27 @@ def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
     return all(augment(a, set()) for a in left)
 
 
-class _Restart(Exception):
-    pass
-
-
 class _Search:
-    def __init__(self, net: PTNet, flavor: Flavor, limits: Limits,
-                 symmetric_reading: str):
+    def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
         self.net = net
         self.flavor = flavor
         self.limits = limits
-        self.symmetric_reading = symmetric_reading
         self.moves: dict[OrderedIndexedMarking, list[OIMStep]] = {}
-        # triple -> (reason, side, attacker step)
-        self.false_memo: dict[GameTriple, tuple] = {}
+        self.shared: dict[OrderedIndexedMarking, OrderedIndexedMarking] = {}
+        self.false_memo: dict[GameTriple, Refutation] = {}
         self.explored = 0
-        self.passes = 0
         self.t0 = time.monotonic()
 
     def successors(self, o: OrderedIndexedMarking) -> list[OIMStep]:
-        if o not in self.moves:
-            self.moves[o] = oim_successors(self.net, o)
-        return self.moves[o]
+        """The steps from o.  Equal targets are one object, so that equal
+        triples over them compare their markings by identity."""
+        moves = self.moves.get(o)
+        if moves is None:
+            moves = self.moves[o] = [
+                OIMStep(s.tid, s.removed, self.shared.setdefault(s.target, s.target))
+                for s in oim_successors(self.net, o)
+            ]
+        return moves
 
     def _tick(self):
         self.explored += 1
@@ -179,19 +186,6 @@ class _Search:
             and time.monotonic() - self.t0 > self.limits.max_seconds
         ):
             raise ResourceLimitReached
-
-    def defender_ok(self, triple: GameTriple, attack: OIMStep,
-                    response: OIMStep, attacker_left: bool) -> bool:
-        if attacker_left:
-            removed1, removed2 = attack.removed, response.removed
-        else:
-            removed1, removed2 = response.removed, attack.removed
-        if self.flavor == "cn":
-            return deleted_condition_cn(removed1, removed2, triple.beta)
-        return deleted_condition_fc(
-            removed1, removed2, triple.left.order, triple.right.order,
-            triple.beta, self.symmetric_reading,
-        )
 
     def successor_triple(self, triple: GameTriple, left_step: OIMStep,
                          right_step: OIMStep) -> GameTriple:
@@ -205,41 +199,30 @@ class _Search:
     def admissible(self, triple: GameTriple, attack: OIMStep,
                    attacker_left: bool, responses: list[OIMStep]):
         """Yield (response, successor triple) for each defender response
-        with the attack's label that passes the deleted-token condition,
+        with the attack's label that meets the deleted-token condition,
         in the order of `responses`."""
         transition = self.net.transition
         label = transition(attack.tid).label
+        beta = triple.beta
         for resp in responses:
             if transition(resp.tid).label != label:
                 continue
-            if not self.defender_ok(triple, attack, resp, attacker_left):
-                continue
-            if attacker_left:
-                yield resp, self.successor_triple(triple, attack, resp)
+            left, right = (attack, resp) if attacker_left else (resp, attack)
+            if self.flavor == "cn":
+                ok = deleted_condition_cn(left.removed, right.removed, beta)
             else:
-                yield resp, self.successor_triple(triple, resp, attack)
+                ok = deleted_condition_fc(left.removed, right.removed,
+                                          triple.left.order, triple.right.order,
+                                          beta)
+            if ok:
+                yield resp, self.successor_triple(triple, left, right)
 
-    def check(self, triple: GameTriple, stack: set, winning: set) -> bool:
-        if triple in self.false_memo:
-            return False
-        if triple in winning or triple in stack:
-            return True
-        self._tick()
-        stack.add(triple)
-        try:
-            info = self.evaluate(triple, stack, winning)
-        finally:
-            stack.discard(triple)
-        if info is not None:
-            self.false_memo[triple] = info
-            raise _Restart
-        winning.add(triple)
-        return True
-
-    def evaluate(self, triple: GameTriple, stack: set, winning: set):
-        """None if the triple survives; otherwise the refutation record."""
+    def evaluate(self, triple: GameTriple):
+        """Play one triple: yield each successor triple whose value is
+        needed and receive whether it wins.  Returns None if the triple
+        survives, otherwise its refutation node."""
         if self.flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens):
-            return ("size-gate", None, None)
+            return Refutation(triple, "size-gate")
         left_moves = self.successors(triple.left)
         right_moves = self.successors(triple.right)
         for attacker_left, attacks, responses in (
@@ -247,42 +230,54 @@ class _Search:
             (False, right_moves, left_moves),
         ):
             for attack in attacks:
-                for _, nxt in self.admissible(
+                refuted = []
+                for resp, nxt in self.admissible(
                         triple, attack, attacker_left, responses):
-                    if self.check(nxt, stack, winning):
+                    if (yield nxt):
                         break
+                    refuted.append((resp, self.false_memo[nxt]))
                 else:
-                    return ("move", "left" if attacker_left else "right", attack)
+                    return Refutation(
+                        triple, "move", "left" if attacker_left else "right",
+                        attack, tuple(refuted),
+                    )
         return None
 
     def run(self, root: GameTriple):
-        """(True, winning set) or (False, refutation)."""
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100_000))
-        try:
-            while True:
-                self.passes += 1
-                winning: set = set()
-                try:
-                    if self.check(root, set(), winning):
-                        return True, frozenset(winning)
-                    return False, self.build_refutation(root)
-                except _Restart:
-                    continue
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    def build_refutation(self, triple: GameTriple) -> Refutation:
-        reason, side, attack = self.false_memo[triple]
-        if reason == "size-gate":
-            return Refutation(triple, "size-gate")
-        attacker_left = side == "left"
-        responses = self.successors(triple.right if attacker_left else triple.left)
-        return Refutation(triple, "move", side, attack, tuple(
-            (resp, self.build_refutation(nxt))
-            for resp, nxt in self.admissible(
-                triple, attack, attacker_left, responses)
-        ))
+        """(True, winning set) or (False, refutation of the root)."""
+        # The triples on the stack and those found winning, in the order
+        # they were pushed.  A triple found winning rests only on triples
+        # pushed before it, so refuting a triple withdraws exactly the
+        # entries from its own onwards.
+        assumed: dict[GameTriple, None] = {root: None}
+        self._tick()
+        # (triple, len(assumed) before its push, its evaluation)
+        frames = [(root, 0, self.evaluate(root))]
+        answer = None
+        while frames:
+            triple, mark, game = frames[-1]
+            try:
+                nxt = game.send(answer)
+            except StopIteration as done:
+                frames.pop()
+                answer = done.value is None
+                if not answer:
+                    self.false_memo[triple] = done.value
+                    while len(assumed) > mark:
+                        assumed.popitem()
+                continue
+            if nxt in assumed:
+                answer = True
+            elif nxt in self.false_memo:
+                answer = False
+            else:
+                self._tick()
+                frames.append((nxt, len(assumed), self.evaluate(nxt)))
+                assumed[nxt] = None
+                answer = None
+        if answer:
+            return True, frozenset(assumed)
+        return False, self.false_memo[root]
 
 
 def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
@@ -294,39 +289,36 @@ def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
 
 
 def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
-                 flavor: Flavor, limits: Optional[Limits],
-                 symmetric_reading: str) -> BisimVerdict:
+                 flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
     reachable(NetSystem(net, m1), cap)
     reachable(NetSystem(net, m2), cap)
     limits = limits or Limits()
-    search = _Search(net, flavor, limits, symmetric_reading)
+    search = _Search(net, flavor, limits)
     t0 = time.monotonic()
     try:
         won, payload = search.run(_initial_triple(m1, m2))
     except ResourceLimitReached:
         return BisimVerdict(
             "unknown",
-            stats={"triples": search.explored, "passes": search.passes,
+            stats={"triples": search.explored,
                    "seconds": time.monotonic() - t0},
         )
-    stats = {"triples": search.explored, "passes": search.passes,
-             "seconds": time.monotonic() - t0}
+    stats = {"triples": search.explored, "seconds": time.monotonic() - t0}
     if won:
         return BisimVerdict("equivalent", witness=payload, stats=stats)
     return BisimVerdict("not-equivalent", refutation=payload, stats=stats)
 
 
 def decide_oim(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
-               limits: Optional[Limits] = None,
-               symmetric_reading: str = "definition") -> BisimVerdict:
+               limits: Optional[Limits] = None) -> BisimVerdict:
     """Decide fully-concurrent bisimilarity of m1 and m2 (via the OIM game)."""
-    return _decide_game(net, m1, m2, cap, "fc", limits, symmetric_reading)
+    return _decide_game(net, m1, m2, cap, "fc", limits)
 
 
 def decide_oimc(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                 limits: Optional[Limits] = None) -> BisimVerdict:
     """Decide causal-net bisimilarity of m1 and m2 (via the OIMC game)."""
-    return _decide_game(net, m1, m2, cap, "cn", limits, "definition")
+    return _decide_game(net, m1, m2, cap, "cn", limits)
 
 
 def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
@@ -360,13 +352,12 @@ def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
 
 
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
-                     flavor: Flavor,
-                     symmetric_reading: str = "definition") -> bool:
+                     flavor: Flavor) -> bool:
     """Independent closure check: every triple in the witness satisfies both
     transfer directions with successors inside the witness."""
     if root not in witness:
         return False
-    helper = _Search(net, flavor, Limits(), symmetric_reading)
+    helper = _Search(net, flavor, Limits())
     for triple in witness:
         if flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens):
             return False
@@ -383,30 +374,34 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     return True
 
 
-def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor,
-                        symmetric_reading: str = "definition") -> bool:
+def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     """Replay a refutation: at every node the attacker move must exist and
-    every admissible defender response must itself be refuted."""
-    helper = _Search(net, flavor, Limits(), symmetric_reading)
-    triple = ref.triple
-    if ref.reason == "size-gate":
-        return flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens)
-    attacker_left = ref.side == "left"
-    attacks = helper.successors(triple.left if attacker_left else triple.right)
-    if ref.attacker not in attacks:
+    every admissible defender response must itself be refuted.  Each
+    distinct node is replayed once; a refutation that leads back to one of
+    its own nodes proves nothing and is rejected."""
+    try:
+        nodes = ref.nodes()
+    except ValueError:
         return False
-    responses = helper.successors(triple.right if attacker_left else triple.left)
-    admissible = dict(
-        helper.admissible(triple, ref.attacker, attacker_left, responses)
-    )
-    if {resp for resp, _ in ref.responses} != set(admissible):
-        return False
-    for resp, sub in ref.responses:
-        if sub.triple != admissible[resp]:
+    helper = _Search(net, flavor, Limits())
+
+    def replays(node: Refutation) -> bool:
+        triple = node.triple
+        if node.reason == "size-gate":
+            return flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens)
+        attacker_left = node.side == "left"
+        attacks = helper.successors(triple.left if attacker_left else triple.right)
+        if node.attacker not in attacks:
             return False
-        if not validate_refutation(net, sub, flavor, symmetric_reading):
+        responses = helper.successors(triple.right if attacker_left else triple.left)
+        admissible = dict(
+            helper.admissible(triple, node.attacker, attacker_left, responses)
+        )
+        if {resp for resp, _ in node.responses} != set(admissible):
             return False
-    return True
+        return all(sub.triple == admissible[resp] for resp, sub in node.responses)
+
+    return all(replays(node) for node in nodes)
 
 
 def _fmt_token(tok: Token) -> str:

@@ -136,4 +136,12 @@ def test_parse_error_is_runtime_error(tmp_path, capsys):
 def test_corpus_smoke(capsys):
     assert cli_main(["--seed", "7", "corpus", "--count", "5",
                      "--depth", "4"]) == 0
-    assert "0 disagreements" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "checked 5 instances, 0 disagreements"
+    tally = dict(line.split(": ") for line in out[:-1])
+    assert set(tally) <= {f"{flavor}:{outcome}" for flavor in ("fc", "cn")
+                          for outcome in ("equivalent", "not-equivalent",
+                                          "unknown")}
+    for flavor in ("fc", "cn"):
+        assert sum(int(n) for key, n in tally.items()
+                   if key.startswith(f"{flavor}:")) == 5

@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from netbisim import (
     BoundExceededError, Limits, Multiset, OIMStep, PTNet, Refutation,
@@ -6,7 +9,7 @@ from netbisim import (
     deleted_condition_cn, deleted_condition_fc, format_refutation,
     format_witness, validate_refutation, validate_witness,
 )
-from netbisim.engine import _initial_triple
+from netbisim.engine import _initial_triple, _Search
 
 
 def buffer(k):
@@ -39,6 +42,16 @@ def alarm_pair(k, g):
         ["prL", "freeL", "fullL", "prR", "freeR", "fullR"], transitions
     )
     return net, Multiset({"prL": 1, "freeL": k}), Multiset({"prR": 1, "freeR": k})
+
+
+def ring(n):
+    """A one-token ring of n places with one `a`-transition per place."""
+    net = PTNet.make(
+        [f"r{i}" for i in range(n)],
+        [Transition(f"t{i}", "a", Multiset.of(f"r{i}"),
+                    Multiset.of(f"r{(i + 1) % n}")) for i in range(n)],
+    )
+    return net, Multiset.of("r0"), Multiset.of(f"r{n // 2}")
 
 
 def recursive_principal_moves(node):
@@ -100,20 +113,32 @@ def test_deleted_condition_fc_uses_order():
     )
 
 
-def test_deleted_condition_fc_readings_agree():
-    tokens = [("p", i) for i in (1, 2)] + [("q", i) for i in (1, 2)]
-    import itertools
-    for r1 in (frozenset({tokens[0]}), frozenset(tokens[:2])):
-        for r2 in (frozenset({tokens[2]}), frozenset(tokens[2:])):
-            leq1 = frozenset(itertools.product(tokens[:2], tokens[:2]))
-            leq2 = frozenset(itertools.product(tokens[2:], tokens[2:]))
-            for beta in (frozenset(), frozenset({(tokens[0], tokens[2])}),
-                         frozenset(itertools.product(tokens[:2], tokens[2:]))):
-                assert deleted_condition_fc(
-                    r1, r2, leq1, leq2, beta, "definition"
-                ) == deleted_condition_fc(
-                    r1, r2, leq1, leq2, beta, "restatement"
-                )
+LEFT_TOKENS = [("p", 1), ("p", 2), ("q", 1)]
+RIGHT_TOKENS = [("r", 1), ("r", 2), ("s", 1)]
+
+
+def relation(xs, ys):
+    return st.frozensets(st.tuples(st.sampled_from(xs), st.sampled_from(ys)))
+
+
+@given(st.frozensets(st.sampled_from(LEFT_TOKENS)),
+       st.frozensets(st.sampled_from(RIGHT_TOKENS)),
+       relation(LEFT_TOKENS, LEFT_TOKENS), relation(RIGHT_TOKENS, RIGHT_TOKENS),
+       relation(LEFT_TOKENS, RIGHT_TOKENS))
+def test_deleted_condition_fc_matches_definition(removed1, removed2, leq1,
+                                                 leq2, beta):
+    """Against the condition as written, on relations that need not be
+    preorders."""
+    expected = all(
+        any((p1, q1) in leq1 and (q1, q2) in beta
+            for q1 in removed1 for q2 in removed2)
+        for p1 in removed1
+    ) and all(
+        any((p2, q2) in leq2 and (q1, q2) in beta
+            for q2 in removed2 for q1 in removed1)
+        for p2 in removed2
+    )
+    assert deleted_condition_fc(removed1, removed2, leq1, leq2, beta) == expected
 
 
 def test_deleted_condition_cn_perfect_matching():
@@ -290,3 +315,67 @@ def test_principal_moves_on_deep_refutations():
         moves = ref.principal_moves()
         assert len(moves) == line_length(ref) > 20
         assert len(format_refutation(ref).splitlines()) == 1 + len(moves)
+
+
+def test_deep_search_needs_no_recursion_limit(monkeypatch):
+    """The search keeps its own stack: a 3,000-triple-deep game decides
+    without touching the interpreter's recursion limit."""
+    def refuse(limit):
+        raise AssertionError(f"recursion limit raised to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    net, m1, m2 = ring(3000)
+    for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
+        v = decide(net, m1, m2, 1)
+        assert v.outcome == "equivalent"
+        assert v.stats["triples"] == 3000
+        assert validate_witness(net, v.witness, _initial_triple(m1, m2), flavor)
+
+
+def test_cyclic_refutation_rejected():
+    """Two buffer(1) triples that each refer to the other: every node
+    replays locally, but the cycle proves nothing, so the validator rejects
+    it and formatting raises instead of looping."""
+    net, m0 = buffer(1)
+    helper = _Search(net, "fc", Limits())
+
+    def only_move(triple):
+        (attack,) = helper.successors(triple.left)
+        ((resp, nxt),) = helper.admissible(
+            triple, attack, True, helper.successors(triple.right))
+        return attack, resp, nxt
+
+    _, _, full = only_move(_initial_triple(m0, m0))
+    get, get_resp, empty = only_move(full)
+    put, put_resp, back = only_move(empty)
+    assert back == full
+    node_full = Refutation(full, "move", "left", get)
+    node_empty = Refutation(empty, "move", "left", put, ((put_resp, node_full),))
+    node_full.responses = ((get_resp, node_empty),)
+    assert not validate_refutation(net, node_full, "fc")
+    with pytest.raises(ValueError):
+        format_refutation(node_full)
+
+
+# Triples explored on these pairs by a search that restarts from the root
+# after every refutation.
+RESTARTING_TRIPLES = {(2, 1): 38, (3, 1): 913, (4, 3): 17_690}
+
+
+@pytest.mark.parametrize("k,g", sorted(RESTARTING_TRIPLES))
+def test_refutations_share_nodes(k, g):
+    """One node per refuted triple, listed children first, and no more
+    triples explored than with restarts."""
+    net, m_left, m_right = alarm_pair(k, g)
+    for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
+        v = decide(net, m_left, m_right, k)
+        assert v.outcome == "not-equivalent"
+        assert v.stats["triples"] <= RESTARTING_TRIPLES[k, g]
+        assert validate_refutation(net, v.refutation, flavor)
+        nodes = v.refutation.nodes()
+        assert len(nodes) == len({node.triple for node in nodes})
+        assert nodes[-1] is v.refutation
+        position = {id(node): i for i, node in enumerate(nodes)}
+        for node in nodes:
+            for _, sub in node.responses:
+                assert position[id(sub)] < position[id(node)]
