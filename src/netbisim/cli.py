@@ -13,7 +13,7 @@ from collections import Counter
 
 from .nets import NetError, NetSystem, enabled, fire, reachable
 from .indexed import initial_indexed, reachable_im, im_successors
-from .ordered import init_oim, oim_successors, reachable_oim
+from .ordered import oim_successors, reachable_oim
 from .engine import (
     decide_interleaving, decide_oim, decide_oimc, format_refutation,
     format_witness,
@@ -129,6 +129,14 @@ def _cmd_oracle(args) -> int:
     return _OUTCOME_CODE[verdict.outcome]
 
 
+# --what -> (name, explorer, successors, DOT export)
+_INDEXED_SPACES = {
+    "im": ("indexed markings", reachable_im, im_successors, export_im_dot),
+    "oim": ("ordered indexed markings", reachable_oim, oim_successors,
+            export_oim_dot),
+}
+
+
 def _cmd_explore(args) -> int:
     doc, m = _load(args.net, args.marking)
     net = doc.net
@@ -142,20 +150,14 @@ def _cmd_explore(args) -> int:
             ]
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(export_reachability_dot(net, result.markings, edges))
-    elif args.what == "im":
-        ims = reachable_im(net, initial_indexed(m), args.cap)
-        print(f"indexed markings {len(ims)}")
-        if args.dot:
-            steps = [(k, s) for k in ims for s in im_successors(net, k)]
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_im_dot(ims, steps))
     else:
-        oims = reachable_oim(net, initial_indexed(m), args.cap)
-        print(f"ordered indexed markings {len(oims)}")
+        noun, explore, successors, export = _INDEXED_SPACES[args.what]
+        states = explore(net, initial_indexed(m), args.cap)
+        print(f"{noun} {len(states)}")
         if args.dot:
-            steps = [(o, s) for o in oims for s in oim_successors(net, o)]
+            steps = [(x, s) for x in states for s in successors(net, x)]
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_oim_dot(oims, steps))
+                fh.write(export(states, steps))
     return EXIT_EQUIV
 
 

@@ -219,8 +219,9 @@ class _Search:
 
     def evaluate(self, triple: GameTriple):
         """Play one triple: yield each successor triple whose value is
-        needed and receive whether it wins.  Returns None if the triple
-        survives, otherwise its refutation node."""
+        needed and receive True if it wins, otherwise its refutation node
+        (a caller that needs no refutation may send False).  Returns None
+        if the triple survives, otherwise its refutation node."""
         if self.flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens):
             return Refutation(triple, "size-gate")
         left_moves = self.successors(triple.left)
@@ -233,9 +234,10 @@ class _Search:
                 refuted = []
                 for resp, nxt in self.admissible(
                         triple, attack, attacker_left, responses):
-                    if (yield nxt):
+                    node = yield nxt
+                    if node is True:
                         break
-                    refuted.append((resp, self.false_memo[nxt]))
+                    refuted.append((resp, node))
                 else:
                     return Refutation(
                         triple, "move", "left" if attacker_left else "right",
@@ -260,22 +262,24 @@ class _Search:
                 nxt = game.send(answer)
             except StopIteration as done:
                 frames.pop()
-                answer = done.value is None
-                if not answer:
-                    self.false_memo[triple] = done.value
+                answer = done.value
+                if answer is None:
+                    answer = True
+                else:
+                    self.false_memo[triple] = answer
                     while len(assumed) > mark:
                         assumed.popitem()
                 continue
             if nxt in assumed:
                 answer = True
             elif nxt in self.false_memo:
-                answer = False
+                answer = self.false_memo[nxt]
             else:
                 self._tick()
                 frames.append((nxt, len(assumed), self.evaluate(nxt)))
                 assumed[nxt] = None
                 answer = None
-        if answer:
+        if answer is True:
             return True, frozenset(assumed)
         return False, self.false_memo[root]
 
@@ -358,19 +362,20 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     if root not in witness:
         return False
     helper = _Search(net, flavor, Limits())
+    # Successor markings are shared with the witness's, so membership
+    # tests compare markings by identity.
     for triple in witness:
-        if flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens):
-            return False
-        for attacker_left in (True, False):
-            attacks = helper.successors(triple.left if attacker_left else triple.right)
-            responses = helper.successors(triple.right if attacker_left else triple.left)
-            for attack in attacks:
-                for _, nxt in helper.admissible(
-                        triple, attack, attacker_left, responses):
-                    if nxt in witness:
-                        break
-                else:
-                    return False
+        helper.shared.setdefault(triple.left, triple.left)
+        helper.shared.setdefault(triple.right, triple.right)
+    for triple in witness:
+        game = helper.evaluate(triple)
+        wins = None
+        try:
+            while True:
+                wins = game.send(wins) in witness
+        except StopIteration as done:
+            if done.value is not None:
+                return False
     return True
 
 

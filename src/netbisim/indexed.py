@@ -7,13 +7,10 @@ returned), token creation always picks the least free index per place.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .nets import (
-    BoundExceededError, Multiset, NetError, PTNet, _enabled_transitions,
-)
+from .nets import Multiset, NetError, PTNet, _enabled_transitions, _explore
 
 Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
@@ -111,20 +108,5 @@ def reachable_im(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
     """The finite set IM(N(k0)) of reachable indexed markings."""
     if not is_closed(k0):
         raise NetError("initial indexed marking must be closed")
-
-    def guard(k: IndexedMarking) -> None:
-        for p, n in alpha(k).items():
-            if n > cap:
-                raise BoundExceededError(p, alpha(k), cap)
-
-    guard(k0)
-    seen = {k0}
-    queue = deque([k0])
-    while queue:
-        k = queue.popleft()
-        for step in im_successors(net, k):
-            if step.target not in seen:
-                guard(step.target)
-                seen.add(step.target)
-                queue.append(step.target)
-    return frozenset(seen)
+    return frozenset(_explore(
+        k0, lambda k: [s.target for s in im_successors(net, k)], alpha, cap))

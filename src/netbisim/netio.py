@@ -208,24 +208,8 @@ def export_reachability_dot(net: PTNet, markings, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_im_dot(ims, steps) -> str:
-    """ims: iterable of IndexedMarking; steps: (im, IMStep)."""
-
-    def label(k):
-        return " ".join(f"({p},{i})" for p, i in sorted(k))
-
-    index = {k: i for i, k in enumerate(sorted(ims, key=label))}
-    lines = ["digraph im {"]
-    for k, i in sorted(index.items(), key=lambda kv: kv[1]):
-        lines.append(f"  n{i} [label={_q(label(k))}];")
-    rendered = []
-    for k, step in steps:
-        rem = " ".join(f"({p},{i})" for p, i in sorted(step.removed))
-        rendered.append((index[k], index[step.target], f"{step.tid} -{{{rem}}}"))
-    for src, dst, lbl in sorted(rendered):
-        lines.append(f"  n{src} -> n{dst} [label={_q(lbl)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _tokens_label(k) -> str:
+    return " ".join(f"({p},{i})" for p, i in sorted(k))
 
 
 def _hasse(order: frozenset, tokens: frozenset) -> list:
@@ -238,28 +222,37 @@ def _hasse(order: frozenset, tokens: frozenset) -> list:
 
 
 def _oim_label(o: OrderedIndexedMarking) -> str:
-    toks = " ".join(f"({p},{i})" for p, i in sorted(o.tokens))
+    toks = _tokens_label(o.tokens)
     hasse = _hasse(o.order, o.tokens)
     rel = " ".join(f"({a[0]},{a[1]})<({b[0]},{b[1]})" for a, b in hasse)
     return f"{toks}\\n{rel}" if rel else toks
 
 
-def export_oim_dot(oims, steps) -> str:
-    """oims: iterable of OrderedIndexedMarking; steps: (oim, OIMStep)."""
-    index = {o: i for i, o in enumerate(sorted(oims, key=_oim_label))}
-    lines = ["digraph oim {"]
-    for o, i in sorted(index.items(), key=lambda kv: kv[1]):
-        lines.append(f"  n{i} [label={_q(_oim_label(o))}];")
-    rendered = []
-    for o, step in steps:
-        rem = " ".join(f"({p},{i})" for p, i in sorted(step.removed))
-        rendered.append(
-            (index[o], index[step.target], f"{step.tid} -{{{rem}}}")
-        )
-    for src, dst, label in sorted(rendered):
-        lines.append(f"  n{src} -> n{dst} [label={_q(label)}];")
+def _export_steps_dot(name: str, states, steps, label) -> str:
+    """Nodes numbered in the order of their labels; one edge per step."""
+    index = {x: i for i, x in enumerate(sorted(states, key=label))}
+    lines = [f"digraph {name} {{"]
+    for x, i in index.items():
+        lines.append(f"  n{i} [label={_q(label(x))}];")
+    rendered = sorted(
+        (index[x], index[step.target],
+         f"{step.tid} -{{{_tokens_label(step.removed)}}}")
+        for x, step in steps
+    )
+    for src, dst, lbl in rendered:
+        lines.append(f"  n{src} -> n{dst} [label={_q(lbl)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_im_dot(ims, steps) -> str:
+    """ims: iterable of IndexedMarking; steps: (im, IMStep)."""
+    return _export_steps_dot("im", ims, steps, _tokens_label)
+
+
+def export_oim_dot(oims, steps) -> str:
+    """oims: iterable of OrderedIndexedMarking; steps: (oim, OIMStep)."""
+    return _export_steps_dot("oim", oims, steps, _oim_label)
 
 
 def export_causal_net_dot(cn: CausalNet, cond_label=None) -> str:

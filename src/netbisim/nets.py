@@ -241,6 +241,28 @@ class ReachabilityResult:
     least_bound: int
 
 
+def _check_cap(m: Multiset, cap: int) -> None:
+    for p, n in m.items():
+        if n > cap:
+            raise BoundExceededError(p, m, cap)
+
+
+def _explore(start, successors, marking, cap: int) -> set:
+    """Every state reachable from start, breadth first; successors(x) lists
+    the states one step from x.  Raises BoundExceededError at the first
+    state found whose marking(x) puts more than `cap` tokens on a place."""
+    _check_cap(marking(start), cap)
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        for x in successors(queue.popleft()):
+            if x not in seen:
+                _check_cap(marking(x), cap)
+                seen.add(x)
+                queue.append(x)
+    return seen
+
+
 def reachable(sys: NetSystem, cap: int) -> ReachabilityResult:
     """All reachable markings, verifying the net is cap-bounded.
 
@@ -250,23 +272,8 @@ def reachable(sys: NetSystem, cap: int) -> ReachabilityResult:
     if cap < 1:
         raise NetError("cap must be positive")
     net = sys.net
-
-    def guard(m: Multiset) -> None:
-        for p, n in m.items():
-            if n > cap:
-                raise BoundExceededError(p, m, cap)
-
-    guard(sys.initial)
-    seen = {sys.initial}
-    queue = deque([sys.initial])
-    least = max((n for _, n in sys.initial.items()), default=0)
-    while queue:
-        m = queue.popleft()
-        for tid in enabled(net, m):
-            m2 = fire(net, m, tid)
-            if m2 not in seen:
-                guard(m2)
-                least = max(least, max((n for _, n in m2.items()), default=0))
-                seen.add(m2)
-                queue.append(m2)
+    seen = _explore(sys.initial,
+                    lambda m: [fire(net, m, tid) for tid in enabled(net, m)],
+                    lambda m: m, cap)
+    least = max((n for m in seen for _, n in m.items()), default=0)
     return ReachabilityResult(frozenset(seen), least)

@@ -11,18 +11,27 @@ States are memoized up to isomorphism via a canonical key (the minimum
 over all topological orderings of the paired-event encoding).  The
 evaluation is three-valued and depth-bounded: a state is winning for the
 defender when every branch closes (deadlocks or hits a winning state),
-losing when the attacker forces a failure, unknown past the depth.
+losing when the attacker forces a failure, unknown past the depth.  It
+runs on an explicit stack, so the depth is bounded by the caller, not by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Optional
 
-from .nets import Multiset, PTNet
+from .nets import Multiset, NetError, PTNet
 from .engine import BisimVerdict
+
+
+def _groups(conds: tuple, consumed: frozenset, side: int) -> dict[str, list[int]]:
+    """The unconsumed conditions, by their place in component `side`."""
+    groups: dict[str, list[int]] = {}
+    for i, cond in enumerate(conds):
+        if i not in consumed:
+            groups.setdefault(cond[side], []).append(i)
+    return groups
 
 
 def _preset_choices(groups: dict[str, list[int]], need: Multiset):
@@ -37,20 +46,39 @@ def _preset_choices(groups: dict[str, list[int]], need: Multiset):
         yield frozenset(i for grp in choice for i in grp)
 
 
-def _all_topo_orders(n: int, anc: tuple) -> list[tuple[int, ...]]:
-    """All linearizations of events 0..n-1 respecting the ancestor sets."""
-    orders = []
+def _moves(net: PTNet, groups: dict[str, list[int]]):
+    """(tid, preset) pairs: every transition, every preset choice."""
+    for t in net.transitions:
+        for preset in _preset_choices(groups, t.pre):
+            yield t.tid, preset
 
-    def rec(placed: tuple[int, ...], remaining: frozenset):
+
+def _all_topo_orders(anc: tuple) -> list[tuple[int, ...]]:
+    """All linearizations of the events 0..len(anc)-1 respecting the
+    ancestor sets."""
+    strict = [a - {e} for e, a in enumerate(anc)]
+    orders = []
+    stack = [((), frozenset(range(len(anc))))]
+    while stack:
+        placed, remaining = stack.pop()
         if not remaining:
             orders.append(placed)
-            return
-        for e in sorted(remaining):
-            if anc[e] - {e} <= set(placed):
-                rec(placed + (e,), remaining - {e})
-
-    rec((), frozenset(range(n)))
+        for e in remaining:
+            if strict[e].isdisjoint(remaining):
+                stack.append((placed + (e,), remaining - {e}))
     return orders
+
+
+def _min_encoding(anc: tuple, encode) -> tuple:
+    """The least encode(order, pos) over all linearizations of the events.
+    pos maps each event to its position in the order and -1 to -1, so an
+    encoder writes each condition with its producer replaced by pos."""
+    pos = {-1: -1}
+    encodings = []
+    for order in _all_topo_orders(anc):
+        pos.update(zip(order, range(len(order))))
+        encodings.append(encode(order, pos))
+    return min(encodings)
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +101,10 @@ class FCState:
     anc2: tuple
 
 
-def _fc_init(m1: Multiset, m2: Multiset) -> FCState:
+def _fc_inits(m1: Multiset, m2: Multiset) -> list[FCState]:
     c1 = tuple((-1, p) for p, n in m1.items() for _ in range(n))
     c2 = tuple((-1, p) for p, n in m2.items() for _ in range(n))
-    return FCState(c1, frozenset(), c2, frozenset(), (), (), ())
-
-
-def _maximal_groups(conds: tuple, consumed: frozenset) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, (_, place) in enumerate(conds):
-        if i not in consumed:
-            groups.setdefault(place, []).append(i)
-    return groups
+    return [FCState(c1, frozenset(), c2, frozenset(), (), (), ())]
 
 
 def _cond_ancestors(conds: tuple, preset: frozenset, anc: tuple) -> frozenset:
@@ -96,12 +116,9 @@ def _cond_ancestors(conds: tuple, preset: frozenset, anc: tuple) -> frozenset:
     return frozenset(acc)
 
 
-def _side_moves(net: PTNet, conds, consumed):
-    """(tid, preset) pairs: every transition, every preset choice."""
-    groups = _maximal_groups(conds, consumed)
-    for t in net.transitions:
-        for preset in _preset_choices(groups, t.pre):
-            yield t.tid, preset
+def _fc_sides(s: FCState) -> tuple:
+    """(conditions, consumed, ancestors) of process 1, then of process 2."""
+    return ((s.conds1, s.consumed1, s.anc1), (s.conds2, s.consumed2, s.anc2))
 
 
 def _fc_extend(net: PTNet, s: FCState, tid1, preset1, tid2, preset2) -> FCState:
@@ -121,58 +138,41 @@ def _fc_extend(net: PTNet, s: FCState, tid1, preset1, tid2, preset2) -> FCState:
 
 def _fc_attacks(net: PTNet, s: FCState):
     """(side, tid, preset) for every attacker option."""
-    for tid, preset in _side_moves(net, s.conds1, s.consumed1):
-        yield 1, tid, preset
-    for tid, preset in _side_moves(net, s.conds2, s.consumed2):
-        yield 2, tid, preset
+    for side, (conds, consumed, _) in enumerate(_fc_sides(s), 1):
+        for tid, preset in _moves(net, _groups(conds, consumed, 1)):
+            yield side, tid, preset
 
 
 def _fc_responses(net: PTNet, s: FCState, side, tid, preset):
     """Successor states for every admissible defender answer."""
+    sides = _fc_sides(s)
+    (conds, _, anc), (dconds, dconsumed, danc) = sides if side == 1 else sides[::-1]
     label = net.transition(tid).label
-    if side == 1:
-        anc_new = _cond_ancestors(s.conds1, preset, s.anc1)
-        for tid2, preset2 in _side_moves(net, s.conds2, s.consumed2):
-            if net.transition(tid2).label != label:
-                continue
-            if _cond_ancestors(s.conds2, preset2, s.anc2) != anc_new:
-                continue  # f' would not be an order isomorphism
-            yield _fc_extend(net, s, tid, preset, tid2, preset2)
-    else:
-        anc_new = _cond_ancestors(s.conds2, preset, s.anc2)
-        for tid1, preset1 in _side_moves(net, s.conds1, s.consumed1):
-            if net.transition(tid1).label != label:
-                continue
-            if _cond_ancestors(s.conds1, preset1, s.anc1) != anc_new:
-                continue
-            yield _fc_extend(net, s, tid1, preset1, tid, preset)
-
-
-def _encode_preset(conds, preset, pos) -> tuple:
-    return tuple(sorted(
-        (pos[conds[i][0]] if conds[i][0] >= 0 else -1, conds[i][1])
-        for i in preset
-    ))
+    anc_new = _cond_ancestors(conds, preset, anc)
+    for dtid, dpreset in _moves(net, _groups(dconds, dconsumed, 1)):
+        if net.transition(dtid).label != label:
+            continue
+        if _cond_ancestors(dconds, dpreset, danc) != anc_new:
+            continue  # f' would not be an order isomorphism
+        pair = ((tid, preset), (dtid, dpreset))
+        (tid1, preset1), (tid2, preset2) = pair if side == 1 else pair[::-1]
+        yield _fc_extend(net, s, tid1, preset1, tid2, preset2)
 
 
 def _fc_key(s: FCState):
-    n = len(s.events)
-    anc = tuple(s.anc1[i] | s.anc2[i] for i in range(n))
-    best = None
-    for order in _all_topo_orders(n, anc):
-        pos = {e: i for i, e in enumerate(order)}
-        enc = tuple(
-            (
-                s.events[e][0], _encode_preset(s.conds1, s.events[e][1], pos),
-                s.events[e][2], _encode_preset(s.conds2, s.events[e][3], pos),
-            )
-            for e in order
+    c1, c2, events = s.conds1, s.conds2, s.events
+
+    def encode(order, pos):
+        return tuple(
+            (tid1, tuple(sorted([(pos[c1[i][0]], c1[i][1]) for i in pre1])),
+             tid2, tuple(sorted([(pos[c2[i][0]], c2[i][1]) for i in pre2])))
+            for tid1, pre1, tid2, pre2 in map(events.__getitem__, order)
         )
-        if best is None or enc < best:
-            best = enc
-    init1 = tuple(sorted(p for prod, p in s.conds1 if prod == -1))
-    init2 = tuple(sorted(p for prod, p in s.conds2 if prod == -1))
-    return ("fc", init1, init2, best)
+
+    anc = tuple(map(frozenset.union, s.anc1, s.anc2))
+    init1 = tuple(sorted(p for prod, p in c1 if prod == -1))
+    init2 = tuple(sorted(p for prod, p in c2 if prod == -1))
+    return ("fc", init1, init2, _min_encoding(anc, encode))
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +201,10 @@ def _cn_inits(m1: Multiset, m2: Multiset) -> list[CNState]:
     ]
 
 
-def _cn_groups(s: CNState, side: int) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, cond in enumerate(s.conds):
-        if i not in s.consumed:
-            groups.setdefault(cond[side], []).append(i)
-    return groups
-
-
 def _cn_attacks(net: PTNet, s: CNState):
     for side in (1, 2):
-        groups = _cn_groups(s, side)
-        for t in net.transitions:
-            for preset in _preset_choices(groups, t.pre):
-                yield side, t.tid, preset
+        for tid, preset in _moves(net, _groups(s.conds, s.consumed, side)):
+            yield side, tid, preset
 
 
 def _cn_responses(net: PTNet, s: CNState, side, tid, preset):
@@ -226,6 +216,7 @@ def _cn_responses(net: PTNet, s: CNState, side, tid, preset):
     other_pre = Multiset.of(*(s.conds[i][other] for i in preset))
     att_post = [p for p, n in sorted(t_att.post.items()) for _ in range(n)]
     e = len(s.events)
+    anc_new = _cond_ancestors(s.conds, preset, s.anc) | {e}
     for t in net.transitions:
         if t.label != t_att.label or t.pre != other_pre:
             continue
@@ -241,9 +232,6 @@ def _cn_responses(net: PTNet, s: CNState, side, tid, preset):
             else:
                 new = tuple((e, pd, pa) for pa, pd in pairing)
                 tid1, tid2 = t.tid, tid
-            anc_new = frozenset().union(
-                *(s.anc[s.conds[i][0]] for i in preset if s.conds[i][0] >= 0)
-            ) | {e}
             yield CNState(
                 s.conds + new, s.consumed | preset,
                 s.events + ((tid1, tid2, preset),), s.anc + (anc_new,),
@@ -251,25 +239,24 @@ def _cn_responses(net: PTNet, s: CNState, side, tid, preset):
 
 
 def _cn_key(s: CNState):
-    n = len(s.events)
-    best = None
-    for order in _all_topo_orders(n, s.anc):
-        pos = {e: i for i, e in enumerate(order)}
-        enc = tuple(
-            (
-                s.events[e][0], s.events[e][1],
-                tuple(sorted(
-                    (pos[s.conds[i][0]] if s.conds[i][0] >= 0 else -1,
-                     s.conds[i][1], s.conds[i][2])
-                    for i in s.events[e][2]
-                )),
-            )
-            for e in order
+    c, events = s.conds, s.events
+
+    def encode(order, pos):
+        return tuple(
+            (tid1, tid2,
+             tuple(sorted([(pos[c[i][0]], c[i][1], c[i][2]) for i in preset])))
+            for tid1, tid2, preset in map(events.__getitem__, order)
         )
-        if best is None or enc < best:
-            best = enc
-    init = tuple(sorted((p1, p2) for prod, p1, p2 in s.conds if prod == -1))
-    return ("cn", init, best)
+
+    init = tuple(sorted((p1, p2) for prod, p1, p2 in c if prod == -1))
+    return ("cn", init, _min_encoding(s.anc, encode))
+
+
+# flavor -> (initial states, attacks, responses, canonical key)
+_GAMES = {
+    "fc": (_fc_inits, _fc_attacks, _fc_responses, _fc_key),
+    "cn": (_cn_inits, _cn_attacks, _cn_responses, _cn_key),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -278,69 +265,76 @@ def _cn_key(s: CNState):
 
 
 class _Oracle:
-    def __init__(self, net: PTNet, flavor: str):
+    def __init__(self, net: PTNet, attacks, responses, key):
         self.net = net
-        self.flavor = flavor
-        # key -> (True, winning keys) | (False, None) | stored unknown depth
+        self.attacks = attacks
+        self.responses = responses
+        self.key = key
+        # key -> (True, winning keys) | (False, None)
         self.definitive: dict = {}
+        # key -> the greatest depth at which it was found unknown
         self.unknown_at: dict = {}
 
-    def attacks(self, s):
-        if self.flavor == "fc":
-            return list(_fc_attacks(self.net, s))
-        return list(_cn_attacks(self.net, s))
-
-    def responses(self, s, attack):
-        side, tid, preset = attack
-        if self.flavor == "fc":
-            return list(_fc_responses(self.net, s, side, tid, preset))
-        return list(_cn_responses(self.net, s, side, tid, preset))
-
-    def key(self, s):
-        return _fc_key(s) if self.flavor == "fc" else _cn_key(s)
-
-    def value(self, s, depth: int):
-        """(True, winning key set) | (False, None) | (None, None)."""
+    def _enter(self, s, depth: int, frames: list):
+        """The value of s if it is memoized or immediate; otherwise push
+        its frame and return None."""
         key = self.key(s)
         if key in self.definitive:
             return self.definitive[key]
         if key in self.unknown_at and depth <= self.unknown_at[key]:
             return (None, None)
-        attacks = self.attacks(s)
+        attacks = list(self.attacks(self.net, s))
         if not attacks:
-            result = (True, frozenset([key]))
-            self.definitive[key] = result
+            result = self.definitive[key] = (True, frozenset([key]))
             return result
         if depth == 0:
-            self.unknown_at[key] = max(self.unknown_at.get(key, 0), depth)
+            self.unknown_at[key] = 0  # not stored yet, or it returned above
             return (None, None)
+        frames.append((key, depth, self._play(s, key, attacks)))
+        return None
+
+    def _play(self, s, key, attacks):
+        """Play s: yield each successor state whose value is needed and
+        receive that value.  Returns the value of s."""
         all_true = True
         winning = {key}
         for attack in attacks:
-            move_val = False
-            move_win = None
-            for succ in self.responses(s, attack):
-                v, w = self.value(succ, depth - 1)
+            move_val, move_win = False, None
+            for succ in self.responses(self.net, s, *attack):
+                v, w = yield succ
                 if v is True:
-                    move_val = True
-                    move_win = w
+                    move_val, move_win = True, w
                     break
                 if v is None:
                     move_val = None
             if move_val is False:
-                result = (False, None)
-                self.definitive[key] = result
-                return result
+                return (False, None)
             if move_val is None:
                 all_true = False
             else:
                 winning |= move_win
-        if all_true:
-            result = (True, frozenset(winning))
-            self.definitive[key] = result
-            return result
-        self.unknown_at[key] = max(self.unknown_at.get(key, 0), depth)
-        return (None, None)
+        return (True, frozenset(winning)) if all_true else (None, None)
+
+    def value(self, s, depth: int):
+        """(True, winning key set) | (False, None) | (None, None)."""
+        frames: list = []  # (key, depth, its play)
+        answer = self._enter(s, depth, frames)
+        while frames:
+            key, depth, game = frames[-1]
+            try:
+                succ = game.send(answer)
+            except StopIteration as done:
+                frames.pop()
+                answer = done.value
+                if answer[0] is None:
+                    # Any entry for key was made by a deeper frame, at a
+                    # smaller depth.
+                    self.unknown_at[key] = depth
+                else:
+                    self.definitive[key] = answer
+                continue
+            answer = self._enter(succ, depth - 1, frames)
+        return answer
 
 
 def oracle_game(net: PTNet, m1: Multiset, m2: Multiset, flavor: str,
@@ -351,40 +345,26 @@ def oracle_game(net: PTNet, m1: Multiset, m2: Multiset, flavor: str,
                   up to process isomorphism) within depth;
     not-equivalent — the attacker wins within depth;
     unknown     — the depth ran out first.
+
+    fc has one initial state; cn has one per pairing of the initial
+    tokens, and is equivalent iff some pairing wins, not-equivalent iff
+    every pairing loses (a size mismatch leaves no pairing at all).
     """
-    if flavor not in ("fc", "cn"):
-        raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in _GAMES:
+        raise NetError(f"unknown flavor {flavor!r}")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise NetError("depth must be >= 1")
     net.check_marking(m1)
     net.check_marking(m2)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
-    try:
-        oracle = _Oracle(net, flavor)
-        if flavor == "fc":
-            v, w = oracle.value(_fc_init(m1, m2), depth)
-            stats = {"states": len(oracle.definitive) + len(oracle.unknown_at)}
-            if v is True:
-                return BisimVerdict("equivalent", witness=w, stats=stats)
-            if v is False:
-                return BisimVerdict("not-equivalent", stats=stats)
-            return BisimVerdict("unknown", stats=stats)
-        # cn: equivalent iff some initial pairing wins; not-equivalent iff
-        # every pairing loses (size mismatch means no pairing at all).
-        inits = _cn_inits(m1, m2)
-        if not inits:
-            return BisimVerdict("not-equivalent", stats={"states": 0})
-        any_unknown = False
-        for s in inits:
-            v, w = oracle.value(s, depth)
-            if v is True:
-                stats = {"states": len(oracle.definitive) + len(oracle.unknown_at)}
-                return BisimVerdict("equivalent", witness=w, stats=stats)
-            if v is None:
-                any_unknown = True
-        stats = {"states": len(oracle.definitive) + len(oracle.unknown_at)}
-        return BisimVerdict("unknown" if any_unknown else "not-equivalent",
-                            stats=stats)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    inits, *game = _GAMES[flavor]
+    oracle = _Oracle(net, *game)
+    outcome, witness = "not-equivalent", None
+    for s in inits(m1, m2):
+        v, w = oracle.value(s, depth)
+        if v is True:
+            outcome, witness = "equivalent", w
+            break
+        if v is None:
+            outcome = "unknown"
+    stats = {"states": len(oracle.definitive) + len(oracle.unknown_at)}
+    return BisimVerdict(outcome, witness=witness, stats=stats)

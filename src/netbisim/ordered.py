@@ -10,10 +10,9 @@ The preorder records precedence in token generation.  After a firing:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .nets import BoundExceededError, NetError, PTNet
+from .nets import NetError, PTNet, _explore
 from .indexed import IndexedMarking, Token, alpha, im_successors, is_closed
 
 
@@ -92,21 +91,6 @@ def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
 
 def reachable_oim(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
     """All ordered indexed markings reachable from init_oim(k0)."""
-    start = init_oim(k0)
-
-    def guard(o: OrderedIndexedMarking) -> None:
-        for p, n in alpha(o.tokens).items():
-            if n > cap:
-                raise BoundExceededError(p, alpha(o.tokens), cap)
-
-    guard(start)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        o = queue.popleft()
-        for step in oim_successors(net, o):
-            if step.target not in seen:
-                guard(step.target)
-                seen.add(step.target)
-                queue.append(step.target)
-    return frozenset(seen)
+    return frozenset(_explore(
+        init_oim(k0), lambda o: [s.target for s in oim_successors(net, o)],
+        lambda o: alpha(o.tokens), cap))

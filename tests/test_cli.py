@@ -1,6 +1,11 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from netbisim.cli import cli_main
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
 
 FIG1 = """\
 net fig1
@@ -77,6 +82,15 @@ def test_oracle_exit_codes(fig1_path, tmp_path):
                      str(cycle), "m", "m"]) == 2
 
 
+def test_depth_zero_is_input_error(fig1_path, capsys):
+    """--depth 0 is bad input (exit 3), not a not-equivalent verdict."""
+    assert cli_main(["oracle", "--flavor", "fc", "--depth", "0",
+                     fig1_path, "m_s1", "m_s3"]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert cli_main(["corpus", "--count", "1", "--depth", "0"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bound_prints_least_bound(fig2_path, capsys):
     assert cli_main(["bound", "--cap", "8", fig2_path, "m0"]) == 0
     assert capsys.readouterr().out.strip() == "5"
@@ -108,6 +122,37 @@ def test_explore_oim(fig2_path, capsys):
     assert cli_main(["explore", "--what", "oim", "--cap", "8",
                      fig2_path, "m0"]) == 0
     assert capsys.readouterr().out.startswith("ordered indexed markings ")
+
+
+# sha256 prefixes of `explore --dot` for every sample net and marking,
+# pinned so that the explorers and DOT exporters keep their output
+# byte-identical.
+DOT_DIGESTS = {
+    ("fig1", "m_s1", "markings"): "7530c324615dcbe5",
+    ("fig1", "m_s1", "im"): "bdae3804373dd4f5",
+    ("fig1", "m_s1", "oim"): "2c834f7994862f84",
+    ("fig1", "m_s3", "markings"): "ed8251600ac58879",
+    ("fig1", "m_s3", "im"): "7294637dde382c84",
+    ("fig1", "m_s3", "oim"): "0436b960825a0d26",
+    ("fig2", "m0", "markings"): "bbca9eed1a86a10e",
+    ("fig2", "m0", "im"): "f9344b727dc70d47",
+    ("fig2", "m0", "oim"): "4aff8f2f8554153e",
+    ("parallel_choice", "m_par", "markings"): "9a139c4385deaa75",
+    ("parallel_choice", "m_par", "im"): "50c0d5f935147569",
+    ("parallel_choice", "m_par", "oim"): "3962a03bdb4176c6",
+    ("parallel_choice", "m_choice", "markings"): "f5176bd7df357a23",
+    ("parallel_choice", "m_choice", "im"): "ca752c52e0aef2a8",
+    ("parallel_choice", "m_choice", "oim"): "6b6841276d341a2a",
+}
+
+
+@pytest.mark.parametrize("net,marking,what", sorted(DOT_DIGESTS))
+def test_explore_dot_is_pinned(net, marking, what, tmp_path):
+    dot = tmp_path / "g.dot"
+    assert cli_main(["explore", "--what", what, "--dot", str(dot),
+                     str(NETS / f"{net}.pn"), marking]) == 0
+    digest = hashlib.sha256(dot.read_bytes()).hexdigest()[:16]
+    assert digest == DOT_DIGESTS[net, marking, what]
 
 
 def test_usage_error_exit_64(capsys):

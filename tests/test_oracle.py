@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from netbisim import Multiset, oracle_game
+from netbisim import Multiset, NetError, PTNet, Transition, oracle_game
 
 
 def test_fig1_fc_depth2(fig1_net):
@@ -52,3 +54,74 @@ def test_input_validation(fig1_net):
         oracle_game(fig1_net, Multiset.of("s1"), Multiset.of("s1"), "xx", 2)
     with pytest.raises(ValueError):
         oracle_game(fig1_net, Multiset.of("s1"), Multiset.of("s1"), "fc", 0)
+
+
+def test_input_errors_are_net_errors(fig1_net):
+    """A bad flavor or depth is a NetError, which the CLI reports as an
+    input error rather than as a verdict."""
+    for flavor, depth in (("xx", 2), ("fc", 0), ("cn", -1)):
+        with pytest.raises(NetError):
+            oracle_game(fig1_net, Multiset.of("s1"), Multiset.of("s1"),
+                        flavor, depth)
+
+
+def _stack_depth() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_deep_game_needs_no_recursion_limit(monkeypatch):
+    """The oracle keeps its own stack: a 120-move game on a self-loop is
+    played with the recursion limit only 60 frames above the caller, and
+    without raising the limit."""
+    def refuse(limit):
+        raise AssertionError(f"recursion limit raised to {limit}")
+
+    net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
+                                        Multiset.of("p"))])
+    m = Multiset.of("p")
+    set_limit, old_limit = sys.setrecursionlimit, sys.getrecursionlimit()
+    set_limit(_stack_depth() + 60)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        for flavor in ("fc", "cn"):
+            v = oracle_game(net, m, m, flavor, 120)
+            assert v.outcome == "unknown"
+            # one state per prefix of the firing sequence, 0..120 events
+            assert v.stats["states"] == 121
+    finally:
+        set_limit(old_limit)
+
+
+def par(n):
+    """n independent toggles x_i -a-> y_i -b-> x_i, all x_i marked."""
+    net = PTNet.make(
+        [p for i in range(1, n + 1) for p in (f"x{i}", f"y{i}")],
+        [t for i in range(1, n + 1) for t in (
+            Transition(f"ta{i}", "a", Multiset.of(f"x{i}"), Multiset.of(f"y{i}")),
+            Transition(f"tb{i}", "b", Multiset.of(f"y{i}"), Multiset.of(f"x{i}")),
+        )],
+    )
+    return net, Multiset.of(*(f"x{i}" for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n,depth,flavor,outcome,states", [
+    (2, 11, "fc", "unknown", 155),
+    (2, 11, "cn", "unknown", 156),
+    (3, 6, "fc", "unknown", 445),
+    (3, 6, "cn", "unknown", 504),
+])
+def test_par_golden(n, depth, flavor, outcome, states):
+    """Outcomes and memoized state counts of the recursive oracle."""
+    net, m = par(n)
+    v = oracle_game(net, m, m, flavor, depth)
+    assert (v.outcome, v.stats["states"]) == (outcome, states)
+
+
+@pytest.mark.parametrize("flavor", ["fc", "cn"])
+def test_fig2_golden(fig2_net, fig2_m0, flavor):
+    v = oracle_game(fig2_net, fig2_m0, fig2_m0, flavor, 6)
+    assert (v.outcome, v.stats["states"], len(v.witness)) == (
+        "equivalent", 16, 16)
