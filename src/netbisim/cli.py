@@ -149,7 +149,7 @@ def _cmd_explore(args) -> int:
                 for src in result.markings for tid in enabled(net, src)
             ]
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_reachability_dot(net, result.markings, edges))
+                fh.write(export_reachability_dot(result.markings, edges))
     else:
         noun, explore, successors, export = _INDEXED_SPACES[args.what]
         states = explore(net, initial_indexed(m), args.cap)
@@ -169,6 +169,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.count < 0:
+        raise NetError("count must be >= 0")
     rng = random.Random(args.seed)
     config = CorpusConfig()
     tally: Counter[str] = Counter()  # "flavor:oracle outcome" -> instances

@@ -296,21 +296,16 @@ def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                  flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
     reachable(NetSystem(net, m1), cap)
     reachable(NetSystem(net, m2), cap)
-    limits = limits or Limits()
-    search = _Search(net, flavor, limits)
-    t0 = time.monotonic()
+    search = _Search(net, flavor, limits or Limits())
     try:
         won, payload = search.run(_initial_triple(m1, m2))
+        outcome = "equivalent" if won else "not-equivalent"
     except ResourceLimitReached:
-        return BisimVerdict(
-            "unknown",
-            stats={"triples": search.explored,
-                   "seconds": time.monotonic() - t0},
-        )
-    stats = {"triples": search.explored, "seconds": time.monotonic() - t0}
+        won, payload, outcome = False, None, "unknown"
+    stats = {"triples": search.explored, "seconds": time.monotonic() - search.t0}
     if won:
-        return BisimVerdict("equivalent", witness=payload, stats=stats)
-    return BisimVerdict("not-equivalent", refutation=payload, stats=stats)
+        return BisimVerdict(outcome, witness=payload, stats=stats)
+    return BisimVerdict(outcome, refutation=payload, stats=stats)
 
 
 def decide_oim(net: PTNet, m1: Multiset, m2: Multiset, cap: int,

@@ -8,6 +8,10 @@ Grammar (one directive per line, `#` starts a comment):
     marking <name> : <term> [+ <term>]*
 
 where <term> ::= [<nat> *] <place> and ids match [A-Za-z_][A-Za-z0-9_]*.
+
+There is no label directive: a parsed net's labels are those its
+transitions carry, so format_net drops a declared label that no transition
+uses.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ def _q(s: str) -> str:
     return '"' + s.replace('"', r"\"") + '"'
 
 
-def export_reachability_dot(net: PTNet, markings, edges) -> str:
+def export_reachability_dot(markings, edges) -> str:
     """markings: iterable of Multiset; edges: iterable (m, tid, m')."""
     nodes = sorted({repr(m) for m in markings})
     lines = ["digraph reachability {"]

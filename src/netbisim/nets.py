@@ -250,7 +250,10 @@ def _check_cap(m: Multiset, cap: int) -> None:
 def _explore(start, successors, marking, cap: int) -> set:
     """Every state reachable from start, breadth first; successors(x) lists
     the states one step from x.  Raises BoundExceededError at the first
-    state found whose marking(x) puts more than `cap` tokens on a place."""
+    state found whose marking(x) puts more than `cap` tokens on a place,
+    and NetError if cap is not positive."""
+    if cap < 1:
+        raise NetError("cap must be positive")
     _check_cap(marking(start), cap)
     seen = {start}
     queue = deque(seen)
@@ -269,8 +272,6 @@ def reachable(sys: NetSystem, cap: int) -> ReachabilityResult:
     Raises BoundExceededError as soon as a marking puts more than `cap`
     tokens on some place; the reported least_bound is the exact bound.
     """
-    if cap < 1:
-        raise NetError("cap must be positive")
     net = sys.net
     seen = _explore(sys.initial,
                     lambda m: [fire(net, m, tid) for tid in enabled(net, m)],

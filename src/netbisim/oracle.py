@@ -19,31 +19,20 @@ the interpreter's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations
 
 from .nets import Multiset, NetError, PTNet
+from .processes import _preset_choices
 from .engine import BisimVerdict
 
 
-def _groups(conds: tuple, consumed: frozenset, side: int) -> dict[str, list[int]]:
-    """The unconsumed conditions, by their place in component `side`."""
+def _groups(conds: tuple, consumed: frozenset) -> dict[str, list[int]]:
+    """The unconsumed conditions, by place."""
     groups: dict[str, list[int]] = {}
-    for i, cond in enumerate(conds):
+    for i, (_, place) in enumerate(conds):
         if i not in consumed:
-            groups.setdefault(cond[side], []).append(i)
+            groups.setdefault(place, []).append(i)
     return groups
-
-
-def _preset_choices(groups: dict[str, list[int]], need: Multiset):
-    """All ways to pick need(p) conditions of each place p from groups."""
-    pools = []
-    for place, n in need.items():
-        avail = groups.get(place, [])
-        if len(avail) < n:
-            return
-        pools.append(list(combinations(avail, n)))
-    for choice in product(*pools):
-        yield frozenset(i for grp in choice for i in grp)
 
 
 def _moves(net: PTNet, groups: dict[str, list[int]]):
@@ -51,6 +40,11 @@ def _moves(net: PTNet, groups: dict[str, list[int]]):
     for t in net.transitions:
         for preset in _preset_choices(groups, t.pre):
             yield t.tid, preset
+
+
+def _places(m: Multiset) -> list[str]:
+    """The places of m, each repeated by its count, in sorted order."""
+    return [p for p, n in m.items() for _ in range(n)]
 
 
 def _all_topo_orders(anc: tuple) -> list[tuple[int, ...]]:
@@ -82,14 +76,20 @@ def _min_encoding(anc: tuple, encode) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fully-concurrent game state: two processes + implicit event pairing
+# game state: two processes with paired events
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FCState:
-    """Conditions are (producer event index | -1, place); event i of one
-    process is paired with event i of the other."""
+class GameState:
+    """Two processes whose event i is paired with each other's event i.
+
+    Conditions are (producer event index | -1, place).  Both processes
+    have one causal order, `anc`: in fc the defender must answer with an
+    event whose causes pair with the attacker's, and in cn the two
+    processes are one causal net folded twice, so condition i of one side
+    is condition i of the other and both sides consume the same indices.
+    """
 
     conds1: tuple  # tuple[(int, str)]
     consumed1: frozenset  # condition indices
@@ -97,14 +97,7 @@ class FCState:
     consumed2: frozenset
     # per event: (tid1, preset1 indices, tid2, preset2 indices)
     events: tuple
-    anc1: tuple  # per event: frozenset of ancestor event indices (incl. self)
-    anc2: tuple
-
-
-def _fc_inits(m1: Multiset, m2: Multiset) -> list[FCState]:
-    c1 = tuple((-1, p) for p, n in m1.items() for _ in range(n))
-    c2 = tuple((-1, p) for p, n in m2.items() for _ in range(n))
-    return [FCState(c1, frozenset(), c2, frozenset(), (), (), ())]
+    anc: tuple  # per event: frozenset of ancestor event indices (incl. self)
 
 
 def _cond_ancestors(conds: tuple, preset: frozenset, anc: tuple) -> frozenset:
@@ -116,50 +109,57 @@ def _cond_ancestors(conds: tuple, preset: frozenset, anc: tuple) -> frozenset:
     return frozenset(acc)
 
 
-def _fc_sides(s: FCState) -> tuple:
-    """(conditions, consumed, ancestors) of process 1, then of process 2."""
-    return ((s.conds1, s.consumed1, s.anc1), (s.conds2, s.consumed2, s.anc2))
-
-
-def _fc_extend(net: PTNet, s: FCState, tid1, preset1, tid2, preset2) -> FCState:
+def _extend(s: GameState, side: int, attack: tuple, answer: tuple) -> GameState:
+    """s plus one event pair, the attack on `side`; each move is (tid,
+    preset, the places of its fresh conditions)."""
+    moves = (attack, answer) if side == 1 else (answer, attack)
+    (tid1, preset1, post1), (tid2, preset2, post2) = moves
     e = len(s.events)
-    t1, t2 = net.transition(tid1), net.transition(tid2)
-    a1 = _cond_ancestors(s.conds1, preset1, s.anc1) | {e}
-    a2 = _cond_ancestors(s.conds2, preset2, s.anc2) | {e}
-    new1 = tuple((e, p) for p, n in t1.post.items() for _ in range(n))
-    new2 = tuple((e, p) for p, n in t2.post.items() for _ in range(n))
-    return FCState(
-        s.conds1 + new1, s.consumed1 | preset1,
-        s.conds2 + new2, s.consumed2 | preset2,
+    return GameState(
+        s.conds1 + tuple((e, p) for p in post1), s.consumed1 | preset1,
+        s.conds2 + tuple((e, p) for p in post2), s.consumed2 | preset2,
         s.events + ((tid1, preset1, tid2, preset2),),
-        s.anc1 + (a1,), s.anc2 + (a2,),
+        s.anc + (_cond_ancestors(s.conds1, preset1, s.anc) | {e},),
     )
 
 
-def _fc_attacks(net: PTNet, s: FCState):
+def _attacks(net: PTNet, s: GameState):
     """(side, tid, preset) for every attacker option."""
-    for side, (conds, consumed, _) in enumerate(_fc_sides(s), 1):
-        for tid, preset in _moves(net, _groups(conds, consumed, 1)):
+    for side, conds, consumed in ((1, s.conds1, s.consumed1),
+                                  (2, s.conds2, s.consumed2)):
+        for tid, preset in _moves(net, _groups(conds, consumed)):
             yield side, tid, preset
 
 
-def _fc_responses(net: PTNet, s: FCState, side, tid, preset):
+# ---------------------------------------------------------------------------
+# fully-concurrent game: the defender answers with any event whose causes
+# match, so f stays a label-preserving order isomorphism
+# ---------------------------------------------------------------------------
+
+
+def _fc_inits(m1: Multiset, m2: Multiset) -> list[GameState]:
+    c1 = tuple((-1, p) for p in _places(m1))
+    c2 = tuple((-1, p) for p in _places(m2))
+    return [GameState(c1, frozenset(), c2, frozenset(), (), ())]
+
+
+def _fc_responses(net: PTNet, s: GameState, side, tid, preset):
     """Successor states for every admissible defender answer."""
-    sides = _fc_sides(s)
-    (conds, _, anc), (dconds, dconsumed, danc) = sides if side == 1 else sides[::-1]
+    sides = ((s.conds1, s.consumed1), (s.conds2, s.consumed2))
+    (conds, _), (dconds, dconsumed) = sides if side == 1 else sides[::-1]
     label = net.transition(tid).label
-    anc_new = _cond_ancestors(conds, preset, anc)
-    for dtid, dpreset in _moves(net, _groups(dconds, dconsumed, 1)):
-        if net.transition(dtid).label != label:
+    anc_new = _cond_ancestors(conds, preset, s.anc)
+    attack = (tid, preset, _places(net.transition(tid).post))
+    for dtid, dpreset in _moves(net, _groups(dconds, dconsumed)):
+        dt = net.transition(dtid)
+        if dt.label != label:
             continue
-        if _cond_ancestors(dconds, dpreset, danc) != anc_new:
+        if _cond_ancestors(dconds, dpreset, s.anc) != anc_new:
             continue  # f' would not be an order isomorphism
-        pair = ((tid, preset), (dtid, dpreset))
-        (tid1, preset1), (tid2, preset2) = pair if side == 1 else pair[::-1]
-        yield _fc_extend(net, s, tid1, preset1, tid2, preset2)
+        yield _extend(s, side, attack, (dtid, dpreset, _places(dt.post)))
 
 
-def _fc_key(s: FCState):
+def _fc_key(s: GameState):
     c1, c2, events = s.conds1, s.conds2, s.events
 
     def encode(order, pos):
@@ -169,93 +169,70 @@ def _fc_key(s: FCState):
             for tid1, pre1, tid2, pre2 in map(events.__getitem__, order)
         )
 
-    anc = tuple(map(frozenset.union, s.anc1, s.anc2))
     init1 = tuple(sorted(p for prod, p in c1 if prod == -1))
     init2 = tuple(sorted(p for prod, p in c2 if prod == -1))
-    return ("fc", init1, init2, _min_encoding(anc, encode))
+    return ("fc", init1, init2, _min_encoding(s.anc, encode))
 
 
 # ---------------------------------------------------------------------------
-# causal-net game state: one shared causal net, two foldings
+# causal-net game: the defender keeps the causal net, so it answers on the
+# attacker's preset and only chooses the transition and the pairing of the
+# fresh conditions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CNState:
-    conds: tuple  # tuple[(producer event index | -1, place1, place2)]
-    consumed: frozenset
-    events: tuple  # tuple[(tid1, tid2, preset indices)]
-    anc: tuple
-
-
-def _cn_inits(m1: Multiset, m2: Multiset) -> list[CNState]:
-    """One state per distinct pairing multiset of the two initial markings."""
-    left = [p for p, n in sorted(m1.items()) for _ in range(n)]
-    right = [p for p, n in sorted(m2.items()) for _ in range(n)]
+def _pairings(left: list[str], right: list[str]) -> list[tuple]:
+    """Each distinct one-to-one pairing of the places left with the places
+    right, as a sorted tuple of (left place, right place) pairs."""
     if len(left) != len(right):
         return []
-    pairings = {tuple(sorted(zip(left, perm))) for perm in permutations(right)}
+    return sorted({tuple(sorted(zip(left, perm))) for perm in permutations(right)})
+
+
+def _cn_inits(m1: Multiset, m2: Multiset) -> list[GameState]:
+    """One state per distinct pairing multiset of the two initial markings."""
     return [
-        CNState(tuple((-1, p1, p2) for p1, p2 in pairing), frozenset(), (), ())
-        for pairing in sorted(pairings)
+        GameState(tuple((-1, p1) for p1, _ in pairing), frozenset(),
+                  tuple((-1, p2) for _, p2 in pairing), frozenset(), (), ())
+        for pairing in _pairings(_places(m1), _places(m2))
     ]
 
 
-def _cn_attacks(net: PTNet, s: CNState):
-    for side in (1, 2):
-        for tid, preset in _moves(net, _groups(s.conds, s.consumed, side)):
-            yield side, tid, preset
-
-
-def _cn_responses(net: PTNet, s: CNState, side, tid, preset):
+def _cn_responses(net: PTNet, s: GameState, side, tid, preset):
     """The defender keeps the causal net: same preset, a same-label
     transition consuming the other folding of the preset, and a choice of
     place pairing for the fresh conditions."""
     t_att = net.transition(tid)
-    other = 2 if side == 1 else 1
-    other_pre = Multiset.of(*(s.conds[i][other] for i in preset))
-    att_post = [p for p, n in sorted(t_att.post.items()) for _ in range(n)]
-    e = len(s.events)
-    anc_new = _cond_ancestors(s.conds, preset, s.anc) | {e}
+    dconds = s.conds2 if side == 1 else s.conds1
+    dpre = Multiset.of(*(dconds[i][1] for i in preset))
+    att_post = _places(t_att.post)
     for t in net.transitions:
-        if t.label != t_att.label or t.pre != other_pre:
+        if t.label != t_att.label or t.pre != dpre:
             continue
-        def_post = [p for p, n in sorted(t.post.items()) for _ in range(n)]
-        if len(def_post) != len(att_post):
-            continue
-        pairings = {tuple(sorted(zip(att_post, perm)))
-                    for perm in permutations(def_post)}
-        for pairing in sorted(pairings):
-            if side == 1:
-                new = tuple((e, pa, pd) for pa, pd in pairing)
-                tid1, tid2 = tid, t.tid
-            else:
-                new = tuple((e, pd, pa) for pa, pd in pairing)
-                tid1, tid2 = t.tid, tid
-            yield CNState(
-                s.conds + new, s.consumed | preset,
-                s.events + ((tid1, tid2, preset),), s.anc + (anc_new,),
-            )
+        for pairing in _pairings(att_post, _places(t.post)):
+            yield _extend(s, side, (tid, preset, [pa for pa, _ in pairing]),
+                          (t.tid, preset, [pd for _, pd in pairing]))
 
 
-def _cn_key(s: CNState):
-    c, events = s.conds, s.events
+def _cn_key(s: GameState):
+    c = tuple((prod, p1, p2) for (prod, p1), (_, p2) in zip(s.conds1, s.conds2))
+    events = s.events
 
     def encode(order, pos):
         return tuple(
             (tid1, tid2,
              tuple(sorted([(pos[c[i][0]], c[i][1], c[i][2]) for i in preset])))
-            for tid1, tid2, preset in map(events.__getitem__, order)
+            for tid1, preset, tid2, _ in map(events.__getitem__, order)
         )
 
     init = tuple(sorted((p1, p2) for prod, p1, p2 in c if prod == -1))
     return ("cn", init, _min_encoding(s.anc, encode))
 
 
-# flavor -> (initial states, attacks, responses, canonical key)
+# flavor -> (initial states, responses, canonical key)
 _GAMES = {
-    "fc": (_fc_inits, _fc_attacks, _fc_responses, _fc_key),
-    "cn": (_cn_inits, _cn_attacks, _cn_responses, _cn_key),
+    "fc": (_fc_inits, _fc_responses, _fc_key),
+    "cn": (_cn_inits, _cn_responses, _cn_key),
 }
 
 
@@ -265,9 +242,8 @@ _GAMES = {
 
 
 class _Oracle:
-    def __init__(self, net: PTNet, attacks, responses, key):
+    def __init__(self, net: PTNet, responses, key):
         self.net = net
-        self.attacks = attacks
         self.responses = responses
         self.key = key
         # key -> (True, winning keys) | (False, None)
@@ -283,7 +259,7 @@ class _Oracle:
             return self.definitive[key]
         if key in self.unknown_at and depth <= self.unknown_at[key]:
             return (None, None)
-        attacks = list(self.attacks(self.net, s))
+        attacks = list(_attacks(self.net, s))
         if not attacks:
             result = self.definitive[key] = (True, frozenset([key]))
             return result

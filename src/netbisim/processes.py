@@ -131,22 +131,21 @@ def process_extensions(net: PTNet, p: Process) -> list[Extension]:
     by_place: dict[str, list[str]] = {}
     for b in sorted(p.maximal, key=_nat):
         by_place.setdefault(p.cond_place[b], []).append(b)
-    out = []
-    for t in net.transitions:
-        pools = []
-        feasible = True
-        for place, n in t.pre.items():
-            avail = by_place.get(place, [])
-            if len(avail) < n:
-                feasible = False
-                break
-            pools.append(list(combinations(avail, n)))
-        if not feasible:
-            continue
-        for choice in product(*pools):
-            preset = frozenset(b for group in choice for b in group)
-            out.append(_extend(p, t.tid, preset))
-    return out
+    return [_extend(p, t.tid, preset) for t in net.transitions
+            for preset in _preset_choices(by_place, t.pre)]
+
+
+def _preset_choices(groups: dict[str, list], need: Multiset):
+    """Every way to pick need(p) of the conditions groups[p] for each place
+    p, as one frozenset; none when some place has too few."""
+    pools = []
+    for place, n in need.items():
+        avail = groups.get(place, [])
+        if len(avail) < n:
+            return
+        pools.append(combinations(avail, n))
+    for choice in product(*pools):
+        yield frozenset(b for group in choice for b in group)
 
 
 def _extend(p: Process, tid: str, preset: frozenset) -> Extension:
@@ -248,6 +247,16 @@ def ps_init(net: PTNet, k0: IndexedMarking,
     return ProcessSequence(p, (), tuple(sorted(delta0.items())), init_oim(k0), k0)
 
 
+def _step_tokens(ps: ProcessSequence, ext: Extension) -> tuple:
+    """The tokens of ps.oim that ext deletes and leaves untouched, and the
+    tokens it creates by least-free-index creation."""
+    delta = ps.delta_map
+    deleted = frozenset(delta[b] for b in ext.preset)
+    untouched = ps.oim.tokens - deleted
+    post = ps.process.net.transition(ext.tid).post
+    return deleted, untouched, boxplus(untouched, post) - untouched
+
+
 def ps_step(ps: ProcessSequence, ext: Extension,
             assignment: dict[str, Token]) -> ProcessSequence:
     """Extend a process sequence by one event.
@@ -257,14 +266,8 @@ def ps_step(ps: ProcessSequence, ext: Extension,
     """
     if ext.base is not ps.process:
         raise NetError("extension does not extend this process sequence")
-    delta = ps.delta_map
     p2 = ext.process
-    t = ps.process.net.transition(ext.tid)
-
-    deleted = frozenset(delta[b] for b in ext.preset)
-    untouched = ps.oim.tokens - deleted
-    k_new = boxplus(untouched, t.post)
-    created = k_new - untouched
+    deleted, untouched, created = _step_tokens(ps, ext)
 
     if set(assignment) != set(ext.new_conditions):
         raise InvalidDeltaError("assignment domain must be the fresh conditions")
@@ -274,23 +277,19 @@ def ps_step(ps: ProcessSequence, ext: Extension,
         if p2.cond_place[b] != place:
             raise InvalidDeltaError(f"{b} folds to {p2.cond_place[b]}, not {place}")
 
-    delta2 = {b: tok for b, tok in delta.items() if b not in ext.preset}
+    delta2 = {b: tok for b, tok in ps.delta if b not in ext.preset}
     delta2.update(assignment)
     order = _step_order(ps.oim.order, untouched, created, deleted)
     return ProcessSequence(
         p2, ps.trace + (ext.eid,), tuple(sorted(delta2.items())),
-        OrderedIndexedMarking(k_new, order), ps.k0,
+        OrderedIndexedMarking(untouched | created, order), ps.k0,
     )
 
 
 def step_assignments(ps: ProcessSequence, ext: Extension) -> list[dict[str, Token]]:
     """All place-respecting bijections from the fresh conditions onto the
     tokens the step will create."""
-    delta = ps.delta_map
-    t = ps.process.net.transition(ext.tid)
-    deleted = frozenset(delta[b] for b in ext.preset)
-    untouched = ps.oim.tokens - deleted
-    created = boxplus(untouched, t.post) - untouched
+    _, _, created = _step_tokens(ps, ext)
 
     conds_by_place: dict[str, list[str]] = {}
     for b in ext.new_conditions:

@@ -2,6 +2,8 @@
 property tests and the acceptance suite."""
 
 from netbisim import event_order, oim_successors, process_extensions, ps_successors
+from netbisim.oracle import _attacks, _extend, _fc_inits, _places
+from netbisim.processes import _nat
 
 
 def check_coherence(ps):
@@ -25,7 +27,8 @@ def check_coherence(ps):
 
 def check_one_step_correspondence(ps):
     """The ordered token game from ps.oim and the process moves from
-    ps.process induce exactly the same (transition, removed, target) steps."""
+    ps.process induce exactly the same (transition, removed, target) steps,
+    and the oracle offers exactly the process moves as attacks."""
     net = ps.process.net
     oim_view = {
         (s.tid, s.removed, s.target) for s in oim_successors(net, ps.oim)
@@ -36,6 +39,42 @@ def check_one_step_correspondence(ps):
         for ext, _, succ in ps_successors(ps)
     }
     assert oim_view == ps_view
+    check_oracle_moves(ps.process)
+
+
+def check_oracle_moves(p):
+    """Replaying p's events into the oracle's game state for p paired with
+    itself gives p's conditions and causal order, and each side's attacks
+    are p's extensions, each preset once.  Condition b<n> is index n-1."""
+    net = p.net
+    index = {b: _nat(b)[1] - 1 for b in p.cond_place}
+    events = {e: i for i, e in enumerate(p.event_seq)}
+    m0 = p.fold(p.minimal)
+    s = _fc_inits(m0, m0)[0]
+    for e in p.event_seq:
+        tid = p.event_trans[e]
+        move = (tid, frozenset(index[b] for b in p.event_pre[e]),
+                _places(net.transition(tid).post))
+        s = _extend(s, 1, move, move)
+    for b, i in index.items():
+        cond = (events.get(p.cond_pre[b], -1), p.cond_place[b])
+        assert s.conds1[i] == s.conds2[i] == cond
+    order = event_order(p)
+    assert s.anc == tuple(
+        frozenset(events[a] for a, b in order if b == e) for e in p.event_seq
+    )
+    consumed = {index[b] for b, e in p.cond_post.items() if e is not None}
+    assert s.consumed1 == s.consumed2 == consumed
+    moves = sorted(
+        (ext.tid, sorted(index[b] for b in ext.preset))
+        for ext in process_extensions(net, p)
+    )
+    for side in (1, 2):
+        attacks = sorted(
+            (tid, sorted(preset)) for sd, tid, preset in _attacks(net, s)
+            if sd == side
+        )
+        assert attacks == moves
 
 
 def check_minimality(ps):

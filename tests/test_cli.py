@@ -91,6 +91,21 @@ def test_depth_zero_is_input_error(fig1_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_corpus_count_is_input_error(capsys):
+    assert cli_main(["corpus", "--count", "-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: count must be >= 0"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("what", ["markings", "im", "oim"])
+def test_explore_cap_zero_is_input_error(fig2_path, what, capsys):
+    """Every explorer rejects a cap below 1 with the same message."""
+    assert cli_main(["explore", "--what", what, "--cap", "0",
+                     fig2_path, "m0"]) == 3
+    assert capsys.readouterr().err.strip() == "error: cap must be positive"
+
+
 def test_bound_prints_least_bound(fig2_path, capsys):
     assert cli_main(["bound", "--cap", "8", fig2_path, "m0"]) == 0
     assert capsys.readouterr().out.strip() == "5"

@@ -1,10 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netbisim import (
     Multiset, NetSystem, enabled, fire, initial_indexed, parse_net,
-    format_net, reachable, reachable_oim,
+    format_net, random_instance, reachable, reachable_oim,
 )
-from netbisim.netio import ParseError
+from netbisim.netio import NetDocument, ParseError
 from netbisim.netio import (
     export_causal_net_dot, export_oim_dot, export_reachability_dot,
 )
@@ -95,18 +98,16 @@ def test_reachability_dot(fig1_net):
         (m, tid, fire(fig1_net, m, tid))
         for m in markings for tid in enabled(fig1_net, m)
     ]
-    dot = export_reachability_dot(fig1_net, markings, edges)
+    dot = export_reachability_dot(markings, edges)
     assert dot.startswith("digraph")
     assert dot.count("->") == len(edges)
     # deterministic
-    assert dot == export_reachability_dot(fig1_net, markings, edges)
+    assert dot == export_reachability_dot(markings, edges)
 
 
 def test_reachability_dot_single_node():
     """A net with no transitions still renders its initial marking."""
-    from netbisim import PTNet
-    net = PTNet.make(["p"], [])
-    dot = export_reachability_dot(net, [Multiset.of("p")], [])
+    dot = export_reachability_dot([Multiset.of("p")], [])
     assert dot.startswith("digraph")
     assert dot.count(";") == 1 and "->" not in dot
 
@@ -127,3 +128,18 @@ def test_causal_net_dot_fig1(fig1_net):
     assert dot.count("shape=circle") == 2
     assert dot.count("shape=box") == 1
     assert dot.count("->") == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_format_parse_round_trip(seed):
+    """parse_net(format_net(doc)) gives doc back, except for declared labels
+    that no transition carries: the format has no label directive."""
+    net, m1, m2 = random_instance(random.Random(seed))
+    doc = NetDocument(f"n{seed}", net, {"m1": m1, "m2": m2})
+    back = parse_net(format_net(doc))
+    assert back.name == doc.name
+    assert back.net.places == net.places
+    assert back.net.transitions == net.transitions
+    assert back.markings == doc.markings
+    assert back.net.labels == {t.label for t in net.transitions}
