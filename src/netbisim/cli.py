@@ -15,7 +15,7 @@ from .nets import NetError, NetSystem, enabled, fire, reachable
 from .indexed import initial_indexed, reachable_im, im_successors
 from .ordered import oim_successors, reachable_oim
 from .engine import (
-    decide_interleaving, decide_oim, decide_oimc, format_refutation,
+    Limits, decide_interleaving, decide_oim, decide_oimc, format_refutation,
     format_witness,
 )
 from .netio import (
@@ -58,6 +58,12 @@ def _build_parser() -> _Parser:
     check.add_argument("--cap", type=int, default=16)
     check.add_argument("--witness", metavar="OUT",
                        help="write the witness or refutation to a file")
+    check.add_argument("--max-triples", type=int, metavar="N",
+                       help="give up (exit 2) after exploring N triples "
+                            "(fc and cn only)")
+    check.add_argument("--max-seconds", type=float, metavar="S",
+                       help="give up (exit 2) after S seconds (fc and cn "
+                            "only)")
     check.add_argument("net")
     check.add_argument("m1")
     check.add_argument("m2")
@@ -106,9 +112,16 @@ def _load(path: str, *marking_names: str):
 
 def _cmd_check(args) -> int:
     doc, m1, m2 = _load(args.net, args.m1, args.m2)
-    decide = {"fc": decide_oim, "cn": decide_oimc,
-              "il": decide_interleaving}[args.equiv]
-    verdict = decide(doc.net, m1, m2, args.cap)
+    if args.equiv == "il":
+        verdict = decide_interleaving(doc.net, m1, m2, args.cap)
+    else:
+        limits = Limits(max_seconds=args.max_seconds)
+        if args.max_triples is not None:
+            limits.max_triples = args.max_triples
+        if limits.max_triples < 0 or (limits.max_seconds or 0) < 0:
+            raise NetError("--max-triples and --max-seconds must be >= 0")
+        decide = decide_oim if args.equiv == "fc" else decide_oimc
+        verdict = decide(doc.net, m1, m2, args.cap, limits)
     print(verdict.outcome)
     if args.witness:
         if verdict.witness is not None:
@@ -199,6 +212,10 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "check" and args.equiv == "il" and (
+                args.max_triples is not None or args.max_seconds is not None):
+            parser.error("--max-triples and --max-seconds need --equiv fc "
+                         "or cn")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     handler = {

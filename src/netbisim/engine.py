@@ -9,18 +9,32 @@ since it was pushed is withdrawn, since only those can rest on its
 assumption; the search then resumes the frame below.  When the stack empties
 the winning set is self-supporting (a bisimulation), and refutations share
 the node of every triple they cite.
+
+The game runs on ints (`_Search`).  Each token is a bit of a `TokenBits`
+numbering, a token set is a mask, and the preorder of a marking and beta
+are rows of masks, one per token.  Each distinct ordered indexed marking
+is interned to an id, so a triple is (left id, right id, beta rows), and
+each marking's moves are built once, bucketed by label.  `(place, index)`
+tokens, `GameTriple` and frozenset beta are the boundary format: a
+decided witness or refutation is decoded to them, and the validators
+encode them back and replay the same int game.  The frozenset functions
+`beta_update` and `deleted_condition_fc/cn` are wrappers over the mask
+forms.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
 from typing import Literal, Optional
 
 from .nets import Multiset, NetSystem, PTNet, enabled, fire, reachable
-from .indexed import Token, initial_indexed
-from .ordered import OIMStep, OrderedIndexedMarking, init_oim, oim_successors
+from .indexed import Token, TokenBits, initial_indexed
+from .ordered import (
+    OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, init_oim,
+    oim_moves,
+)
 
 Beta = frozenset  # frozenset[tuple[Token, Token]]
 Flavor = Literal["fc", "cn"]
@@ -104,78 +118,185 @@ class ResourceLimitReached(Exception):
     pass
 
 
+def _next_beta(beta: tuple, plan: tuple, untouched: int, created: int) -> tuple:
+    """beta on masks: the row of each left target token is its source row
+    restricted to the untouched right tokens, or, if the left firing
+    created it, all tokens the right firing created."""
+    return tuple([beta[i] & untouched if i >= 0 else created for i in plan])
+
+
+def _fc_holds(beta: tuple, left: tuple, right_removed: int, right: tuple) -> bool:
+    """The fc deleted-token condition on masks.  `left` and `right` hold a
+    (position, bit, up-set) entry per deleted token, `beta` a right mask per
+    left position."""
+    related = 0  # deleted left tokens beta-related to a deleted right token
+    reached = 0  # the deleted right tokens they are related to
+    for i, b, _ in left:
+        row = beta[i] & right_removed
+        if row:
+            related |= b
+            reached |= row
+    for _, _, up in left:
+        if not up & related:
+            return False
+    for _, _, up in right:
+        if not up & reached:
+            return False
+    return True
+
+
+def _cn_holds(beta: tuple, left: tuple, right_removed: int, right: tuple) -> bool:
+    """The cn deleted-token condition on masks: a perfect matching between
+    the deleted tokens over beta.  With at most two tokens a side, Hall's
+    condition is that every row is non-empty and the rows cover the right
+    side; beyond that, augmenting paths."""
+    if len(left) != len(right):
+        return False
+    adj = []
+    covered = 0
+    for i, _, _ in left:
+        row = beta[i] & right_removed
+        if not row:
+            return False
+        adj.append(row)
+        covered |= row
+    if covered != right_removed:
+        return False
+    if len(adj) <= 2:
+        return True
+    owner: dict[int, int] = {}  # right bit -> the left entry matched to it
+    return all(_augment(adj, owner, a, [0]) for a in range(len(adj)))
+
+
+def _augment(adj: list, owner: dict, a: int, seen: list) -> bool:
+    """Kuhn's step: match left entry a, re-matching along an augmenting
+    path; seen[0] is the mask of right bits visited.  Recurses at most
+    once per left entry."""
+    rest = adj[a]
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if seen[0] & b:
+            continue
+        seen[0] |= b
+        if b not in owner or _augment(adj, owner, owner[b], seen):
+            owner[b] = a
+            return True
+    return False
+
+
+def _deleted_masks(removed1, removed2, leq1, leq2, beta) -> tuple:
+    """The arguments of _fc_holds / _cn_holds for token sets and relations:
+    each deleted token's bit is its rank in its sorted set."""
+    left, right = sorted(removed1), sorted(removed2)
+
+    def rows(xs, ys, rel):
+        return [sum(1 << j for j, y in enumerate(ys) if (x, y) in rel)
+                for x in xs]
+
+    def entries(xs, leq):
+        return tuple((i, 1 << i, up) for i, up in enumerate(rows(xs, xs, leq)))
+
+    return (tuple(rows(left, right, beta)), entries(left, leq1),
+            (1 << len(right)) - 1, entries(right, leq2))
+
+
 def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> Beta:
     """beta' = beta restricted to untouched x untouched, plus all pairs of
     freshly generated tokens."""
-    pairs = {(a, b) for a, b in beta if a in untouched1 and b in untouched2}
-    pairs.update(product(generated1, generated2))
-    return frozenset(pairs)
+    bits = TokenBits()
+    left, right = bits.mask(untouched1), bits.mask(untouched2)
+    target = left | bits.mask(generated1)
+    plan = tuple((left & (b - 1)).bit_count() if b & left else -1
+                 for b in map(bits.of, bits.decode(target)))
+    rows = _next_beta(encode_rows(bits, left, beta, right), plan, right,
+                      bits.mask(generated2))
+    return decode_rows(bits, target, rows, {})
 
 
 def deleted_condition_fc(removed1, removed2, leq1, leq2, beta: Beta) -> bool:
     """Every deleted token must be below some deleted token that is
     beta-related to a token deleted on the other side."""
-    related1, related2 = set(), set()  # deleted tokens with a deleted partner
-    for q1 in removed1:
-        for q2 in removed2:
-            if (q1, q2) in beta:
-                related1.add(q1)
-                related2.add(q2)
-    for removed, leq, related in ((removed1, leq1, related1),
-                                  (removed2, leq2, related2)):
-        for p in removed:
-            for q in related:
-                if (p, q) in leq:
-                    break
-            else:
-                return False
-    return True
+    return _fc_holds(*_deleted_masks(removed1, removed2, leq1, leq2, beta))
 
 
 def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
     """True iff the two removed sets are bijectively related by beta
     (perfect matching over beta-pairs, via augmenting paths)."""
-    left = sorted(removed1)
-    right = sorted(removed2)
-    if len(left) != len(right):
-        return False
-    adj = {a: [b for b in right if (a, b) in beta] for a in left}
-    match: dict[Token, Token] = {}  # right token -> left token
+    return _cn_holds(*_deleted_masks(removed1, removed2, (), (), beta))
 
-    def augment(a, seen) -> bool:
-        for b in adj[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match or augment(match[b], seen):
-                match[b] = a
-                return True
-        return False
 
-    return all(augment(a, set()) for a in left)
+_MISSING = object()
 
 
 class _Search:
+    """The game on ints.  Tokens are bits of `bits`; each distinct OIM is
+    interned to an id for (token mask, rows), where rows[i] is the up-set
+    mask of its i-th token in bit order.  A triple is (left id, right id,
+    beta), beta holding the mask of right tokens related to each left
+    token.  A move is the tuple
+
+        (label, tid, removed mask, deleted entries, target id,
+         untouched mask, created mask, beta plan)
+
+    built once per OIM, with a (position, bit, up-set) entry per deleted
+    token and, per target token, its source position or -1 (created).
+    Refutation nodes hold int triples and moves until `_Codec` decodes
+    them."""
+
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
         self.net = net
         self.flavor = flavor
+        self.holds = _cn_holds if flavor == "cn" else _fc_holds
         self.limits = limits
-        self.moves: dict[OrderedIndexedMarking, list[OIMStep]] = {}
-        self.shared: dict[OrderedIndexedMarking, OrderedIndexedMarking] = {}
-        self.false_memo: dict[GameTriple, Refutation] = {}
+        self.bits = TokenBits()
+        self.ids: dict[tuple, int] = {}  # (mask, rows) -> id
+        self.oims: list[tuple] = []  # id -> (mask, rows)
+        self.moves: list = []  # id -> (moves, moves by label), or None
+        self.false_memo: dict[tuple, Refutation] = {}
         self.explored = 0
         self.t0 = time.monotonic()
 
-    def successors(self, o: OrderedIndexedMarking) -> list[OIMStep]:
-        """The steps from o.  Equal targets are one object, so that equal
-        triples over them compare their markings by identity."""
-        moves = self.moves.get(o)
-        if moves is None:
-            moves = self.moves[o] = [
-                OIMStep(s.tid, s.removed, self.shared.setdefault(s.target, s.target))
-                for s in oim_successors(self.net, o)
-            ]
-        return moves
+    def intern(self, mask: int, rows: tuple) -> int:
+        key = (mask, rows)
+        o = self.ids.get(key)
+        if o is None:
+            o = self.ids[key] = len(self.oims)
+            self.oims.append(key)
+            self.moves.append(None)
+        return o
+
+    def root(self, m1: Multiset, m2: Multiset) -> tuple:
+        """The initial triple: every token precedes every token of its side,
+        and beta relates every left token to every right token."""
+        k1, k2 = (self.bits.mask([(p, i) for p, n in m.items()
+                                  for i in range(1, n + 1)]) for m in (m1, m2))
+        n1 = k1.bit_count()
+        return (self.intern(k1, (k1,) * n1),
+                self.intern(k2, (k2,) * k2.bit_count()), (k2,) * n1)
+
+    def successors(self, o: int) -> tuple:
+        """(moves, moves by label) from OIM o, in the order of oim_moves."""
+        entry = self.moves[o]
+        if entry is None:
+            mask, rows = self.oims[o]
+            moves, by_label = [], {}
+            for t, removed, created, target, target_rows, plan in oim_moves(
+                    self.net, self.bits, mask, rows):
+                deleted = []
+                rest = removed
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    i = (mask & (b - 1)).bit_count()
+                    deleted.append((i, b, rows[i]))
+                move = (t.label, t.tid, removed, tuple(deleted),
+                        self.intern(target, target_rows), mask & ~removed,
+                        created, plan)
+                moves.append(move)
+                by_label.setdefault(t.label, []).append(move)
+            entry = self.moves[o] = (moves, by_label)
+        return entry
 
     def _tick(self):
         self.explored += 1
@@ -187,48 +308,33 @@ class _Search:
         ):
             raise ResourceLimitReached
 
-    def successor_triple(self, triple: GameTriple, left_step: OIMStep,
-                         right_step: OIMStep) -> GameTriple:
-        u1 = triple.left.tokens - left_step.removed
-        g1 = left_step.target.tokens - u1
-        u2 = triple.right.tokens - right_step.removed
-        g2 = right_step.target.tokens - u2
-        beta2 = beta_update(u1, g1, u2, g2, triple.beta)
-        return GameTriple(left_step.target, right_step.target, beta2)
-
-    def admissible(self, triple: GameTriple, attack: OIMStep,
-                   attacker_left: bool, responses: list[OIMStep]):
+    def admissible(self, triple: tuple, attack: tuple, attacker_left: bool,
+                   by_label: dict):
         """Yield (response, successor triple) for each defender response
         with the attack's label that meets the deleted-token condition,
-        in the order of `responses`."""
-        transition = self.net.transition
-        label = transition(attack.tid).label
-        beta = triple.beta
-        for resp in responses:
-            if transition(resp.tid).label != label:
-                continue
+        in the defender's move order."""
+        beta = triple[2]
+        holds = self.holds
+        for resp in by_label.get(attack[0], ()):
             left, right = (attack, resp) if attacker_left else (resp, attack)
-            if self.flavor == "cn":
-                ok = deleted_condition_cn(left.removed, right.removed, beta)
-            else:
-                ok = deleted_condition_fc(left.removed, right.removed,
-                                          triple.left.order, triple.right.order,
-                                          beta)
-            if ok:
-                yield resp, self.successor_triple(triple, left, right)
+            if holds(beta, left[3], right[2], right[3]):
+                yield resp, (left[4], right[4],
+                             _next_beta(beta, left[7], right[5], right[6]))
 
-    def evaluate(self, triple: GameTriple):
+    def evaluate(self, triple: tuple):
         """Play one triple: yield each successor triple whose value is
         needed and receive True if it wins, otherwise its refutation node
         (a caller that needs no refutation may send False).  Returns None
         if the triple survives, otherwise its refutation node."""
-        if self.flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens):
+        left, right, _ = triple
+        if (self.flavor == "cn" and self.oims[left][0].bit_count()
+                != self.oims[right][0].bit_count()):
             return Refutation(triple, "size-gate")
-        left_moves = self.successors(triple.left)
-        right_moves = self.successors(triple.right)
+        left_moves, left_labels = self.successors(left)
+        right_moves, right_labels = self.successors(right)
         for attacker_left, attacks, responses in (
-            (True, left_moves, right_moves),
-            (False, right_moves, left_moves),
+            (True, left_moves, right_labels),
+            (False, right_moves, left_labels),
         ):
             for attack in attacks:
                 refuted = []
@@ -245,13 +351,13 @@ class _Search:
                     )
         return None
 
-    def run(self, root: GameTriple):
-        """(True, winning set) or (False, refutation of the root)."""
+    def run(self, root: tuple):
+        """(True, winning triples) or (False, refutation of the root)."""
         # The triples on the stack and those found winning, in the order
         # they were pushed.  A triple found winning rests only on triples
         # pushed before it, so refuting a triple withdraws exactly the
         # entries from its own onwards.
-        assumed: dict[GameTriple, None] = {root: None}
+        assumed: dict[tuple, None] = {root: None}
         self._tick()
         # (triple, len(assumed) before its push, its evaluation)
         frames = [(root, 0, self.evaluate(root))]
@@ -280,8 +386,90 @@ class _Search:
                 assumed[nxt] = None
                 answer = None
         if answer is True:
-            return True, frozenset(assumed)
+            return True, list(assumed)
         return False, self.false_memo[root]
+
+
+class _Codec:
+    """Translation between the int game of a `_Search` and the public
+    types.  Decoded markings, relations, steps and token pairs are shared,
+    so that equal parts of a witness are one object."""
+
+    def __init__(self, search: _Search):
+        self.search = search
+        self.bits = search.bits
+        self.oims = search.oims
+        self.pairs: dict = {}  # token pairs, shared by every decoded relation
+        self.betas: dict[tuple, frozenset] = {}  # (left mask, beta) -> pairs
+        self.decoded: dict[int, OrderedIndexedMarking] = {}
+        self.steps: dict[int, OIMStep] = {}  # id(move) -> its OIMStep
+        # OrderedIndexedMarking -> id, and (beta, left mask, right mask) ->
+        # rows; None where a pair mentions a foreign token
+        self.encoded: dict = {}
+        self.encoded_betas: dict = {}
+
+    def oim(self, o: int) -> OrderedIndexedMarking:
+        x = self.decoded.get(o)
+        if x is None:
+            mask, rows = self.oims[o]
+            x = self.decoded[o] = OrderedIndexedMarking(
+                frozenset(self.bits.decode(mask)),
+                decode_rows(self.bits, mask, rows, self.pairs))
+        return x
+
+    def triple(self, t: tuple) -> GameTriple:
+        left, right, beta = t
+        key = (self.oims[left][0], beta)
+        pairs = self.betas.get(key)
+        if pairs is None:
+            pairs = self.betas[key] = decode_rows(self.bits, *key, self.pairs)
+        return GameTriple(self.oim(left), self.oim(right), pairs)
+
+    def step(self, move: tuple) -> OIMStep:
+        s = self.steps.get(id(move))
+        if s is None:
+            s = self.steps[id(move)] = OIMStep(
+                move[1], frozenset(self.bits.decode(move[2])),
+                self.oim(move[4]))
+        return s
+
+    def refutation(self, root: Refutation) -> Refutation:
+        """The refutation DAG below root, its triples and moves decoded."""
+        new: dict[int, Refutation] = {}
+        for node in root.nodes() if root.responses else (root,):
+            new[id(node)] = Refutation(
+                self.triple(node.triple), node.reason, node.side,
+                None if node.attacker is None else self.step(node.attacker),
+                tuple((self.step(resp), new[id(sub)])
+                      for resp, sub in node.responses))
+        return new[id(root)]
+
+    def encode_oim(self, o: OrderedIndexedMarking) -> Optional[int]:
+        """The id of o, or None if its order mentions a foreign token."""
+        x = self.encoded.get(o, _MISSING)
+        if x is _MISSING:
+            mask = self.bits.mask(o.tokens)
+            rows = encode_rows(self.bits, mask, o.order, mask)
+            x = self.encoded[o] = (self.search.intern(mask, rows)
+                                   if _size(rows) == len(o.order) else None)
+        return x
+
+    def encode(self, t: GameTriple) -> Optional[tuple]:
+        """The int triple of t, or None if it mentions a foreign token."""
+        left, right = self.encode_oim(t.left), self.encode_oim(t.right)
+        if left is None or right is None:
+            return None
+        key = (t.beta, self.oims[left][0], self.oims[right][0])
+        beta = self.encoded_betas.get(key, _MISSING)
+        if beta is _MISSING:
+            beta = encode_rows(self.bits, key[1], t.beta, key[2])
+            beta = self.encoded_betas[key] = (
+                beta if _size(beta) == len(t.beta) else None)
+        return None if beta is None else (left, right, beta)
+
+
+def _size(rows: tuple) -> int:
+    return sum(row.bit_count() for row in rows)
 
 
 def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
@@ -295,17 +483,28 @@ def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
 def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                  flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
     reachable(NetSystem(net, m1), cap)
-    reachable(NetSystem(net, m2), cap)
+    if m2 != m1:
+        reachable(NetSystem(net, m2), cap)
     search = _Search(net, flavor, limits or Limits())
     try:
-        won, payload = search.run(_initial_triple(m1, m2))
-        outcome = "equivalent" if won else "not-equivalent"
+        if flavor == "cn" and m1.size != m2.size:
+            # The size gate refutes the root before any move is played.
+            search._tick()
+            return BisimVerdict("not-equivalent", refutation=Refutation(
+                _initial_triple(m1, m2), "size-gate"), stats=_stats(search))
+        won, payload = search.run(search.root(m1, m2))
     except ResourceLimitReached:
-        won, payload, outcome = False, None, "unknown"
-    stats = {"triples": search.explored, "seconds": time.monotonic() - search.t0}
+        return BisimVerdict("unknown", stats=_stats(search))
+    codec = _Codec(search)
     if won:
-        return BisimVerdict(outcome, witness=payload, stats=stats)
-    return BisimVerdict(outcome, refutation=payload, stats=stats)
+        witness = frozenset(map(codec.triple, payload))
+        return BisimVerdict("equivalent", witness=witness, stats=_stats(search))
+    return BisimVerdict("not-equivalent", refutation=codec.refutation(payload),
+                        stats=_stats(search))
+
+
+def _stats(search: _Search) -> dict:
+    return {"triples": search.explored, "seconds": time.monotonic() - search.t0}
 
 
 def decide_oim(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
@@ -357,17 +556,15 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     if root not in witness:
         return False
     helper = _Search(net, flavor, Limits())
-    # Successor markings are shared with the witness's, so membership
-    # tests compare markings by identity.
-    for triple in witness:
-        helper.shared.setdefault(triple.left, triple.left)
-        helper.shared.setdefault(triple.right, triple.right)
-    for triple in witness:
+    encoded = set(map(_Codec(helper).encode, witness))
+    if None in encoded:
+        return False
+    for triple in encoded:
         game = helper.evaluate(triple)
         wins = None
         try:
             while True:
-                wins = game.send(wins) in witness
+                wins = game.send(wins) in encoded
         except StopIteration as done:
             if done.value is not None:
                 return False
@@ -384,22 +581,30 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     except ValueError:
         return False
     helper = _Search(net, flavor, Limits())
+    codec = _Codec(helper)
 
     def replays(node: Refutation) -> bool:
         triple = node.triple
         if node.reason == "size-gate":
             return flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens)
-        attacker_left = node.side == "left"
-        attacks = helper.successors(triple.left if attacker_left else triple.right)
-        if node.attacker not in attacks:
+        t = codec.encode(triple)
+        if t is None:
             return False
-        responses = helper.successors(triple.right if attacker_left else triple.left)
-        admissible = dict(
-            helper.admissible(triple, node.attacker, attacker_left, responses)
-        )
+        attacker_left = node.side == "left"
+        attacker, defender = t[:2] if attacker_left else t[1::-1]
+        attack = next((m for m in helper.successors(attacker)[0]
+                       if codec.step(m) == node.attacker), None)
+        if attack is None:
+            return False
+        admissible = {
+            codec.step(resp): nxt
+            for resp, nxt in helper.admissible(
+                t, attack, attacker_left, helper.successors(defender)[1])
+        }
         if {resp for resp, _ in node.responses} != set(admissible):
             return False
-        return all(sub.triple == admissible[resp] for resp, sub in node.responses)
+        return all(codec.encode(sub.triple) == admissible[resp]
+                   for resp, sub in node.responses)
 
     return all(replays(node) for node in nodes)
 
@@ -416,20 +621,23 @@ def _fmt_oim(o: OrderedIndexedMarking) -> str:
     return f"tokens {{{toks}}} order {{{pairs}}}"
 
 
-def format_triple(t: GameTriple) -> str:
-    beta = " ".join(
-        f"{_fmt_token(a)}~{_fmt_token(b)}" for a, b in sorted(t.beta)
-    )
+def _fmt_beta(beta: Beta) -> str:
+    return " ".join(f"{_fmt_token(a)}~{_fmt_token(b)}" for a, b in sorted(beta))
+
+
+def format_triple(t: GameTriple, oim_text=_fmt_oim, beta_text=_fmt_beta) -> str:
     return (
-        f"left  {_fmt_oim(t.left)}\n"
-        f"right {_fmt_oim(t.right)}\n"
-        f"beta  {{{beta}}}"
+        f"left  {oim_text(t.left)}\n"
+        f"right {oim_text(t.right)}\n"
+        f"beta  {{{beta_text(t.beta)}}}"
     )
 
 
 def format_witness(witness: frozenset) -> str:
-    """Deterministic text listing of a witness relation."""
-    blocks = sorted(format_triple(t) for t in witness)
+    """Deterministic text listing of a witness relation.  Each distinct
+    marking and beta is formatted once."""
+    oim_text, beta_text = cache(_fmt_oim), cache(_fmt_beta)
+    blocks = sorted(format_triple(t, oim_text, beta_text) for t in witness)
     out = [f"triples {len(blocks)}"]
     for i, b in enumerate(blocks):
         out.append(f"-- triple {i} --")

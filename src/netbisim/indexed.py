@@ -3,14 +3,20 @@
 A token is a (place, index) pair; an indexed marking is a frozenset of
 tokens.  Token deletion is nondeterministic (every choice of victims is
 returned), token creation always picks the least free index per place.
+Both are computed on int masks over a `TokenBits` numbering; the
+frozenset functions decode their results.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
-from .nets import Multiset, NetError, PTNet, _enabled_transitions, _explore
+from .nets import (
+    Multiset, NetError, PTNet, Transition, _enabled_transitions, _explore,
+)
 
 Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
@@ -47,40 +53,109 @@ def initial_indexed(m: Multiset) -> IndexedMarking:
     return frozenset((p, i) for p, n in m.items() for i in range(1, n + 1))
 
 
+class TokenBits:
+    """A numbering of tokens by bits: the i-th token numbered is the int
+    1 << i, and a set of tokens is the OR of their bits (a mask).  Tokens
+    are numbered on first use, so the numbering depends on no bound."""
+
+    def __init__(self):
+        self.tokens: list[Token] = []  # bit position -> token
+        self.bit: dict[Token, int] = {}  # token -> 1 << position
+        # place -> [(index, bit)] of its numbered tokens, sorted by index
+        self.places: dict[str, list[tuple[int, int]]] = {}
+
+    def of(self, tok: Token) -> int:
+        b = self.bit.get(tok)
+        if b is None:
+            b = self.bit[tok] = 1 << len(self.tokens)
+            self.tokens.append(tok)
+            place = self.places.get(tok[0])
+            if place is None:
+                self.places[tok[0]] = [(tok[1], b)]
+            else:
+                insort(place, (tok[1], b))
+        return b
+
+    def mask(self, k) -> int:
+        m = 0
+        for tok in k:
+            m |= self.of(tok)
+        return m
+
+    def decode(self, mask: int) -> list[Token]:
+        """The tokens of mask, in bit order."""
+        tokens = self.tokens
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(tokens[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def victims(self, mask: int, m: Multiset) -> list[int]:
+        """The masks of every choice of m(s) tokens of each place s in mask,
+        ordered by their sorted tokens."""
+        choices = [0]
+        for place, n in m.items():
+            present = [b for _, b in self.places.get(place, ()) if mask & b]
+            if n > len(present):
+                raise InsufficientTokensError(place)
+            picks = [sum(c) for c in combinations(present, n)]
+            choices = [r | c for r in choices for c in picks]
+        return choices
+
+    def create(self, mask: int, m: Multiset) -> int:
+        """The mask of the tokens that adding m to mask creates, each at the
+        least index its place has free."""
+        made = 0
+        for place, n in m.items():
+            for _ in range(n):
+                i = 1
+                for index, b in self.places.get(place, ()):
+                    if index < i:
+                        continue
+                    if index > i or not (mask | made) & b:
+                        break
+                    i += 1
+                made |= self.of((place, i))
+        return made
+
+    def firings(self, net: PTNet, mask: int) -> list[tuple[Transition, int, int]]:
+        """(transition, removed, created) for every firing of the individual
+        token game from mask, all victim choices: transitions in declaration
+        order, victim choices ordered by their sorted tokens."""
+        tokens = self.tokens
+        # _enabled_transitions reads the marking only by iterating over its
+        # places and by m[place], which this dict answers too (0 if absent).
+        counts: defaultdict[str, int] = defaultdict(int)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            counts[tokens[low.bit_length() - 1][0]] += 1
+            rest ^= low
+        out = []
+        for t in _enabled_transitions(net, counts):
+            for removed in self.victims(mask, t.pre):
+                out.append((t, removed, self.create(mask & ~removed, t.post)))
+        return out
+
+
 def boxminus(k: IndexedMarking, m: Multiset) -> set[IndexedMarking]:
     """All indexed markings obtained by deleting m(s) tokens of each place s.
 
     The result has one member per choice of victims, i.e.
     prod_s C(|k(s)|, m(s)) markings in total.
     """
-    victim_sets = []
-    for place, n in m.items():
-        idx = sorted(indices_of(k, place))
-        if n > len(idx):
-            raise InsufficientTokensError(place)
-        victim_sets.append([{(place, i) for i in c} for c in combinations(idx, n)])
-    results: set[IndexedMarking] = set()
-    for choice in product(*victim_sets):
-        removed = set().union(*choice) if choice else set()
-        results.add(k - removed)
-    return results
+    bits = TokenBits()
+    mask = bits.mask(k)
+    return {frozenset(bits.decode(mask & ~r)) for r in bits.victims(mask, m)}
 
 
 def boxplus(k: IndexedMarking, m: Multiset) -> IndexedMarking:
     """Add one token per unit of m, always at the least free index."""
-    acc = set(k)
-    used: dict[str, set[int]] = {}
-    for place, i in k:
-        used.setdefault(place, set()).add(i)
-    for place, n in m.items():
-        taken = used.setdefault(place, set())
-        for _ in range(n):
-            i = 1
-            while i in taken:
-                i += 1
-            taken.add(i)
-            acc.add((place, i))
-    return frozenset(acc)
+    bits = TokenBits()
+    mask = bits.mask(k)
+    return frozenset(bits.decode(mask | bits.create(mask, m)))
 
 
 @dataclass(frozen=True)
@@ -96,12 +171,13 @@ def im_successors(net: PTNet, k: IndexedMarking) -> list[IMStep]:
     Deterministic order: transitions in declaration order, victim choices
     sorted by their removed-token sets.
     """
-    m = alpha(k)
-    steps = []
-    for t in _enabled_transitions(net, m):
-        for k2 in sorted(boxminus(k, t.pre), key=lambda x: sorted(k - x)):
-            steps.append(IMStep(t.tid, frozenset(k - k2), boxplus(k2, t.post)))
-    return steps
+    bits = TokenBits()
+    mask = bits.mask(k)
+    return [
+        IMStep(t.tid, frozenset(bits.decode(removed)),
+               frozenset(bits.decode(mask & ~removed | created)))
+        for t, removed, created in bits.firings(net, mask)
+    ]
 
 
 def reachable_im(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:

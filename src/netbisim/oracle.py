@@ -19,7 +19,6 @@ the interpreter's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .nets import Multiset, NetError, PTNet
 from .processes import _preset_choices
@@ -183,10 +182,25 @@ def _fc_key(s: GameState):
 
 def _pairings(left: list[str], right: list[str]) -> list[tuple]:
     """Each distinct one-to-one pairing of the places left with the places
-    right, as a sorted tuple of (left place, right place) pairs."""
+    right (both sorted), as a sorted tuple of (left place, right place)
+    pairs, in sorted order.  Each is built once: a left place takes each
+    distinct remaining right place, and equal left places take right places
+    in non-decreasing order."""
     if len(left) != len(right):
         return []
-    return sorted({tuple(sorted(zip(left, perm))) for perm in permutations(right)})
+    out = []
+    stack = [((), tuple(right))]  # (pairs so far, right places left over)
+    while stack:
+        pairs, rest = stack.pop()
+        i = len(pairs)
+        if i == len(left):
+            out.append(pairs)
+            continue
+        least = pairs[-1][1] if i and left[i - 1] == left[i] else ""
+        for j, rp in enumerate(rest):
+            if rp >= least and (not j or rest[j - 1] != rp):
+                stack.append((pairs + ((left[i], rp),), rest[:j] + rest[j + 1:]))
+    return sorted(out)
 
 
 def _cn_inits(m1: Multiset, m2: Multiset) -> list[GameState]:

@@ -6,6 +6,10 @@ The preorder records precedence in token generation.  After a firing:
   2. the tokens generated together form a clique (related both ways);
   3. an untouched token precedes every generated token iff it preceded,
      in the pre-firing order, some token the firing deleted.
+
+The update is computed on int masks (`step_rows`): a token set is a mask
+over a `TokenBits` numbering, and the preorder is one up-set mask per
+token.  `oim_successors` and `_step_order` decode its results.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nets import NetError, PTNet, _explore
-from .indexed import IndexedMarking, Token, alpha, im_successors, is_closed
+from .indexed import IndexedMarking, Token, TokenBits, alpha, is_closed
 
 
 @dataclass(frozen=True)
@@ -59,33 +63,103 @@ class OIMStep:
         return self.target.tokens - (source.tokens - self.removed)
 
 
+def step_rows(mask: int, rows: tuple, removed: int,
+              created: int) -> tuple[int, tuple, tuple]:
+    """The order update on masks.  `rows[i]` is the up-set mask of the i-th
+    token of `mask` in bit order.  Returns the target mask, its rows and its
+    plan: for each target token in bit order, its position in `mask`, or -1
+    if the firing created it."""
+    untouched = mask & ~removed
+    target = untouched | created
+    new_rows = []
+    plan = []
+    rest = target
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if low & untouched:
+            i = (mask & (low - 1)).bit_count()
+            up = rows[i]
+            # Clause (3) is evaluated against the pre-firing order.
+            new_rows.append(up & untouched | (created if up & removed else 0))
+            plan.append(i)
+        else:
+            new_rows.append(created)
+            plan.append(-1)
+    return target, tuple(new_rows), tuple(plan)
+
+
+def encode_rows(bits: TokenBits, mask: int, pairs, within: int) -> tuple:
+    """The rows of a relation from the tokens of mask to those of within:
+    rows[i] is the mask of the tokens the i-th token of mask is related to.
+    Pairs that mention other tokens are dropped."""
+    rows = [0] * mask.bit_count()
+    bit = bits.bit
+    for a, b in pairs:
+        ba, bb = bit.get(a, 0), bit.get(b, 0)
+        if ba & mask and bb & within:
+            rows[(mask & (ba - 1)).bit_count()] |= bb
+    return tuple(rows)
+
+
+def decode_rows(bits: TokenBits, mask: int, rows: tuple,
+                 pairs: dict) -> frozenset:
+    """The relation of rows as token pairs.  Pairs are shared through
+    `pairs`: bit of a -> bit of b -> (a, b)."""
+    tokens = bits.tokens
+    out = []
+    rest = mask
+    for up in rows:
+        a = rest & -rest
+        rest ^= a
+        known = pairs.get(a)
+        if known is None:
+            known = pairs[a] = {}
+        while up:
+            b = up & -up
+            up ^= b
+            pair = known.get(b)
+            if pair is None:
+                pair = known[b] = (tokens[a.bit_length() - 1],
+                                   tokens[b.bit_length() - 1])
+            out.append(pair)
+    return frozenset(out)
+
+
 def _step_order(
     old: frozenset,
     untouched: frozenset,
     generated: frozenset,
     removed: frozenset,
 ) -> frozenset:
-    # Clause (3) is evaluated against the pre-firing order, as defined.
-    pairs = {(a, b) for a, b in old if a in untouched and b in untouched}
-    pairs.update((a, b) for a in generated for b in generated)
-    raised = {
-        a for a in untouched if any((a, d) in old for d in removed)
-    }
-    pairs.update((a, b) for a in raised for b in generated)
-    return frozenset(pairs)
+    bits = TokenBits()
+    gone = bits.mask(removed)
+    mask = bits.mask(untouched) | gone
+    target, rows, _ = step_rows(mask, encode_rows(bits, mask, old, mask),
+                                gone, bits.mask(generated))
+    return decode_rows(bits, target, rows, {})
+
+
+def oim_moves(net: PTNet, bits: TokenBits, mask: int, rows: tuple) -> list:
+    """(transition, removed, created, target mask, target rows, plan) for
+    every firing of the ordered token game from (mask, rows), in the order
+    of `TokenBits.firings`."""
+    return [(t, removed, created, *step_rows(mask, rows, removed, created))
+            for t, removed, created in bits.firings(net, mask)]
 
 
 def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     """All firings of the ordered token game from o, all victim choices."""
+    bits = TokenBits()
+    mask = bits.mask(o.tokens)
     steps = []
-    for im_step in im_successors(net, o.tokens):
-        untouched = o.tokens - im_step.removed
-        generated = im_step.target - untouched
-        order = _step_order(o.order, untouched, generated, im_step.removed)
-        steps.append(
-            OIMStep(im_step.tid, im_step.removed,
-                    OrderedIndexedMarking(im_step.target, order))
-        )
+    pairs: dict = {}
+    for t, removed, _, target, rows, _ in oim_moves(
+            net, bits, mask, encode_rows(bits, mask, o.order, mask)):
+        steps.append(OIMStep(
+            t.tid, frozenset(bits.decode(removed)),
+            OrderedIndexedMarking(frozenset(bits.decode(target)),
+                                  decode_rows(bits, target, rows, pairs))))
     return steps
 
 

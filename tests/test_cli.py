@@ -71,6 +71,43 @@ def test_check_writes_witness(fig1_path, tmp_path):
     assert out.read_text().startswith("triples ")
 
 
+BUF4 = """\
+net buf4
+places pr free full
+trans put a : pr + free -> pr + full
+trans get b : full -> free
+marking m0 : pr + 4*free
+"""
+
+
+@pytest.fixture
+def buf4_path(tmp_path):
+    path = tmp_path / "buf4.pn"
+    path.write_text(BUF4)
+    return str(path)
+
+
+def test_check_triple_limit_exits_unknown(buf4_path, tmp_path, capsys):
+    """The fc search of buf(4) explores 3,142 triples; a limit of 10 stops
+    it with verdict unknown and exit code 2."""
+    out = tmp_path / "witness.txt"
+    assert cli_main(["check", "--equiv", "fc", "--cap", "4",
+                     "--max-triples", "10", "--witness", str(out),
+                     buf4_path, "m0", "m0"]) == 2
+    assert capsys.readouterr().out.strip() == "unknown"
+    assert out.read_text() == "unknown\n"
+    assert cli_main(["check", "--equiv", "cn", "--cap", "4",
+                     "--max-seconds", "30", buf4_path, "m0", "m0"]) == 0
+
+
+def test_check_limits_need_fc_or_cn(buf4_path, capsys):
+    for flag, value in (("--max-triples", "10"), ("--max-seconds", "1")):
+        assert cli_main(["check", "--equiv", "il", "--cap", "4", flag, value,
+                         buf4_path, "m0", "m0"]) == 64
+        assert cli_main(["check", "--equiv", "fc", "--cap", "4", flag, "-1",
+                         buf4_path, "m0", "m0"]) == 3
+
+
 def test_oracle_exit_codes(fig1_path, tmp_path):
     assert cli_main(["oracle", "--flavor", "fc", "--depth", "2",
                      fig1_path, "m_s1", "m_s3"]) == 0

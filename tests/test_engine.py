@@ -1,15 +1,20 @@
+import hashlib
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from netbisim import (
-    BoundExceededError, Limits, Multiset, OIMStep, PTNet, Refutation,
-    Transition, beta_update, decide_interleaving, decide_oim, decide_oimc,
-    deleted_condition_cn, deleted_condition_fc, format_refutation,
-    format_witness, validate_refutation, validate_witness,
+    BoundExceededError, CorpusConfig, GameTriple, Limits, Multiset, OIMStep,
+    PTNet, Refutation, Transition, beta_update, corpus, decide_interleaving,
+    decide_oim, decide_oimc, deleted_condition_cn, deleted_condition_fc,
+    format_refutation, format_witness, oim_successors, validate_refutation,
+    validate_witness,
 )
-from netbisim.engine import _initial_triple, _Search
+from netbisim.engine import _initial_triple
+
+from test_oracle import par
 
 
 def buffer(k):
@@ -254,6 +259,41 @@ def test_tampered_witness_rejected(fig1_net):
             )
 
 
+def test_tampered_certificates_rejected():
+    """Witness triples and refutation nodes that differ from what the game
+    produces, also only by a pair that mentions a foreign token, fail
+    validation."""
+    net, m0 = buffer(2)
+    root = _initial_triple(m0, m0)
+    witness = decide_oim(net, m0, m0, 2).witness
+    assert validate_witness(net, witness, root, "fc")
+    foreign = ("nowhere", 1)
+    some = next(t for t in witness if t != root)
+    token = next(iter(some.left.tokens))
+    for bad in (
+        replace(some, beta=some.beta | {(token, foreign)}),
+        replace(some, beta=some.beta - {next(iter(some.beta))}),
+        replace(some, left=replace(some.left,
+                                   order=some.left.order | {(token, foreign)})),
+    ):
+        assert not validate_witness(net, witness - {some} | {bad}, root, "fc")
+
+    net, m_left, m_right = alarm_pair(2, 1)
+    ref = decide_oim(net, m_left, m_right, 2).refutation
+    assert validate_refutation(net, ref, "fc")
+    node = next(n for n in ref.nodes() if n.responses)
+    attacker = node.attacker
+    (resp, sub), *rest = node.responses
+    for bad in (
+        replace(node, attacker=replace(attacker, removed=frozenset({foreign}))),
+        replace(node, responses=tuple(rest)),
+        replace(node, responses=((resp, replace(sub, triple=root)), *rest)),
+        replace(node, triple=replace(node.triple,
+                                     beta=node.triple.beta | {(token, foreign)})),
+    ):
+        assert not validate_refutation(net, bad, "fc")
+
+
 def test_interleaving_terminates_with_many_blocks():
     """buf(10) has 11 reachable markings, each its own block."""
     net, m0 = buffer(10)
@@ -337,13 +377,18 @@ def test_cyclic_refutation_rejected():
     replays locally, but the cycle proves nothing, so the validator rejects
     it and formatting raises instead of looping."""
     net, m0 = buffer(1)
-    helper = _Search(net, "fc", Limits())
 
     def only_move(triple):
-        (attack,) = helper.successors(triple.left)
-        ((resp, nxt),) = helper.admissible(
-            triple, attack, True, helper.successors(triple.right))
-        return attack, resp, nxt
+        (attack,) = oim_successors(net, triple.left)
+        (resp,) = oim_successors(net, triple.right)
+        assert deleted_condition_fc(attack.removed, resp.removed,
+                                    triple.left.order, triple.right.order,
+                                    triple.beta)
+        beta = beta_update(
+            attack.untouched(triple.left), attack.generated(triple.left),
+            resp.untouched(triple.right), resp.generated(triple.right),
+            triple.beta)
+        return attack, resp, GameTriple(attack.target, resp.target, beta)
 
     _, _, full = only_move(_initial_triple(m0, m0))
     get, get_resp, empty = only_move(full)
@@ -379,3 +424,88 @@ def test_refutations_share_nodes(k, g):
         for node in nodes:
             for _, sub in node.responses:
                 assert position[id(sub)] < position[id(node)]
+
+
+def certificate(verdict):
+    if verdict.witness is not None:
+        return format_witness(verdict.witness)
+    return format_refutation(verdict.refutation)
+
+
+def digest(verdict):
+    return hashlib.sha256(certificate(verdict).encode()).hexdigest()
+
+
+# (instance, flavor) -> (triples explored, sha256 of the certificate text),
+# as produced by the frozenset game before it moved onto int masks.
+CERTIFICATES = {
+    ("buf2", "fc"): (20, "83b5e49dc2b098bc41c90c2d5ccc666bf8090a4605c5f370887861a374186a46"),
+    ("buf2", "cn"): (20, "83b5e49dc2b098bc41c90c2d5ccc666bf8090a4605c5f370887861a374186a46"),
+    ("buf3", "fc"): (211, "3cc180a2f320fe0b99300e7ebf0b8e2147036fdc2ee4546ceb792eb446638953"),
+    ("buf3", "cn"): (211, "3cc180a2f320fe0b99300e7ebf0b8e2147036fdc2ee4546ceb792eb446638953"),
+    ("buf4", "fc"): (3142, "ecf770bc9a23412fcee7bcbe1ef2b744fcce17560b6c66459d0feccf4ef1d2f0"),
+    ("buf4", "cn"): (3142, "ecf770bc9a23412fcee7bcbe1ef2b744fcce17560b6c66459d0feccf4ef1d2f0"),
+    ("par2", "fc"): (15, "a8814f3887335edf084bf2443102fb90ef7a4da897bfa7792291eeaa95fda9d9"),
+    ("par2", "cn"): (15, "a8814f3887335edf084bf2443102fb90ef7a4da897bfa7792291eeaa95fda9d9"),
+    ("par3", "fc"): (103, "de53e006a92869a645a25217a50d5709699808c441e904d9ffe646ff06ad3a28"),
+    ("par3", "cn"): (103, "de53e006a92869a645a25217a50d5709699808c441e904d9ffe646ff06ad3a28"),
+    ("par4", "fc"): (903, "706788aa043f142e522d49439a09f1ef0fadba9a7934d469430e2bb01ffe1910"),
+    ("par4", "cn"): (903, "706788aa043f142e522d49439a09f1ef0fadba9a7934d469430e2bb01ffe1910"),
+    ("pair2_1", "fc"): (9, "4d91aa2bf9fe6655219c3cdba2cbcf03fd0940545d5c73cc565d1a5d7487eb63"),
+    ("pair2_1", "cn"): (9, "4d91aa2bf9fe6655219c3cdba2cbcf03fd0940545d5c73cc565d1a5d7487eb63"),
+    ("pair2_2", "fc"): (11, "9f558242158ded42e6e168cdfb82fc3b8930ce3493f6f265e977ddab8b93f9c4"),
+    ("pair2_2", "cn"): (11, "9f558242158ded42e6e168cdfb82fc3b8930ce3493f6f265e977ddab8b93f9c4"),
+    ("pair3_1", "fc"): (46, "d0fe355bdd6a9e843dbb2cceb5394aa974e53de886c7d192f75a1b8fee72c2e2"),
+    ("pair3_1", "cn"): (46, "d0fe355bdd6a9e843dbb2cceb5394aa974e53de886c7d192f75a1b8fee72c2e2"),
+    ("pair3_2", "fc"): (46, "f64dfb69f1ad0f98e5883942f40bc81ddd0a011003e6771a48d93d6af4809e77"),
+    ("pair3_2", "cn"): (46, "f64dfb69f1ad0f98e5883942f40bc81ddd0a011003e6771a48d93d6af4809e77"),
+    ("pair3_3", "fc"): (54, "ef117eee30e21796c222b6828f457eeee3f9f472d6ef28c7c57560e27f78402d"),
+    ("pair3_3", "cn"): (54, "ef117eee30e21796c222b6828f457eeee3f9f472d6ef28c7c57560e27f78402d"),
+    ("pair4_3", "fc"): (209, "b22765e9d3d6d9f71f7fcace947bd7211edfec590e93f86312933b1e40cd9d39"),
+    ("pair4_3", "cn"): (209, "b22765e9d3d6d9f71f7fcace947bd7211edfec590e93f86312933b1e40cd9d39"),
+    ("fig1", "fc"): (2, "f8f039b5172f41b918a413ae3c4b8d95f91533a31486ccc54e9c677decdc1ffe"),
+    ("fig1", "cn"): (2, "4898d678972634bab489d1e43bd78797d3b03ddf5439c1cd727cd38be32824b7"),
+    ("parallel_choice", "fc"): (2, "3c8f6a9ae0f8183b0673429586bef374927215c98e26f70837b87f9d5f0ba4a0"),
+    ("parallel_choice", "cn"): (1, "f1ee60553ad7da7adb521e8c852126f579799d67f85c9298b5a412e3581941e2"),
+}
+CORPUS_DIGEST = "047d1944f52a81eb24b835edd59d1dc9f1053829f47beb88898e5b4fceb2e9a6"
+
+
+def certificate_instance(name, fig1_net, parallel_choice_net):
+    """(net, m1, m2, cap) of a CERTIFICATES instance."""
+    if name == "fig1":
+        return fig1_net, Multiset.of("s1"), Multiset.of("s3"), 4
+    if name == "parallel_choice":
+        return (parallel_choice_net, Multiset.of("p1", "p2"),
+                Multiset.of("q0"), 4)
+    if name.startswith("pair"):
+        k, g = map(int, name[4:].split("_"))
+        return (*alarm_pair(k, g), k)
+    k = int(name[3:])
+    if name.startswith("buf"):
+        net, m0 = buffer(k)
+        return net, m0, m0, k
+    net, m0 = par(k)
+    return net, m0, m0, 1
+
+
+@pytest.mark.parametrize("name,flavor", sorted(CERTIFICATES))
+def test_certificate_texts_pinned(name, flavor, fig1_net, parallel_choice_net):
+    """Triple counts and certificate texts do not change with the game's
+    internal representation."""
+    net, m1, m2, cap = certificate_instance(name, fig1_net,
+                                            parallel_choice_net)
+    decide = decide_oim if flavor == "fc" else decide_oimc
+    v = decide(net, m1, m2, cap)
+    assert (v.stats["triples"], digest(v)) == CERTIFICATES[name, flavor]
+
+
+def test_corpus_certificates_pinned():
+    """One digest over the verdicts, triple counts and certificate texts of
+    the 200 seed-42 corpus instances under fc and cn."""
+    h = hashlib.sha256()
+    for net, m1, m2 in corpus(42, 200, CorpusConfig()):
+        for decide in (decide_oim, decide_oimc):
+            v = decide(net, m1, m2, 2)
+            h.update(f"{v.outcome} {v.stats['triples']}\n{certificate(v)}".encode())
+    assert h.hexdigest() == CORPUS_DIGEST

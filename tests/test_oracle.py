@@ -1,8 +1,12 @@
+import random
 import sys
+import time
+from itertools import permutations
 
 import pytest
 
 from netbisim import Multiset, NetError, PTNet, Transition, oracle_game
+from netbisim.oracle import _pairings
 
 
 def test_fig1_fc_depth2(fig1_net):
@@ -125,3 +129,31 @@ def test_fig2_golden(fig2_net, fig2_m0, flavor):
     v = oracle_game(fig2_net, fig2_m0, fig2_m0, flavor, 6)
     assert (v.outcome, v.stats["states"], len(v.witness)) == (
         "equivalent", 16, 16)
+
+
+def permutation_pairings(left, right):
+    """Reference for `_pairings`: every permutation, duplicates removed."""
+    if len(left) != len(right):
+        return []
+    return sorted({tuple(sorted(zip(left, perm)))
+                   for perm in permutations(right)})
+
+
+def test_pairings_match_permutations():
+    rng = random.Random(5)
+    for _ in range(200):
+        left = sorted(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+        right = sorted(rng.choice("pqrs") for _ in range(rng.randint(0, 6)))
+        assert _pairings(left, right) == permutation_pairings(left, right)
+
+
+def test_cn_game_on_many_equal_tokens_is_fast():
+    """Ten tokens on one place have one pairing; enumerating all 10!
+    permutations first took seconds."""
+    net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
+                                        Multiset.of("p"))])
+    m = Multiset({"p": 10})
+    t0 = time.perf_counter()
+    v = oracle_game(net, m, m, "cn", 1)
+    assert time.perf_counter() - t0 < 0.1
+    assert v.outcome == "unknown"

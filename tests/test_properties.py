@@ -1,13 +1,18 @@
 import random
+from itertools import combinations, permutations, product
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from netbisim import (
-    Multiset, NetSystem, alpha, boxminus, boxplus, decide_interleaving,
-    decide_oim, decide_oimc, enabled, fire, initial_indexed, init_oim,
-    im_successors, oim_successors, reachable, ps_init, ps_successors,
+    Limits, Multiset, NetSystem, OIMStep, OrderedIndexedMarking, PTNet,
+    Transition, alpha,
+    beta_update, boxminus, boxplus, decide_interleaving, decide_oim,
+    decide_oimc, deleted_condition_cn, enabled, fire, initial_indexed,
+    init_oim, im_successors, oim_successors, reachable, ps_init,
+    ps_successors,
 )
+from netbisim.engine import _Codec, _Search
 from netbisim.indexed import indices_of
 from netbisim.ordered import oim_check
 from netbisim.randnets import CorpusConfig, random_instance
@@ -189,3 +194,110 @@ def test_cn_size_gate(seed):
     net, m1, m2 = instance(seed)
     if m1.size != m2.size:
         assert decide_oimc(net, m1, m2, 2).outcome == "not-equivalent"
+
+
+def reference_oim_successors(net, o):
+    """The ordered token game from its definition, on frozensets: every
+    enabled transition in declaration order, every victim choice in the
+    order of its sorted tokens, creation at the least free index, and the
+    three clauses of the order update."""
+    steps = []
+    m = alpha(o.tokens)
+    for t in net.transitions:
+        if not t.pre <= m:
+            continue
+        per_place = [
+            [frozenset((place, i) for i in c)
+             for c in combinations(sorted(indices_of(o.tokens, place)), n)]
+            for place, n in t.pre.items()
+        ]
+        choices = [frozenset().union(*c) for c in product(*per_place)]
+        for removed in sorted(choices, key=sorted):
+            untouched = o.tokens - removed
+            generated = set()
+            for place, n in t.post.items():
+                for _ in range(n):
+                    i = 1
+                    while (place, i) in untouched or (place, i) in generated:
+                        i += 1
+                    generated.add((place, i))
+            order = {(a, b) for a, b in o.order
+                     if a in untouched and b in untouched}
+            order |= {(a, b) for a in generated for b in generated}
+            order |= {(a, b) for a in untouched for b in generated
+                      if any((a, d) in o.order for d in removed)}
+            steps.append(OIMStep(t.tid, removed, OrderedIndexedMarking(
+                untouched | generated, frozenset(order))))
+    return steps
+
+
+def check_mask_successors(net, m1, m2):
+    """On the OIMs reachable from m1 and m2, the search's mask moves,
+    decoded, are oim_successors, in content and order, and oim_successors
+    is the definition."""
+    search = _Search(net, "fc", Limits())
+    codec = _Codec(search)
+    left, right, _ = search.root(m1, m2)
+    todo, seen = [left, right], {left, right}
+    while todo and len(seen) < 60:
+        o = todo.pop()
+        moves, _ = search.successors(o)
+        decoded = [codec.step(move) for move in moves]
+        source = codec.oim(o)
+        assert decoded == oim_successors(net, source)
+        assert decoded == reference_oim_successors(net, source)
+        for move in moves:
+            if move[4] not in seen:
+                seen.add(move[4])
+                todo.append(move[4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_mask_successors_match_definition(seed):
+    check_mask_successors(*instance(seed))
+
+
+def test_mask_successors_with_two_place_victims():
+    """Victim choices over two places, two of four tokens each: their order
+    is that of the sorted removed tokens."""
+    net = PTNet.make(["p", "q", "r"], [
+        Transition("t", "a", Multiset({"p": 2, "q": 1}), Multiset.of("r")),
+        Transition("u", "b", Multiset.of("r"), Multiset({"p": 2, "q": 1})),
+    ])
+    check_mask_successors(net, Multiset({"p": 4, "q": 3}),
+                          Multiset({"p": 3, "q": 2, "r": 1}))
+
+
+LEFT = [("p", 1), ("p", 2), ("q", 1)]
+RIGHT = [("r", 1), ("r", 2), ("s", 1)]
+
+
+def relation(xs, ys):
+    return st.frozensets(st.tuples(st.sampled_from(xs), st.sampled_from(ys)))
+
+
+@example(frozenset(LEFT), frozenset(RIGHT),
+         frozenset({(LEFT[0], RIGHT[0]), (LEFT[1], RIGHT[0])}
+                   | {(LEFT[2], b) for b in RIGHT}))
+@given(st.frozensets(st.sampled_from(LEFT)), st.frozensets(st.sampled_from(RIGHT)),
+       relation(LEFT, RIGHT))
+def test_deleted_condition_cn_matches_bijections(removed1, removed2, beta):
+    """Against the definition: some bijection between the deleted tokens
+    lies inside beta."""
+    left, right = sorted(removed1), sorted(removed2)
+    expected = len(left) == len(right) and any(
+        all(pair in beta for pair in zip(left, perm))
+        for perm in permutations(right))
+    assert deleted_condition_cn(removed1, removed2, beta) == expected
+
+
+@given(st.frozensets(st.sampled_from(LEFT)), st.frozensets(st.sampled_from(RIGHT)),
+       relation(LEFT, RIGHT), st.frozensets(st.sampled_from([("g", 1), ("g", 2)])),
+       st.frozensets(st.sampled_from([("h", 1), ("h", 2)])))
+def test_beta_update_matches_definition(untouched1, untouched2, beta,
+                                        generated1, generated2):
+    expected = {(a, b) for a, b in beta if a in untouched1 and b in untouched2}
+    expected |= set(product(generated1, generated2))
+    assert beta_update(untouched1, generated1, untouched2, generated2,
+                       beta) == expected
