@@ -20,6 +20,16 @@ decided witness or refutation is decoded to them, and the validators
 encode them back and replay the same int game.  The frozenset functions
 `beta_update` and `deleted_condition_fc/cn` are wrappers over the mask
 forms.
+
+The game is invariant under place-preserving renaming of each side's
+token indices, so the search works on canonical triples
+(`_Search.canonical`, from `symmetry`): every successor is renamed
+before it is looked up, pushed or stored, and the root is canonical as
+it is.  `stats["triples"]` counts canonical triples, a witness is a set
+of canonical triples closed up to renaming, and each refutation node
+holds a canonical triple, whose attacker move and responses name tokens
+in that node's frame.  The moves of a marking (`_Search.successors`)
+stay literal.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .ordered import (
     OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, init_oim,
     oim_moves,
 )
+from .symmetry import Canonicaliser
 
 Beta = frozenset  # frozenset[tuple[Token, Token]]
 Flavor = Literal["fc", "cn"]
@@ -229,7 +240,7 @@ def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
 _MISSING = object()
 
 
-class _Search:
+class _Search(Canonicaliser):
     """The game on ints.  Tokens are bits of `bits`; each distinct OIM is
     interned to an id for (token mask, rows), where rows[i] is the up-set
     mask of its i-th token in bit order.  A triple is (left id, right id,
@@ -237,10 +248,12 @@ class _Search:
     token.  A move is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
-         untouched mask, created mask, beta plan)
+         untouched mask, created mask, beta plan, plain target)
 
     built once per OIM, with a (position, bit, up-set) entry per deleted
-    token and, per target token, its source position or -1 (created).
+    token, per target token its source position or -1 (created), and
+    whether every target token has index 1, so that a successor of two
+    plain targets is canonical as it is.
     Refutation nodes hold int triples and moves until `_Codec` decodes
     them."""
 
@@ -253,6 +266,7 @@ class _Search:
         self.ids: dict[tuple, int] = {}  # (mask, rows) -> id
         self.oims: list[tuple] = []  # id -> (mask, rows)
         self.moves: list = []  # id -> (moves, moves by label), or None
+        super().__init__()
         self.false_memo: dict[tuple, Refutation] = {}
         self.explored = 0
         self.t0 = time.monotonic()
@@ -268,7 +282,9 @@ class _Search:
 
     def root(self, m1: Multiset, m2: Multiset) -> tuple:
         """The initial triple: every token precedes every token of its side,
-        and beta relates every left token to every right token."""
+        and beta relates every left token to every right token.  Nothing
+        tells the tokens of a place apart, so it is its own canonical
+        triple."""
         k1, k2 = (self.bits.mask([(p, i) for p, n in m.items()
                                   for i in range(1, n + 1)]) for m in (m1, m2))
         n1 = k1.bit_count()
@@ -281,8 +297,10 @@ class _Search:
         if entry is None:
             mask, rows = self.oims[o]
             moves, by_label = [], {}
-            for t, removed, created, target, target_rows, plan in oim_moves(
-                    self.net, self.bits, mask, rows):
+            found = oim_moves(self.net, self.bits, mask, rows)
+            # The tokens of index above 1; those of found are all numbered.
+            high = ~self.bits.firsts
+            for t, removed, created, target, target_rows, plan in found:
                 deleted = []
                 rest = removed
                 while rest:
@@ -292,7 +310,7 @@ class _Search:
                     deleted.append((i, b, rows[i]))
                 move = (t.label, t.tid, removed, tuple(deleted),
                         self.intern(target, target_rows), mask & ~removed,
-                        created, plan)
+                        created, plan, not target & high)
                 moves.append(move)
                 by_label.setdefault(t.label, []).append(move)
             entry = self.moves[o] = (moves, by_label)
@@ -310,16 +328,18 @@ class _Search:
 
     def admissible(self, triple: tuple, attack: tuple, attacker_left: bool,
                    by_label: dict):
-        """Yield (response, successor triple) for each defender response
-        with the attack's label that meets the deleted-token condition,
-        in the defender's move order."""
+        """Yield (response, canonical successor triple) for each defender
+        response with the attack's label that meets the deleted-token
+        condition, in the defender's move order."""
         beta = triple[2]
         holds = self.holds
+        canonical = self.canonical
         for resp in by_label.get(attack[0], ()):
             left, right = (attack, resp) if attacker_left else (resp, attack)
             if holds(beta, left[3], right[2], right[3]):
-                yield resp, (left[4], right[4],
-                             _next_beta(beta, left[7], right[5], right[6]))
+                nxt = (left[4], right[4],
+                       _next_beta(beta, left[7], right[5], right[6]))
+                yield resp, nxt if left[8] and right[8] else canonical(nxt)
 
     def evaluate(self, triple: tuple):
         """Play one triple: yield each successor triple whose value is
@@ -551,20 +571,40 @@ def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
 
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
                      flavor: Flavor) -> bool:
-    """Independent closure check: every triple in the witness satisfies both
-    transfer directions with successors inside the witness."""
-    if root not in witness:
-        return False
+    """Independent closure check, up to place-preserving renaming of token
+    indices: every triple of the witness satisfies both transfer directions
+    with canonical successors (`_Search.canonical`) that are triples of the
+    witness or canonical triples of its triples, and the root's canonical
+    triple is one of those.  So a witness closed without renaming (one
+    listing every renamed copy it reaches) passes too.  The triples are
+    canonicalised only once a successor is not found among them as they
+    are, which never happens for a witness of canonical triples."""
     helper = _Search(net, flavor, Limits())
-    encoded = set(map(_Codec(helper).encode, witness))
+    codec = _Codec(helper)
+    encoded = set(map(codec.encode, witness))
     if None in encoded:
         return False
+    canonical: set = set()
+
+    def member(t: tuple) -> bool:
+        if not canonical:
+            canonical.update(map(helper.canonical, encoded))
+        return t in canonical
+
+    if root not in witness:
+        start = codec.encode(root)
+        if start is None:
+            return False
+        start = helper.canonical(start)
+        if not (start in encoded or member(start)):
+            return False
     for triple in encoded:
         game = helper.evaluate(triple)
         wins = None
         try:
             while True:
-                wins = game.send(wins) in encoded
+                nxt = game.send(wins)
+                wins = nxt in encoded or member(nxt)
         except StopIteration as done:
             if done.value is not None:
                 return False
@@ -573,9 +613,11 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
 
 def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     """Replay a refutation: at every node the attacker move must exist and
-    every admissible defender response must itself be refuted.  Each
-    distinct node is replayed once; a refutation that leads back to one of
-    its own nodes proves nothing and is rejected."""
+    every admissible defender response must itself be refuted, by a node
+    whose triple has the response's canonical successor as its canonical
+    triple (`_Search.canonical`).  Each distinct node is replayed once; a
+    refutation that leads back to one of its own nodes proves nothing and
+    is rejected."""
     try:
         nodes = ref.nodes()
     except ValueError:
@@ -603,8 +645,12 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         }
         if {resp for resp, _ in node.responses} != set(admissible):
             return False
-        return all(codec.encode(sub.triple) == admissible[resp]
-                   for resp, sub in node.responses)
+        for resp, sub in node.responses:
+            t = codec.encode(sub.triple)
+            if t is None or (t != admissible[resp]
+                             and helper.canonical(t) != admissible[resp]):
+                return False
+        return True
 
     return all(replays(node) for node in nodes)
 
@@ -646,6 +692,10 @@ def format_witness(witness: frozenset) -> str:
 
 
 def format_refutation(ref: Refutation) -> str:
+    """The refutation's reason and the attacker moves along its principal
+    line, one per line.  Each line names the removed tokens in the
+    canonical frame of its own node, the triple that move is played
+    from."""
     lines = [f"refuted: {ref.reason}"]
     for side, tid, removed in ref.principal_moves():
         rem = " ".join(_fmt_token(t) for t in sorted(removed))

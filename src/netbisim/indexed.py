@@ -63,6 +63,7 @@ class TokenBits:
         self.bit: dict[Token, int] = {}  # token -> 1 << position
         # place -> [(index, bit)] of its numbered tokens, sorted by index
         self.places: dict[str, list[tuple[int, int]]] = {}
+        self.firsts = 0  # the mask of the numbered tokens of index 1
 
     def of(self, tok: Token) -> int:
         b = self.bit.get(tok)
@@ -74,6 +75,8 @@ class TokenBits:
                 self.places[tok[0]] = [(tok[1], b)]
             else:
                 insort(place, (tok[1], b))
+            if tok[1] == 1:
+                self.firsts |= b
         return b
 
     def mask(self, k) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -42,7 +42,7 @@ class Multiset:
             items: Iterable[tuple[str, int]] = ()
         elif isinstance(counts, Multiset):
             items = counts._counts.items()
-        elif isinstance(counts, Mapping):
+        elif isinstance(counts, abc.Mapping):
             items = counts.items()
         else:
             items = counts

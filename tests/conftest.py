@@ -1,4 +1,4 @@
-"""Shared example nets.
+"""Shared example nets, and a fixture that turns symmetry reduction off.
 
 - fig1: one place fires a into a fresh place, another fires a into nothing;
   the classic pair that is fully-concurrent- but not causal-net-equivalent.
@@ -11,6 +11,14 @@
 import pytest
 
 from netbisim import Multiset, PTNet, Transition
+from netbisim.engine import _Search
+
+
+@pytest.fixture
+def unreduced(monkeypatch):
+    """The fc/cn game without symmetry reduction: every triple is its own
+    canonical triple, in the search and in the validators."""
+    monkeypatch.setattr(_Search, "canonical", lambda self, triple: triple)
 
 
 @pytest.fixture(scope="session")

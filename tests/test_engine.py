@@ -347,6 +347,7 @@ def test_principal_moves_ties_and_shared_nodes():
         "root", "tie", "leaf"]
 
 
+@pytest.mark.usefixtures("unreduced")
 def test_principal_moves_on_deep_refutations():
     """Deep lines that the recursive definition cannot format in time."""
     for k, g in ((3, 1), (3, 3)):
@@ -437,7 +438,8 @@ def digest(verdict):
 
 
 # (instance, flavor) -> (triples explored, sha256 of the certificate text),
-# as produced by the frozenset game before it moved onto int masks.
+# as produced by the frozenset game before it moved onto int masks.  The
+# unreduced game (the `unreduced` fixture) still produces them.
 CERTIFICATES = {
     ("buf2", "fc"): (20, "83b5e49dc2b098bc41c90c2d5ccc666bf8090a4605c5f370887861a374186a46"),
     ("buf2", "cn"): (20, "83b5e49dc2b098bc41c90c2d5ccc666bf8090a4605c5f370887861a374186a46"),
@@ -489,18 +491,17 @@ def certificate_instance(name, fig1_net, parallel_choice_net):
     return net, m0, m0, 1
 
 
-@pytest.mark.parametrize("name,flavor", sorted(CERTIFICATES))
-def test_certificate_texts_pinned(name, flavor, fig1_net, parallel_choice_net):
-    """Triple counts and certificate texts do not change with the game's
-    internal representation."""
+def pinned_certificate(name, flavor, fig1_net, parallel_choice_net):
+    """(triples explored, sha256 of the certificate text) on a
+    CERTIFICATES instance."""
     net, m1, m2, cap = certificate_instance(name, fig1_net,
                                             parallel_choice_net)
     decide = decide_oim if flavor == "fc" else decide_oimc
     v = decide(net, m1, m2, cap)
-    assert (v.stats["triples"], digest(v)) == CERTIFICATES[name, flavor]
+    return v.stats["triples"], digest(v)
 
 
-def test_corpus_certificates_pinned():
+def corpus_digest():
     """One digest over the verdicts, triple counts and certificate texts of
     the 200 seed-42 corpus instances under fc and cn."""
     h = hashlib.sha256()
@@ -508,4 +509,66 @@ def test_corpus_certificates_pinned():
         for decide in (decide_oim, decide_oimc):
             v = decide(net, m1, m2, 2)
             h.update(f"{v.outcome} {v.stats['triples']}\n{certificate(v)}".encode())
-    assert h.hexdigest() == CORPUS_DIGEST
+    return h.hexdigest()
+
+
+@pytest.mark.usefixtures("unreduced")
+@pytest.mark.parametrize("name,flavor", sorted(CERTIFICATES))
+def test_certificate_texts_pinned(name, flavor, fig1_net, parallel_choice_net):
+    """Triple counts and certificate texts of the unreduced game do not
+    change with the game's internal representation."""
+    assert pinned_certificate(name, flavor, fig1_net,
+                              parallel_choice_net) == CERTIFICATES[name, flavor]
+
+
+@pytest.mark.usefixtures("unreduced")
+def test_corpus_certificates_pinned():
+    assert corpus_digest() == CORPUS_DIGEST
+
+
+# The same for the game reduced by symmetry: canonical triples, so no more
+# triples than unreduced.
+REDUCED_CERTIFICATES = {
+    ("buf2", "cn"): (7, "646ad9310f2d402317bf63b5c65451c1f139886ad0497cd8217a2ce1ff14b013"),
+    ("buf2", "fc"): (7, "646ad9310f2d402317bf63b5c65451c1f139886ad0497cd8217a2ce1ff14b013"),
+    ("buf3", "cn"): (15, "4e969e210e1288d991197acc216691b39b7f4dceb625c5d8f975f7c450aa84e6"),
+    ("buf3", "fc"): (15, "4e969e210e1288d991197acc216691b39b7f4dceb625c5d8f975f7c450aa84e6"),
+    ("buf4", "cn"): (31, "b9b620ef5b71eccd68db3f14d9bcfb755e7b86702119b2796d38df0c3cadf334"),
+    ("buf4", "fc"): (31, "b9b620ef5b71eccd68db3f14d9bcfb755e7b86702119b2796d38df0c3cadf334"),
+    ("fig1", "cn"): (2, "4898d678972634bab489d1e43bd78797d3b03ddf5439c1cd727cd38be32824b7"),
+    ("fig1", "fc"): (2, "f8f039b5172f41b918a413ae3c4b8d95f91533a31486ccc54e9c677decdc1ffe"),
+    ("pair2_1", "cn"): (6, "e037fda2555b3c608add9f66b0c1004ff0e5566d7d962e0ff28a1fa500d4cb4e"),
+    ("pair2_1", "fc"): (6, "e037fda2555b3c608add9f66b0c1004ff0e5566d7d962e0ff28a1fa500d4cb4e"),
+    ("pair2_2", "cn"): (6, "ef240d1c7b154d4bd2ccca97de292ce6f373c4c73b6e1352e36832cd9f7f141b"),
+    ("pair2_2", "fc"): (6, "ef240d1c7b154d4bd2ccca97de292ce6f373c4c73b6e1352e36832cd9f7f141b"),
+    ("pair3_1", "cn"): (11, "f7c17f626eae68533e6d46daaa1db1a43948a7b7130f2aadc4e1de0f0ced95b9"),
+    ("pair3_1", "fc"): (11, "f7c17f626eae68533e6d46daaa1db1a43948a7b7130f2aadc4e1de0f0ced95b9"),
+    ("pair3_2", "cn"): (11, "e7663d2e51988bf15efc96ade3f4e9df744a6a886eac61fdd23abb629ae24ff2"),
+    ("pair3_2", "fc"): (11, "e7663d2e51988bf15efc96ade3f4e9df744a6a886eac61fdd23abb629ae24ff2"),
+    ("pair3_3", "cn"): (11, "6a904fd0a1a7ad0ff279f8294c13b1317a9c423f82a8c3d8babc0e0cebc23023"),
+    ("pair3_3", "fc"): (11, "6a904fd0a1a7ad0ff279f8294c13b1317a9c423f82a8c3d8babc0e0cebc23023"),
+    ("pair4_3", "cn"): (20, "bdc553ddbaed332d505cd07db5172af26ba8e96378b34f0a0dc450bc228fbaca"),
+    ("pair4_3", "fc"): (20, "bdc553ddbaed332d505cd07db5172af26ba8e96378b34f0a0dc450bc228fbaca"),
+    ("par2", "cn"): (15, "a8814f3887335edf084bf2443102fb90ef7a4da897bfa7792291eeaa95fda9d9"),
+    ("par2", "fc"): (15, "a8814f3887335edf084bf2443102fb90ef7a4da897bfa7792291eeaa95fda9d9"),
+    ("par3", "cn"): (103, "de53e006a92869a645a25217a50d5709699808c441e904d9ffe646ff06ad3a28"),
+    ("par3", "fc"): (103, "de53e006a92869a645a25217a50d5709699808c441e904d9ffe646ff06ad3a28"),
+    ("par4", "cn"): (903, "706788aa043f142e522d49439a09f1ef0fadba9a7934d469430e2bb01ffe1910"),
+    ("par4", "fc"): (903, "706788aa043f142e522d49439a09f1ef0fadba9a7934d469430e2bb01ffe1910"),
+    ("parallel_choice", "cn"): (1, "f1ee60553ad7da7adb521e8c852126f579799d67f85c9298b5a412e3581941e2"),
+    ("parallel_choice", "fc"): (2, "3c8f6a9ae0f8183b0673429586bef374927215c98e26f70837b87f9d5f0ba4a0"),
+}
+REDUCED_CORPUS_DIGEST = "7504d4cb3e60ba237a20c1a9caa721a0f9ede05fb33a9e5a48088ae370f61589"
+
+
+@pytest.mark.parametrize("name,flavor", sorted(REDUCED_CERTIFICATES))
+def test_reduced_certificate_texts_pinned(name, flavor, fig1_net,
+                                          parallel_choice_net):
+    triples, text = pinned_certificate(name, flavor, fig1_net,
+                                       parallel_choice_net)
+    assert (triples, text) == REDUCED_CERTIFICATES[name, flavor]
+    assert triples <= CERTIFICATES[name, flavor][0]
+
+
+def test_reduced_corpus_certificates_pinned():
+    assert corpus_digest() == REDUCED_CORPUS_DIGEST

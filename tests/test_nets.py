@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,27 @@ def test_multiset_construction_and_access():
     assert m["c"] == 0 and "c" not in m
     assert m.size == 3 and len(m) == 3
     assert m.dom == {"a", "b"}
+
+
+def test_multiset_from_any_mapping():
+    """Counts may come in any Mapping, not only a dict."""
+    class Counts(Mapping):
+        def __init__(self, counts):
+            self.counts = counts
+
+        def __getitem__(self, place):
+            return self.counts[place]
+
+        def __iter__(self):
+            return iter(self.counts)
+
+        def __len__(self):
+            return len(self.counts)
+
+    expected = Multiset.of("a", "a", "b")
+    assert Multiset(Counts({"a": 2, "b": 1, "c": 0})) == expected
+    assert Multiset(MappingProxyType({"a": 2, "b": 1})) == expected
+    assert Multiset([("a", 1), ("b", 1), ("a", 1)]) == expected
 
 
 def test_multiset_of_counts_repetitions():

@@ -1,0 +1,260 @@
+"""Symmetry reduction of the fc/cn game: canonical triples are renamings of
+their triples that do not depend on token indices or bit order, and the
+reduced game decides as the unreduced one, with valid certificates."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netbisim import (
+    CorpusConfig, GameTriple, Limits, Multiset, OrderedIndexedMarking,
+    PTNet, Transition, decide_interleaving, decide_oim, decide_oimc,
+    validate_refutation, validate_witness,
+)
+from netbisim.engine import _Codec, _initial_triple, _Search
+from netbisim.indexed import is_closed
+from netbisim.randnets import mutation_corpus, mutation_instance
+
+from test_engine import buffer
+
+DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
+
+
+def play(seed):
+    """(search, raw triples) along a random play of the fc game on a
+    mutation instance: the triples as the moves produce them, unrenamed."""
+    rng = random.Random(seed)
+    _, net, m1, m2 = mutation_instance(rng, CorpusConfig(bound=3))
+    search = _Search(net, "fc", Limits())
+    search.canonical = lambda triple: triple  # admissible stays literal
+    triple = search.root(m1, m2)
+    triples = [triple]
+    for _ in range(8):
+        attacker_left = rng.random() < 0.5
+        attacker = triple[0] if attacker_left else triple[1]
+        defender = triple[1] if attacker_left else triple[0]
+        attacks = search.successors(attacker)[0]
+        if not attacks:
+            break
+        nexts = [nxt for _, nxt in search.admissible(
+            triple, rng.choice(attacks), attacker_left,
+            search.successors(defender)[1])]
+        if not nexts:
+            break
+        triple = rng.choice(nexts)
+        triples.append(triple)
+    del search.canonical
+    assert search.canonical(triples[0]) == triples[0]  # the root
+    return search, triples
+
+
+def renamed(t: GameTriple, rng) -> GameTriple:
+    """t with each side's tokens renamed to random distinct indices of
+    their places."""
+    def renaming(tokens):
+        by_place = {}
+        for p, i in sorted(tokens):
+            by_place.setdefault(p, []).append((p, i))
+        out = {}
+        for p, toks in by_place.items():
+            new = rng.sample(range(1, len(toks) + 4), len(toks))
+            out.update({tok: (p, i) for tok, i in zip(toks, new)})
+        return out
+
+    left, right = renaming(t.left.tokens), renaming(t.right.tokens)
+
+    def oim(o, f):
+        return OrderedIndexedMarking(frozenset(map(f.get, o.tokens)), frozenset(
+            (f[a], f[b]) for a, b in o.order))
+
+    return GameTriple(oim(t.left, left), oim(t.right, right), frozenset(
+        (left[a], right[b]) for a, b in t.beta))
+
+
+def isomorphic(g: GameTriple, h: GameTriple) -> bool:
+    """Whether place-preserving bijections of each side's tokens map g onto
+    h, by trying every pair of them."""
+    def bijections(src, dst):
+        places = sorted({p for p, _ in src})
+        per_place = []
+        for p in places:
+            xs = sorted(t for t in src if t[0] == p)
+            ys = sorted(t for t in dst if t[0] == p)
+            if len(xs) != len(ys):
+                return []
+            per_place.append([dict(zip(xs, perm))
+                              for perm in itertools.permutations(ys)])
+        out = []
+        for parts in itertools.product(*per_place):
+            f = {}
+            for part in parts:
+                f.update(part)
+            out.append(f)
+        return out
+
+    def maps(f, rel):
+        return frozenset((f[a], f[b]) for a, b in rel)
+
+    if len(g.left.tokens) != len(h.left.tokens):
+        return False
+    return any(
+        maps(fl, g.left.order) == h.left.order
+        and maps(fr, g.right.order) == h.right.order
+        and frozenset((fl[a], fr[b]) for a, b in g.beta) == h.beta
+        for fl in bijections(g.left.tokens, h.left.tokens)
+        if maps(fl, g.left.order) == h.left.order
+        for fr in bijections(g.right.tokens, h.right.tokens))
+
+
+def arbitrary(seed):
+    """(search, [triple]) for a random triple of the search's net, not
+    necessarily reachable: random preorders on random tokens of two or
+    three places, and a random beta, so that beta also tells apart tokens
+    that the orders cannot."""
+    rng = random.Random(seed)
+    places = ["p", "q", "r"][:rng.randint(2, 3)]
+    net = PTNet.make(places, [Transition("t", "a", Multiset.of("p"),
+                                         Multiset.of("p"))])
+
+    def oim():
+        tokens = [(p, i) for p in places for i in range(1, rng.randint(0, 3) + 1)]
+        rel = {(a, a) for a in tokens} | {
+            (a, b) for a in tokens for b in tokens if rng.random() < 0.3}
+        while True:  # the transitive closure
+            more = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+            if not more:
+                return OrderedIndexedMarking(frozenset(tokens), frozenset(rel))
+            rel |= more
+
+    left, right = oim(), oim()
+    beta = frozenset((a, b) for a in left.tokens for b in right.tokens
+                     if rng.random() < 0.5)
+    search = _Search(net, "fc", Limits())
+    return search, [_Codec(search).encode(GameTriple(left, right, beta))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([play, arbitrary]))
+def test_canonical_is_an_invariant_renaming(seed, triples_of):
+    """Renamed copies of a triple, also encoded over a token numbering made
+    in another order, have one canonical triple: a closed renaming of the
+    triple, and its own canonical triple."""
+    search, triples = triples_of(seed)
+    codec = _Codec(search)
+    rng = random.Random(seed)
+    for t in triples:
+        c = search.canonical(t)
+        g, h = codec.triple(t), codec.triple(c)
+        assert search.canonical(c) == c
+        assert is_closed(h.left.tokens) and is_closed(h.right.tokens)
+        assert isomorphic(g, h)
+        for _ in range(2):
+            copy = codec.encode(renamed(g, rng))
+            assert search.canonical(copy) == c
+        other = _Search(search.net, "fc", Limits())
+        tokens = list(search.bits.tokens)
+        rng.shuffle(tokens)
+        for tok in tokens:
+            other.bits.of(tok)
+        other_codec = _Codec(other)
+        copy = other_codec.encode(renamed(g, rng))
+        assert other_codec.triple(other.canonical(copy)) == h
+
+
+def test_canonical_tries_every_vertex_of_a_tied_cell():
+    """Five unordered tokens a side, with beta a 4-cycle beside a 6-cycle:
+    every token has two beta neighbours, so refinement ties them all, yet
+    tokens of the two cycles are not interchangeable.  Renamed copies
+    still meet in one canonical triple."""
+    def antichain(n):
+        tokens = [("p", i) for i in range(1, n + 1)]
+        return OrderedIndexedMarking(frozenset(tokens),
+                                     frozenset((t, t) for t in tokens))
+
+    def cycle(xs, ys):
+        k = len(xs)
+        return {(("p", xs[i]), ("p", ys[i])) for i in range(k)} | {
+            (("p", xs[i]), ("p", ys[(i + 1) % k])) for i in range(k)}
+
+    g = GameTriple(antichain(5), antichain(5), frozenset(
+        cycle([1, 2], [1, 2]) | cycle([3, 4, 5], [3, 4, 5])))
+    net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
+                                        Multiset.of("p"))])
+    search = _Search(net, "fc", Limits())
+    codec = _Codec(search)
+    c = search.canonical(codec.encode(g))
+    assert isomorphic(g, codec.triple(c))
+    rng = random.Random(1)
+    for _ in range(20):
+        assert search.canonical(codec.encode(renamed(g, rng))) == c
+
+
+def decide_both(net, m1, m2, cap, flavor, monkeypatch):
+    """(reduced verdict, unreduced verdict)."""
+    reduced = DECIDERS[flavor](net, m1, m2, cap)
+    with monkeypatch.context() as m:
+        m.setattr(_Search, "canonical", lambda self, triple: triple)
+        unreduced = DECIDERS[flavor](net, m1, m2, cap)
+    return reduced, unreduced
+
+
+def certified(net, m1, m2, flavor, verdict) -> bool:
+    if verdict.witness is not None:
+        return validate_witness(net, verdict.witness, _initial_triple(m1, m2),
+                                flavor)
+    return validate_refutation(net, verdict.refutation, flavor)
+
+
+@pytest.mark.parametrize("flavor", ["fc", "cn"])
+def test_witness_independent_of_bit_order(flavor, monkeypatch):
+    """A union net on which a canonical form that broke ties between
+    automorphic orderings by bit position produced a 3-triple fc witness
+    that its own validator rejected."""
+    transitions = []
+    for s in ("", "'"):
+        transitions += [
+            Transition(f"t0{s}", "a", Multiset.of(f"p0{s}", f"p1{s}"),
+                       Multiset.of(f"p1{s}")),
+            Transition(f"t1{s}", "a", Multiset.of(f"p1{s}"),
+                       Multiset.of(f"p1{s}")),
+            Transition(f"t2{s}", "a", Multiset.of(f"p0{s}"),
+                       Multiset.of(f"p0{s}")),
+        ]
+    net = PTNet.make(["p0", "p1", "p0'", "p1'"], transitions)
+    m1, m2 = Multiset({"p0": 2}), Multiset({"p0'": 2})
+    reduced, unreduced = decide_both(net, m1, m2, 2, flavor, monkeypatch)
+    assert reduced.outcome == unreduced.outcome == "equivalent"
+    assert certified(net, m1, m2, flavor, reduced)
+    assert certified(net, m1, m2, flavor, unreduced)
+
+
+@pytest.mark.parametrize("flavor", ["fc", "cn"])
+def test_buf6_decides_on_few_triples(flavor):
+    """The root of buf(6) alone has 6! x 6! tied orderings; twins are
+    ordered without branching."""
+    net, m0 = buffer(6)
+    v = DECIDERS[flavor](net, m0, m0, 6)
+    assert v.outcome == "equivalent"
+    assert v.stats["triples"] <= 200
+    assert validate_witness(net, v.witness, _initial_triple(m0, m0), flavor)
+
+
+def test_mutation_tier_agrees_with_unreduced_game(monkeypatch):
+    """On 300 union-mutation instances (seed 7, bound 3), the reduced and
+    unreduced games decide alike under fc and cn, every certificate of
+    either validates, and every `copy` instance is equivalent."""
+    config = CorpusConfig(bound=3)
+    for mutation, net, m1, m2 in mutation_corpus(7, 300, config):
+        for flavor in DECIDERS:
+            reduced, unreduced = decide_both(net, m1, m2, config.bound,
+                                             flavor, monkeypatch)
+            assert reduced.outcome == unreduced.outcome
+            assert certified(net, m1, m2, flavor, reduced)
+            assert certified(net, m1, m2, flavor, unreduced)
+            if mutation == "copy":
+                assert reduced.outcome == "equivalent"
+        if mutation == "copy":
+            assert decide_interleaving(net, m1, m2,
+                                       config.bound).outcome == "equivalent"
