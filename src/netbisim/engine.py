@@ -248,12 +248,10 @@ class _Search(Canonicaliser):
     token.  A move is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
-         untouched mask, created mask, beta plan, plain target)
+         untouched mask, created mask, beta plan)
 
     built once per OIM, with a (position, bit, up-set) entry per deleted
-    token, per target token its source position or -1 (created), and
-    whether every target token has index 1, so that a successor of two
-    plain targets is canonical as it is.
+    token and, per target token, its source position or -1 (created).
     Refutation nodes hold int triples and moves until `_Codec` decodes
     them."""
 
@@ -297,10 +295,8 @@ class _Search(Canonicaliser):
         if entry is None:
             mask, rows = self.oims[o]
             moves, by_label = [], {}
-            found = oim_moves(self.net, self.bits, mask, rows)
-            # The tokens of index above 1; those of found are all numbered.
-            high = ~self.bits.firsts
-            for t, removed, created, target, target_rows, plan in found:
+            for t, removed, created, target, target_rows, plan in oim_moves(
+                    self.net, self.bits, mask, rows):
                 deleted = []
                 rest = removed
                 while rest:
@@ -310,7 +306,7 @@ class _Search(Canonicaliser):
                     deleted.append((i, b, rows[i]))
                 move = (t.label, t.tid, removed, tuple(deleted),
                         self.intern(target, target_rows), mask & ~removed,
-                        created, plan, not target & high)
+                        created, plan)
                 moves.append(move)
                 by_label.setdefault(t.label, []).append(move)
             entry = self.moves[o] = (moves, by_label)
@@ -337,9 +333,8 @@ class _Search(Canonicaliser):
         for resp in by_label.get(attack[0], ()):
             left, right = (attack, resp) if attacker_left else (resp, attack)
             if holds(beta, left[3], right[2], right[3]):
-                nxt = (left[4], right[4],
-                       _next_beta(beta, left[7], right[5], right[6]))
-                yield resp, nxt if left[8] and right[8] else canonical(nxt)
+                yield resp, canonical((left[4], right[4], _next_beta(
+                    beta, left[7], right[5], right[6])))
 
     def evaluate(self, triple: tuple):
         """Play one triple: yield each successor triple whose value is

@@ -15,10 +15,7 @@ place, and the edges are both orders and beta.  Cells of vertices are
 refined by their numbers of neighbours in each cell; cells of twins
 (vertices whose swap is an automorphism) are split without branching; the
 remaining cells are split by individualising a vertex at a time, keeping
-the least-coded leaf and skipping vertices that a twin or a found
-automorphism maps a tried one to.  Each marking's own order is refined
-once, and a triple whose beta leaves that labelling in place is renamed
-without a digraph search.
+the least-coded leaf and skipping the twins of tried vertices.
 
 Vertices are bit positions and sets of them are int masks.  The canonical
 form depends only on token names and relations, never on the bit order of
@@ -38,16 +35,6 @@ def image(x: int, bitmap: dict) -> int:
         b = x & -x
         x ^= b
         out |= bitmap[b]
-    return out
-
-
-def positions(x: int, mask: int) -> list:
-    """The positions in mask, in bit order, of the bits of x."""
-    out = []
-    while x:
-        b = x & -x
-        x ^= b
-        out.append((mask & (b - 1)).bit_count())
     return out
 
 
@@ -118,12 +105,10 @@ def least_order(cells: list, out: list, inn: list) -> list:
     """The vertex order of a least-coded discrete refinement of the ordered
     cells.  Cells of twins are split outright; the first other cell is
     split by individualising each of its vertices in turn, with refinement
-    in between.  A vertex is not tried where a twin of a tried one, or an
-    automorphism found between equal-coded leaves that fixes every
-    singleton, maps a tried one to it: its subtree is an image of the
-    tried one's."""
+    in between.  A twin of a tried vertex is not tried: its subtree is an
+    image of the tried one's."""
     best: list = []  # [code or None while it is the only leaf, order]
-    _visit(cells, cells, out, inn, best, [])
+    _visit(cells, cells, out, inn, best)
     return best[1]
 
 
@@ -132,10 +117,8 @@ def _code(order: list, out: list) -> list:
     return [image(out[v], at) for v in order]
 
 
-def _visit(cells: list, fresh: list, out: list, inn: list, best: list,
-           autos: list):
-    """One node of `least_order`; autos holds the automorphisms found, as
-    dicts from vertex to vertex.  Recurses once per individualised
+def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
+    """One node of `least_order`.  Recurses once per individualised
     vertex."""
     cells = split_twins(refine(cells, out, inn, fresh), out, inn)
     k = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
@@ -149,10 +132,7 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list,
         c = _code(order, out)
         if c < best[0]:
             best[:] = c, order
-        elif c == best[0]:
-            autos.append(dict(zip(best[1], order)))
         return
-    fixed = [c.bit_length() - 1 for c in cells if not c & (c - 1)]
     tried: list[int] = []
     rest = cells[k]
     while rest:
@@ -161,20 +141,9 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list,
         v = b.bit_length() - 1
         if any(twins(u, v, out, inn) for u in tried):
             continue
-        fixing = [g for g in autos if all(g[p] == p for p in fixed)]
-        seen = set(tried)
-        grow = list(tried)
-        while grow:
-            u = grow.pop()
-            for g in fixing:
-                if g[u] not in seen:
-                    seen.add(g[u])
-                    grow.append(g[u])
-        if v in seen:
-            continue
         tried.append(v)
         _visit(cells[:k] + [b, cells[k] ^ b] + cells[k + 1:],
-               [b, cells[k] ^ b], out, inn, best, autos)
+               [b, cells[k] ^ b], out, inn, best)
 
 
 class Canonicaliser:
@@ -186,7 +155,6 @@ class Canonicaliser:
     oims: list
 
     def __init__(self):
-        self.frames: dict[int, tuple] = {}  # id -> (fixed, twins)
         self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
 
     def canonical(self, triple: tuple) -> tuple:
@@ -200,13 +168,7 @@ class Canonicaliser:
             return triple
         c = self.canon.get(triple)
         if c is None:
-            (lf, ltwins), (rf, rtwins) = self.frame(left), self.frame(right)
-            if (lf is None or rf is None
-                    or any(beta[i] != beta[ps[0]] for ps, _ in ltwins
-                           for i in ps)
-                    or any(row & m not in (0, m) for _, m in rtwins
-                           for row in beta)):
-                lf, rf = self.least_relabel(left, right, beta)
+            lf, rf = self.least_relabel(left, right, beta)
             if lf[1] is None and rf[1] is None:
                 c = triple
             else:
@@ -219,8 +181,8 @@ class Canonicaliser:
     def shape(self, o: int) -> tuple:
         """(up, down, cells) of OIM o, over the bit positions of its tokens:
         up[v] and down[v] are the masks of the tokens above and below the
-        token of bit v, and cells are the place cells (in place order)
-        refined by the order."""
+        token of bit v, and cells are the masks of its places' tokens, in
+        place order."""
         mask, rows = self.oims[o]
         tokens = self.bits.tokens
         up = [0] * len(tokens)
@@ -236,26 +198,7 @@ class Canonicaliser:
                 c = row & -row
                 row ^= c
                 down[c.bit_length() - 1] |= b
-        cells = [by_place[p] for p in sorted(by_place)]
-        return up, down, refine(cells, up, down, cells)
-
-    def frame(self, o: int) -> tuple:
-        """(fixed, twins) of OIM o.  `twins` lists, as position lists and
-        token masks, the cells of its shape whose tokens the order cannot
-        tell apart.  If splitting them leaves only singletons, `fixed` is
-        `relabel` by the result, otherwise None."""
-        f = self.frames.get(o)
-        if f is None:
-            up, down, cells = self.shape(o)
-            split = split_twins(cells, up, down)
-            mask = self.oims[o][0]
-            found = [(positions(c, mask), c) for c in cells
-                     if c & (c - 1) and c & -c in split]
-            fixed = None
-            if all(not c & (c - 1) for c in split):
-                fixed = self.relabel(o, [c.bit_length() - 1 for c in split])
-            f = self.frames[o] = (fixed, found)
-        return f
+        return up, down, [by_place[p] for p in sorted(by_place)]
 
     def relabel(self, o: int, order: list) -> tuple:
         """(id, perm, bitmap) of OIM o with its tokens renamed, in the given

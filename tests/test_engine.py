@@ -529,12 +529,12 @@ def test_corpus_certificates_pinned():
 # The same for the game reduced by symmetry: canonical triples, so no more
 # triples than unreduced.
 REDUCED_CERTIFICATES = {
-    ("buf2", "cn"): (7, "646ad9310f2d402317bf63b5c65451c1f139886ad0497cd8217a2ce1ff14b013"),
-    ("buf2", "fc"): (7, "646ad9310f2d402317bf63b5c65451c1f139886ad0497cd8217a2ce1ff14b013"),
-    ("buf3", "cn"): (15, "4e969e210e1288d991197acc216691b39b7f4dceb625c5d8f975f7c450aa84e6"),
-    ("buf3", "fc"): (15, "4e969e210e1288d991197acc216691b39b7f4dceb625c5d8f975f7c450aa84e6"),
-    ("buf4", "cn"): (31, "b9b620ef5b71eccd68db3f14d9bcfb755e7b86702119b2796d38df0c3cadf334"),
-    ("buf4", "fc"): (31, "b9b620ef5b71eccd68db3f14d9bcfb755e7b86702119b2796d38df0c3cadf334"),
+    ("buf2", "cn"): (7, "d45f48ea6c9e9c87a3a08a444dd966e16df763fa2d9618f160f00a8ab3bcd157"),
+    ("buf2", "fc"): (7, "d45f48ea6c9e9c87a3a08a444dd966e16df763fa2d9618f160f00a8ab3bcd157"),
+    ("buf3", "cn"): (15, "1c9fffe285834f83e98a3ca1dc5eefdf39569261bd8096fe57f1094d6399e602"),
+    ("buf3", "fc"): (15, "1c9fffe285834f83e98a3ca1dc5eefdf39569261bd8096fe57f1094d6399e602"),
+    ("buf4", "cn"): (31, "b26e5aa619cafab46fe57d8e301983a68246f0035dc01d030731badc5c46ce68"),
+    ("buf4", "fc"): (31, "b26e5aa619cafab46fe57d8e301983a68246f0035dc01d030731badc5c46ce68"),
     ("fig1", "cn"): (2, "4898d678972634bab489d1e43bd78797d3b03ddf5439c1cd727cd38be32824b7"),
     ("fig1", "fc"): (2, "f8f039b5172f41b918a413ae3c4b8d95f91533a31486ccc54e9c677decdc1ffe"),
     ("pair2_1", "cn"): (6, "e037fda2555b3c608add9f66b0c1004ff0e5566d7d962e0ff28a1fa500d4cb4e"),
@@ -558,7 +558,7 @@ REDUCED_CERTIFICATES = {
     ("parallel_choice", "cn"): (1, "f1ee60553ad7da7adb521e8c852126f579799d67f85c9298b5a412e3581941e2"),
     ("parallel_choice", "fc"): (2, "3c8f6a9ae0f8183b0673429586bef374927215c98e26f70837b87f9d5f0ba4a0"),
 }
-REDUCED_CORPUS_DIGEST = "7504d4cb3e60ba237a20c1a9caa721a0f9ede05fb33a9e5a48088ae370f61589"
+REDUCED_CORPUS_DIGEST = "1569d002a565bfe4b892cb6a12d471146b0eeefdf5ee254d4ccaef8bcde397a5"
 
 
 @pytest.mark.parametrize("name,flavor", sorted(REDUCED_CERTIFICATES))
