@@ -11,7 +11,7 @@ import random
 import sys
 from collections import Counter
 
-from .nets import NetError, NetSystem, enabled, fire, reachable
+from .nets import NetError, NetSystem, reachable
 from .indexed import initial_indexed, reachable_im, im_successors
 from .ordered import oim_successors, reachable_oim
 from .engine import (
@@ -123,6 +123,8 @@ def _cmd_check(args) -> int:
         decide = decide_oim if args.equiv == "fc" else decide_oimc
         verdict = decide(doc.net, m1, m2, args.cap, limits)
     print(verdict.outcome)
+    if "limit" in verdict.stats:
+        print(f"limit reached: {verdict.stats['limit']}", file=sys.stderr)
     if args.witness:
         if verdict.witness is not None:
             text = format_witness(verdict.witness)
@@ -154,15 +156,15 @@ def _cmd_explore(args) -> int:
     doc, m = _load(args.net, args.marking)
     net = doc.net
     if args.what == "markings":
-        result = reachable(NetSystem(net, m), args.cap)
-        print(f"markings {len(result.markings)}")
+        kernel = net.kernel
+        succ = kernel.explore((m,), args.cap)
+        print(f"markings {len(succ)}")
         if args.dot:
-            edges = [
-                (src, tid, fire(net, src, tid))
-                for src in result.markings for tid in enabled(net, src)
-            ]
+            markings = {x: kernel.decode(x) for x in succ}
+            edges = [(markings[x], net.transitions[t].tid, markings[y])
+                     for x, out in succ.items() for t, y in out]
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(export_reachability_dot(result.markings, edges))
+                fh.write(export_reachability_dot(markings.values(), edges))
     else:
         noun, explore, successors, export = _INDEXED_SPACES[args.what]
         states = explore(net, initial_indexed(m), args.cap)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Literal, Optional
 
-from .nets import Multiset, NetSystem, PTNet, enabled, fire, reachable
+from .nets import Multiset, PTNet
 from .indexed import Token, TokenBits, initial_indexed
 from .ordered import (
     OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, init_oim,
@@ -126,7 +126,12 @@ class Limits:
 
 
 class ResourceLimitReached(Exception):
-    pass
+    """The search hit a limit; `limit` names it: "max_triples" or
+    "max_seconds"."""
+
+    def __init__(self, limit: str):
+        super().__init__(limit)
+        self.limit = limit
 
 
 def _next_beta(beta: tuple, plan: tuple, untouched: int, created: int) -> tuple:
@@ -315,12 +320,12 @@ class _Search(Canonicaliser):
     def _tick(self):
         self.explored += 1
         if self.explored > self.limits.max_triples:
-            raise ResourceLimitReached
+            raise ResourceLimitReached("max_triples")
         if (
             self.limits.max_seconds is not None
             and time.monotonic() - self.t0 > self.limits.max_seconds
         ):
-            raise ResourceLimitReached
+            raise ResourceLimitReached("max_seconds")
 
     def admissible(self, triple: tuple, attack: tuple, attacker_left: bool,
                    by_label: dict):
@@ -497,9 +502,8 @@ def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
 
 def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                  flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
-    reachable(NetSystem(net, m1), cap)
-    if m2 != m1:
-        reachable(NetSystem(net, m2), cap)
+    # The bound check: m2 is explored only if m1's search did not reach it.
+    net.kernel.explore((m1, m2), cap)
     search = _Search(net, flavor, limits or Limits())
     try:
         if flavor == "cn" and m1.size != m2.size:
@@ -508,8 +512,9 @@ def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
             return BisimVerdict("not-equivalent", refutation=Refutation(
                 _initial_triple(m1, m2), "size-gate"), stats=_stats(search))
         won, payload = search.run(search.root(m1, m2))
-    except ResourceLimitReached:
-        return BisimVerdict("unknown", stats=_stats(search))
+    except ResourceLimitReached as exc:
+        return BisimVerdict("unknown",
+                            stats={**_stats(search), "limit": exc.limit})
     codec = _Codec(search)
     if won:
         witness = frozenset(map(codec.triple, payload))
@@ -537,31 +542,30 @@ def decide_oimc(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
 def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
                         cap: int) -> BisimVerdict:
     """Label-based strong bisimilarity on the collective reachability
-    graphs, via partition refinement."""
+    graphs, via partition refinement on the kernel's successor lists."""
     t0 = time.monotonic()
-    states = set(reachable(NetSystem(net, m1), cap).markings)
-    states |= reachable(NetSystem(net, m2), cap).markings
-    succ = {
-        m: [(net.transition(tid).label, fire(net, m, tid)) for tid in enabled(net, m)]
-        for m in states
-    }
-    block = {m: 0 for m in states}
+    kernel = net.kernel
+    succ = kernel.explore((m1, m2), cap)
+    ids = {m: i for i, m in enumerate(succ)}
+    labels = [t.label for t in net.transitions]
+    edges = [[(labels[t], ids[m]) for t, m in out] for out in succ.values()]
+    block = [0] * len(edges)
     blocks = 1
     # Each signature includes the old block, so refinement only splits
     # blocks: the partition is stable once their number stops growing.
     while True:
-        sigs = {
-            m: (block[m], frozenset((lbl, block[m2]) for lbl, m2 in succ[m]))
-            for m in states
-        }
         renum: dict = {}
-        block = {m: renum.setdefault(sigs[m], len(renum)) for m in states}
+        block = [renum.setdefault(
+            (block[i], frozenset([(lbl, block[j]) for lbl, j in out])),
+            len(renum)) for i, out in enumerate(edges)]
         if len(renum) == blocks:
             break
         blocks = len(renum)
-    outcome = "equivalent" if block[m1] == block[m2] else "not-equivalent"
-    return BisimVerdict(outcome, stats={"states": len(states),
-                                        "seconds": time.monotonic() - t0})
+    # m1 is the first marking explored.
+    same = block[0] == block[ids[kernel.encode(m2)]]
+    return BisimVerdict("equivalent" if same else "not-equivalent",
+                        stats={"states": len(edges),
+                               "seconds": time.monotonic() - t0})
 
 
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,

@@ -10,13 +10,10 @@ frozenset functions decode their results.
 from __future__ import annotations
 
 from bisect import insort
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .nets import (
-    Multiset, NetError, PTNet, Transition, _enabled_transitions, _explore,
-)
+from .nets import Multiset, NetError, PTNet, Transition, _explore
 
 Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
@@ -128,16 +125,22 @@ class TokenBits:
         token game from mask, all victim choices: transitions in declaration
         order, victim choices ordered by their sorted tokens."""
         tokens = self.tokens
-        # _enabled_transitions reads the marking only by iterating over its
-        # places and by m[place], which this dict answers too (0 if absent).
-        counts: defaultdict[str, int] = defaultdict(int)
+        kernel = net.kernel
+        index = kernel.index
+        # place number -> tokens; a token on a place the net does not
+        # declare (a tampered certificate's) enables nothing
+        counts: dict[int, int] = {}
         rest = mask
         while rest:
             low = rest & -rest
-            counts[tokens[low.bit_length() - 1][0]] += 1
+            i = index.get(tokens[low.bit_length() - 1][0])
+            if i is not None:
+                counts[i] = counts.get(i, 0) + 1
             rest ^= low
         out = []
-        for t in _enabled_transitions(net, counts):
+        transitions = net.transitions
+        for pos in kernel.enabled(counts):
+            t = transitions[pos]
             for removed in self.victims(mask, t.pre):
                 out.append((t, removed, self.create(mask & ~removed, t.post)))
         return out

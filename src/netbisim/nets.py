@@ -1,9 +1,23 @@
-"""Multisets, P/T nets, markings and the collective token game."""
+"""Multisets, P/T nets, markings and the collective token game.
+
+Each net is compiled, on first use (`PTNet.kernel`), into a `Kernel` over
+ints: places are numbered in name order, a marking is the sorted tuple of
+the place numbers of its tokens, and each transition holds its preset as
+(place, weight) pairs and its removed and added places as sorted tuples.
+One enabledness test (`Kernel.enabled`) visits only the transitions that
+consume from a marked place, and one breadth-first search
+(`Kernel.explore`) lists every reachable marking with its successors.
+So the cost of a state grows with its tokens and the transitions they
+feed, not with the size of the net.  `reachable`, the deciders' bound
+check, `decide_interleaving`, the game's `TokenBits.firings` and the CLI
+all run on the kernel; `Multiset` markings are its boundary format.
+"""
 
 from __future__ import annotations
 
 from collections import abc, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 CountsLike = Union[Mapping[str, int], Iterable[tuple[str, int]], "Multiset", None]
@@ -54,6 +68,15 @@ class Multiset:
                 acc[place] = acc.get(place, 0) + n
         self._counts = acc
         self._key = tuple(sorted(acc.items()))
+
+    @classmethod
+    def _sorted(cls, counts: dict[str, int]) -> "Multiset":
+        """The multiset of positive counts whose places are in sorted
+        order, taken as they are: nothing is checked or copied."""
+        m = cls.__new__(cls)
+        m._counts = counts
+        m._key = tuple(counts.items())
+        return m
 
     @classmethod
     def of(cls, *places: str) -> "Multiset":
@@ -142,17 +165,13 @@ class PTNet:
     labels: frozenset[str]
     transitions: tuple[Transition, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
-    # place -> positions, in declaration order, of the transitions whose
-    # preset contains it; places no transition consumes from are absent.
-    _consumers: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         place_set = set(self.places)
         if len(place_set) != len(self.places):
             raise NetError("duplicate place ids")
         by_id: dict[str, Transition] = {}
-        consumers: dict[str, list[int]] = {}
-        for pos, t in enumerate(self.transitions):
+        for t in self.transitions:
             if t.tid in by_id:
                 raise NetError(f"duplicate transition id {t.tid!r}")
             by_id[t.tid] = t
@@ -161,12 +180,12 @@ class PTNet:
             for p in set(t.pre) | set(t.post):
                 if p not in place_set:
                     raise NetError(f"place {p!r} of {t.tid!r} not declared")
-            for p in t.pre:
-                consumers.setdefault(p, []).append(pos)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(
-            self, "_consumers", {p: tuple(ts) for p, ts in consumers.items()}
-        )
+
+    @cached_property
+    def kernel(self) -> "Kernel":
+        """The net compiled to ints, built on first use."""
+        return Kernel(self)
 
     @classmethod
     def make(
@@ -187,9 +206,13 @@ class PTNet:
             raise NetError(f"unknown transition {tid!r}") from None
 
     def check_marking(self, m: Multiset) -> None:
-        extra = m.dom - set(self.places)
-        if extra:
-            raise NetError(f"marking mentions undeclared places {sorted(extra)}")
+        _check_declared(m, self.places)
+
+
+def _check_declared(m: Multiset, places: Iterable[str]) -> None:
+    extra = m.dom.difference(places)
+    if extra:
+        raise NetError(f"marking mentions undeclared places {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -201,21 +224,129 @@ class NetSystem:
         self.net.check_marking(self.initial)
 
 
-def _enabled_transitions(net: PTNet, m: Multiset) -> list[Transition]:
-    """The transitions enabled at m, in declaration order.
+class Kernel:
+    """A net over ints.  Places are numbered in name order, so a marking,
+    the sorted tuple of the numbers of its tokens' places, lists its
+    places in the order of `Multiset.items`.  Per transition position:
+    `pre`, its preset as (place, weight) pairs in place order; `removed`
+    and `added`, its preset and postset as sorted place tuples.
+    `consumers[place]` holds, ascending, the positions of the transitions
+    whose preset contains the place."""
 
-    Every transition has a non-empty preset (Transition.__post_init__), so
-    an enabled transition consumes from some place marked in m: visiting
-    the consumers of the marked places finds all of them.
-    """
-    consumers = net._consumers
-    marked = [consumers[p] for p in m if p in consumers]
-    if len(marked) == 1:
-        positions = marked[0]
-    else:
-        positions = sorted(set().union(*marked))
-    transitions = net.transitions
-    return [transitions[i] for i in positions if transitions[i].pre <= m]
+    __slots__ = ("names", "index", "pre", "removed", "added", "consumers")
+
+    def __init__(self, net: PTNet):
+        self.names = sorted(net.places)
+        self.index = index = {p: i for i, p in enumerate(self.names)}
+        consumers: list[list[int]] = [[] for _ in self.names]
+        self.pre, self.removed, self.added = pres, removed, added = [], [], []
+        for pos, t in enumerate(net.transitions):
+            pre, gone, made = [], [], []
+            for p, n in t.pre._key:
+                i = index[p]
+                pre.append((i, n))
+                gone += [i] * n
+                consumers[i].append(pos)
+            for p, n in t.post._key:
+                made += [index[p]] * n
+            pres.append(tuple(pre))
+            removed.append(tuple(gone))
+            added.append(tuple(made))
+        self.consumers = [tuple(ts) for ts in consumers]
+
+    def encode(self, m: Multiset) -> tuple:
+        """The sorted place tuple of m; NetError if m mentions a place
+        the net does not declare."""
+        index = self.index
+        out: list[int] = []
+        try:
+            for p, n in m.items():
+                out += [index[p]] * n
+        except KeyError:
+            _check_declared(m, index)
+            raise
+        return tuple(out)
+
+    def decode(self, m: tuple) -> Multiset:
+        names = self.names
+        counts: dict[str, int] = {}
+        for i in m:
+            p = names[i]
+            counts[p] = counts.get(p, 0) + 1
+        return Multiset._sorted(counts)
+
+    def enabled(self, counts: Mapping[int, int]) -> list[int]:
+        """The positions, ascending, of the transitions enabled where place
+        i holds counts[i] tokens (absent places hold none).
+
+        Every transition has a non-empty preset (Transition.__post_init__),
+        so an enabled transition consumes from some marked place: visiting
+        the consumers of the marked places finds all of them."""
+        consumers = self.consumers
+        marked = [ts for ts in map(consumers.__getitem__, counts) if ts]
+        if len(marked) == 1:
+            positions = marked[0]
+        else:
+            positions = sorted(set().union(*marked))
+        pre = self.pre
+        out = []
+        for t in positions:
+            for i, n in pre[t]:
+                if counts.get(i, 0) < n:
+                    break
+            else:
+                out.append(t)
+        return out
+
+    def explore(self, seeds: Iterable[Multiset], cap: int) -> dict:
+        """marking -> [(transition position, target marking)], in the
+        order of `enabled`, for every marking reachable from a seed.  The
+        seeds are explored breadth first one after the other, and a seed
+        already reached is skipped.  Raises BoundExceededError at the first
+        marking found that puts more than `cap` tokens on a place, and
+        NetError if cap is not positive."""
+        if cap < 1:
+            raise NetError("cap must be positive")
+        enabled, removed, added = self.enabled, self.removed, self.added
+        succ: dict[tuple, list] = {}
+        for seed in seeds:
+            start = self.encode(seed)
+            if start in succ:
+                continue
+            if len(start) > cap and _over(start, cap):
+                _check_cap(self.decode(start), cap)
+            succ[start] = []
+            queue = deque((start,))
+            while queue:
+                m = queue.popleft()
+                counts: dict[int, int] = {}
+                for i in m:
+                    counts[i] = counts.get(i, 0) + 1
+                out = succ[m]
+                for t in enabled(counts):
+                    gone = removed[t]
+                    if gone == m:
+                        nxt = added[t]
+                    else:
+                        rest = list(m)
+                        for i in gone:
+                            rest.remove(i)
+                        rest += added[t]
+                        rest.sort()
+                        nxt = tuple(rest)
+                    out.append((t, nxt))
+                    if nxt not in succ:
+                        if len(nxt) > cap and _over(nxt, cap):
+                            _check_cap(self.decode(nxt), cap)
+                        succ[nxt] = []
+                        queue.append(nxt)
+        return succ
+
+
+def _over(m: tuple, cap: int) -> bool:
+    """Whether some place holds more than cap tokens in the sorted place
+    tuple m: whether one place number repeats cap + 1 times in a row."""
+    return any(m[j] == m[j + cap] for j in range(len(m) - cap))
 
 
 def enabled(net: PTNet, m: Multiset) -> list[str]:
@@ -224,7 +355,11 @@ def enabled(net: PTNet, m: Multiset) -> list[str]:
     The cost is proportional to the number of transitions that consume from
     the places marked in m, not to the size of the net.
     """
-    return [t.tid for t in _enabled_transitions(net, m)]
+    kernel = net.kernel
+    index = kernel.index
+    transitions = net.transitions
+    return [transitions[t].tid for t in kernel.enabled(
+        {index[p]: n for p, n in m.items() if p in index})]
 
 
 def fire(net: PTNet, m: Multiset, tid: str) -> Multiset:
@@ -242,6 +377,8 @@ class ReachabilityResult:
 
 
 def _check_cap(m: Multiset, cap: int) -> None:
+    """Raise BoundExceededError for the first place of m, in name order,
+    that holds more than cap tokens."""
     for p, n in m.items():
         if n > cap:
             raise BoundExceededError(p, m, cap)
@@ -272,9 +409,10 @@ def reachable(sys: NetSystem, cap: int) -> ReachabilityResult:
     Raises BoundExceededError as soon as a marking puts more than `cap`
     tokens on some place; the reported least_bound is the exact bound.
     """
-    net = sys.net
-    seen = _explore(sys.initial,
-                    lambda m: [fire(net, m, tid) for tid in enabled(net, m)],
-                    lambda m: m, cap)
-    least = max((n for m in seen for _, n in m.items()), default=0)
-    return ReachabilityResult(frozenset(seen), least)
+    kernel = sys.net.kernel
+    succ = kernel.explore((sys.initial,), cap)
+    least = 0
+    for m in succ:
+        while len(m) > least and _over(m, least):
+            least += 1
+    return ReachabilityResult(frozenset(map(kernel.decode, succ)), least)

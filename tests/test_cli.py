@@ -88,13 +88,15 @@ def buf4_path(tmp_path):
 
 
 def test_check_triple_limit_exits_unknown(buf4_path, tmp_path, capsys):
-    """The fc search of buf(4) explores 3,142 triples; a limit of 10 stops
-    it with verdict unknown and exit code 2."""
+    """The fc search of buf(4) explores 31 triples; a limit of 10 stops it
+    with verdict unknown and exit code 2, and stderr names the limit."""
     out = tmp_path / "witness.txt"
     assert cli_main(["check", "--equiv", "fc", "--cap", "4",
                      "--max-triples", "10", "--witness", str(out),
                      buf4_path, "m0", "m0"]) == 2
-    assert capsys.readouterr().out.strip() == "unknown"
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "unknown"
+    assert captured.err == "limit reached: max_triples\n"
     assert out.read_text() == "unknown\n"
     assert cli_main(["check", "--equiv", "cn", "--cap", "4",
                      "--max-seconds", "30", buf4_path, "m0", "m0"]) == 0
