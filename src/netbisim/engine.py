@@ -10,16 +10,17 @@ assumption; the search then resumes the frame below.  When the stack empties
 the winning set is self-supporting (a bisimulation), and refutations share
 the node of every triple they cite.
 
-The game runs on ints (`_Search`).  Each token is a bit of a `TokenBits`
-numbering, a token set is a mask, and the preorder of a marking and beta
-are rows of masks, one per token.  Each distinct ordered indexed marking
-is interned to an id, so a triple is (left id, right id, beta rows), and
-each marking's moves are built once, bucketed by label.  `(place, index)`
+The game runs on ints (`_Search`), over the markings of one
+`ordered.OIMGraph`: each token is a bit of its `TokenBits` numbering, a
+token set is a mask, and the preorder of a marking and beta are rows of
+masks, one per token.  The graph interns each distinct ordered indexed
+marking to an id, so a triple is (left id, right id, beta rows), and
+builds each marking's moves once, bucketed by label.  `(place, index)`
 tokens, `GameTriple` and frozenset beta are the boundary format: a
-decided witness or refutation is decoded to them, and the validators
-encode them back and replay the same int game.  The frozenset functions
-`beta_update` and `deleted_condition_fc/cn` are wrappers over the mask
-forms.
+decided witness or refutation is decoded to them through the graph, and
+the validators encode them back and replay the same int game.  The
+frozenset functions `beta_update` and `deleted_condition_fc/cn` are
+wrappers over the mask forms.
 
 The game is invariant under place-preserving renaming of each side's
 token indices, so the search works on canonical triples
@@ -28,7 +29,7 @@ before it is looked up, pushed or stored, and the root is canonical as
 it is.  `stats["triples"]` counts canonical triples, a witness is a set
 of canonical triples closed up to renaming, and each refutation node
 holds a canonical triple, whose attacker move and responses name tokens
-in that node's frame.  The moves of a marking (`_Search.successors`)
+in that node's frame.  The moves of a marking (`OIMGraph.successors`)
 stay literal.
 """
 
@@ -42,8 +43,8 @@ from typing import Literal, Optional
 from .nets import Multiset, PTNet
 from .indexed import Token, TokenBits, initial_indexed
 from .ordered import (
-    OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, init_oim,
-    oim_moves,
+    OIMGraph, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
+    init_oim,
 )
 from .symmetry import Canonicaliser
 
@@ -242,80 +243,29 @@ def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
     return _cn_holds(*_deleted_masks(removed1, removed2, (), (), beta))
 
 
-_MISSING = object()
-
-
 class _Search(Canonicaliser):
-    """The game on ints.  Tokens are bits of `bits`; each distinct OIM is
-    interned to an id for (token mask, rows), where rows[i] is the up-set
-    mask of its i-th token in bit order.  A triple is (left id, right id,
-    beta), beta holding the mask of right tokens related to each left
-    token.  A move is the tuple
-
-        (label, tid, removed mask, deleted entries, target id,
-         untouched mask, created mask, beta plan)
-
-    built once per OIM, with a (position, bit, up-set) entry per deleted
-    token and, per target token, its source position or -1 (created).
-    Refutation nodes hold int triples and moves until `_Codec` decodes
-    them."""
+    """The game on the ints of an `OIMGraph`.  A triple is (left id,
+    right id, beta), beta holding the mask of right tokens related to each
+    left token; moves are the graph's.  Refutation nodes hold int triples
+    and moves until `refutation` decodes them."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
-        self.net = net
+        super().__init__(OIMGraph(net))
         self.flavor = flavor
         self.holds = _cn_holds if flavor == "cn" else _fc_holds
         self.limits = limits
-        self.bits = TokenBits()
-        self.ids: dict[tuple, int] = {}  # (mask, rows) -> id
-        self.oims: list[tuple] = []  # id -> (mask, rows)
-        self.moves: list = []  # id -> (moves, moves by label), or None
-        super().__init__()
         self.false_memo: dict[tuple, Refutation] = {}
         self.explored = 0
         self.t0 = time.monotonic()
-
-    def intern(self, mask: int, rows: tuple) -> int:
-        key = (mask, rows)
-        o = self.ids.get(key)
-        if o is None:
-            o = self.ids[key] = len(self.oims)
-            self.oims.append(key)
-            self.moves.append(None)
-        return o
 
     def root(self, m1: Multiset, m2: Multiset) -> tuple:
         """The initial triple: every token precedes every token of its side,
         and beta relates every left token to every right token.  Nothing
         tells the tokens of a place apart, so it is its own canonical
         triple."""
-        k1, k2 = (self.bits.mask([(p, i) for p, n in m.items()
-                                  for i in range(1, n + 1)]) for m in (m1, m2))
-        n1 = k1.bit_count()
-        return (self.intern(k1, (k1,) * n1),
-                self.intern(k2, (k2,) * k2.bit_count()), (k2,) * n1)
-
-    def successors(self, o: int) -> tuple:
-        """(moves, moves by label) from OIM o, in the order of oim_moves."""
-        entry = self.moves[o]
-        if entry is None:
-            mask, rows = self.oims[o]
-            moves, by_label = [], {}
-            for t, removed, created, target, target_rows, plan in oim_moves(
-                    self.net, self.bits, mask, rows):
-                deleted = []
-                rest = removed
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    i = (mask & (b - 1)).bit_count()
-                    deleted.append((i, b, rows[i]))
-                move = (t.label, t.tid, removed, tuple(deleted),
-                        self.intern(target, target_rows), mask & ~removed,
-                        created, plan)
-                moves.append(move)
-                by_label.setdefault(t.label, []).append(move)
-            entry = self.moves[o] = (moves, by_label)
-        return entry
+        left, right = self.graph.initial(m1), self.graph.initial(m2)
+        oims = self.graph.oims
+        return left, right, (oims[right][0],) * oims[left][0].bit_count()
 
     def _tick(self):
         self.explored += 1
@@ -347,11 +297,12 @@ class _Search(Canonicaliser):
         (a caller that needs no refutation may send False).  Returns None
         if the triple survives, otherwise its refutation node."""
         left, right, _ = triple
-        if (self.flavor == "cn" and self.oims[left][0].bit_count()
-                != self.oims[right][0].bit_count()):
+        graph = self.graph
+        if (self.flavor == "cn" and graph.oims[left][0].bit_count()
+                != graph.oims[right][0].bit_count()):
             return Refutation(triple, "size-gate")
-        left_moves, left_labels = self.successors(left)
-        right_moves, right_labels = self.successors(right)
+        left_moves, left_labels = graph.successors(left)
+        right_moves, right_labels = graph.successors(right)
         for attacker_left, attacks, responses in (
             (True, left_moves, right_labels),
             (False, right_moves, left_labels),
@@ -409,87 +360,33 @@ class _Search(Canonicaliser):
             return True, list(assumed)
         return False, self.false_memo[root]
 
-
-class _Codec:
-    """Translation between the int game of a `_Search` and the public
-    types.  Decoded markings, relations, steps and token pairs are shared,
-    so that equal parts of a witness are one object."""
-
-    def __init__(self, search: _Search):
-        self.search = search
-        self.bits = search.bits
-        self.oims = search.oims
-        self.pairs: dict = {}  # token pairs, shared by every decoded relation
-        self.betas: dict[tuple, frozenset] = {}  # (left mask, beta) -> pairs
-        self.decoded: dict[int, OrderedIndexedMarking] = {}
-        self.steps: dict[int, OIMStep] = {}  # id(move) -> its OIMStep
-        # OrderedIndexedMarking -> id, and (beta, left mask, right mask) ->
-        # rows; None where a pair mentions a foreign token
-        self.encoded: dict = {}
-        self.encoded_betas: dict = {}
-
-    def oim(self, o: int) -> OrderedIndexedMarking:
-        x = self.decoded.get(o)
-        if x is None:
-            mask, rows = self.oims[o]
-            x = self.decoded[o] = OrderedIndexedMarking(
-                frozenset(self.bits.decode(mask)),
-                decode_rows(self.bits, mask, rows, self.pairs))
-        return x
-
     def triple(self, t: tuple) -> GameTriple:
         left, right, beta = t
-        key = (self.oims[left][0], beta)
-        pairs = self.betas.get(key)
-        if pairs is None:
-            pairs = self.betas[key] = decode_rows(self.bits, *key, self.pairs)
-        return GameTriple(self.oim(left), self.oim(right), pairs)
-
-    def step(self, move: tuple) -> OIMStep:
-        s = self.steps.get(id(move))
-        if s is None:
-            s = self.steps[id(move)] = OIMStep(
-                move[1], frozenset(self.bits.decode(move[2])),
-                self.oim(move[4]))
-        return s
+        graph = self.graph
+        return GameTriple(graph.oim(left), graph.oim(right),
+                          graph.relation(graph.oims[left][0], beta))
 
     def refutation(self, root: Refutation) -> Refutation:
         """The refutation DAG below root, its triples and moves decoded."""
+        step = self.graph.step
         new: dict[int, Refutation] = {}
         for node in root.nodes() if root.responses else (root,):
             new[id(node)] = Refutation(
                 self.triple(node.triple), node.reason, node.side,
-                None if node.attacker is None else self.step(node.attacker),
-                tuple((self.step(resp), new[id(sub)])
+                None if node.attacker is None else step(node.attacker),
+                tuple((step(resp), new[id(sub)])
                       for resp, sub in node.responses))
         return new[id(root)]
 
-    def encode_oim(self, o: OrderedIndexedMarking) -> Optional[int]:
-        """The id of o, or None if its order mentions a foreign token."""
-        x = self.encoded.get(o, _MISSING)
-        if x is _MISSING:
-            mask = self.bits.mask(o.tokens)
-            rows = encode_rows(self.bits, mask, o.order, mask)
-            x = self.encoded[o] = (self.search.intern(mask, rows)
-                                   if _size(rows) == len(o.order) else None)
-        return x
-
     def encode(self, t: GameTriple) -> Optional[tuple]:
         """The int triple of t, or None if it mentions a foreign token."""
-        left, right = self.encode_oim(t.left), self.encode_oim(t.right)
+        graph = self.graph
+        left, right = graph.encode(t.left), graph.encode(t.right)
         if left is None or right is None:
             return None
-        key = (t.beta, self.oims[left][0], self.oims[right][0])
-        beta = self.encoded_betas.get(key, _MISSING)
-        if beta is _MISSING:
-            beta = encode_rows(self.bits, key[1], t.beta, key[2])
-            beta = self.encoded_betas[key] = (
-                beta if _size(beta) == len(t.beta) else None)
+        beta = graph.encode_relation(t.beta, graph.oims[left][0],
+                                     graph.oims[right][0])
         return None if beta is None else (left, right, beta)
-
-
-def _size(rows: tuple) -> int:
-    return sum(row.bit_count() for row in rows)
 
 
 def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
@@ -515,11 +412,10 @@ def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
     except ResourceLimitReached as exc:
         return BisimVerdict("unknown",
                             stats={**_stats(search), "limit": exc.limit})
-    codec = _Codec(search)
     if won:
-        witness = frozenset(map(codec.triple, payload))
+        witness = frozenset(map(search.triple, payload))
         return BisimVerdict("equivalent", witness=witness, stats=_stats(search))
-    return BisimVerdict("not-equivalent", refutation=codec.refutation(payload),
+    return BisimVerdict("not-equivalent", refutation=search.refutation(payload),
                         stats=_stats(search))
 
 
@@ -579,8 +475,7 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     canonicalised only once a successor is not found among them as they
     are, which never happens for a witness of canonical triples."""
     helper = _Search(net, flavor, Limits())
-    codec = _Codec(helper)
-    encoded = set(map(codec.encode, witness))
+    encoded = set(map(helper.encode, witness))
     if None in encoded:
         return False
     canonical: set = set()
@@ -591,7 +486,7 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
         return t in canonical
 
     if root not in witness:
-        start = codec.encode(root)
+        start = helper.encode(root)
         if start is None:
             return False
         start = helper.canonical(start)
@@ -622,30 +517,30 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     except ValueError:
         return False
     helper = _Search(net, flavor, Limits())
-    codec = _Codec(helper)
+    graph = helper.graph
 
     def replays(node: Refutation) -> bool:
         triple = node.triple
         if node.reason == "size-gate":
             return flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens)
-        t = codec.encode(triple)
+        t = helper.encode(triple)
         if t is None:
             return False
         attacker_left = node.side == "left"
         attacker, defender = t[:2] if attacker_left else t[1::-1]
-        attack = next((m for m in helper.successors(attacker)[0]
-                       if codec.step(m) == node.attacker), None)
+        attack = next((m for m in graph.successors(attacker)[0]
+                       if graph.step(m) == node.attacker), None)
         if attack is None:
             return False
         admissible = {
-            codec.step(resp): nxt
+            graph.step(resp): nxt
             for resp, nxt in helper.admissible(
-                t, attack, attacker_left, helper.successors(defender)[1])
+                t, attack, attacker_left, graph.successors(defender)[1])
         }
         if {resp for resp, _ in node.responses} != set(admissible):
             return False
         for resp, sub in node.responses:
-            t = codec.encode(sub.triple)
+            t = helper.encode(sub.triple)
             if t is None or (t != admissible[resp]
                              and helper.canonical(t) != admissible[resp]):
                 return False

@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
-from .nets import Multiset, NetError, PTNet, Transition, _explore
+from .nets import Multiset, NetError, PTNet, Transition
 
 Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
@@ -31,10 +31,6 @@ def alpha(k: IndexedMarking) -> Multiset:
     for place, _ in k:
         acc[place] = acc.get(place, 0) + 1
     return Multiset(acc)
-
-
-def indices_of(k: IndexedMarking, place: str) -> set[int]:
-    return {i for p, i in k if p == place}
 
 
 def is_closed(k: IndexedMarking) -> bool:
@@ -187,8 +183,18 @@ def im_successors(net: PTNet, k: IndexedMarking) -> list[IMStep]:
 
 
 def reachable_im(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
-    """The finite set IM(N(k0)) of reachable indexed markings."""
+    """The finite set IM(N(k0)) of reachable indexed markings.  Raises what
+    exploring the marking of k0 under `cap` raises."""
     if not is_closed(k0):
         raise NetError("initial indexed marking must be closed")
-    return frozenset(_explore(
-        k0, lambda k: [s.target for s in im_successors(net, k)], alpha, cap))
+    net.kernel.explore((alpha(k0),), cap)
+    bits = TokenBits()
+    found = [bits.mask(k0)]
+    seen = set(found)
+    for mask in found:
+        for _, removed, created in bits.firings(net, mask):
+            target = mask & ~removed | created
+            if target not in seen:
+                seen.add(target)
+                found.append(target)
+    return frozenset(frozenset(bits.decode(mask)) for mask in found)

@@ -259,12 +259,11 @@ def export_oim_dot(oims, steps) -> str:
     return _export_steps_dot("oim", oims, steps, _oim_label)
 
 
-def export_causal_net_dot(cn: CausalNet, cond_label=None) -> str:
+def export_causal_net_dot(cn: CausalNet) -> str:
     """Conditions as circles, events as boxes."""
     lines = ["digraph causal {"]
     for b in cn.conditions:
-        label = cond_label(b) if cond_label else b
-        lines.append(f"  {_q(b)} [shape=circle, label={_q(label)}];")
+        lines.append(f"  {_q(b)} [shape=circle, label={_q(b)}];")
     for e, label in cn.events:
         lines.append(f"  {_q(e)} [shape=box, label={_q(label)}];")
     for src, dst in sorted(cn.flow):

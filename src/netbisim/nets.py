@@ -8,9 +8,10 @@ One enabledness test (`Kernel.enabled`) visits only the transitions that
 consume from a marked place, and one breadth-first search
 (`Kernel.explore`) lists every reachable marking with its successors.
 So the cost of a state grows with its tokens and the transitions they
-feed, not with the size of the net.  `reachable`, the deciders' bound
-check, `decide_interleaving`, the game's `TokenBits.firings` and the CLI
-all run on the kernel; `Multiset` markings are its boundary format.
+feed, not with the size of the net.  `reachable`, the bound check of the
+deciders and of `reachable_im` / `reachable_oim`, `decide_interleaving`,
+the game's `TokenBits.firings` and the CLI all run on the kernel;
+`Multiset` markings are its boundary format.
 """
 
 from __future__ import annotations
@@ -382,25 +383,6 @@ def _check_cap(m: Multiset, cap: int) -> None:
     for p, n in m.items():
         if n > cap:
             raise BoundExceededError(p, m, cap)
-
-
-def _explore(start, successors, marking, cap: int) -> set:
-    """Every state reachable from start, breadth first; successors(x) lists
-    the states one step from x.  Raises BoundExceededError at the first
-    state found whose marking(x) puts more than `cap` tokens on a place,
-    and NetError if cap is not positive."""
-    if cap < 1:
-        raise NetError("cap must be positive")
-    _check_cap(marking(start), cap)
-    seen = {start}
-    queue = deque(seen)
-    while queue:
-        for x in successors(queue.popleft()):
-            if x not in seen:
-                _check_cap(marking(x), cap)
-                seen.add(x)
-                queue.append(x)
-    return seen
 
 
 def reachable(sys: NetSystem, cap: int) -> ReachabilityResult:

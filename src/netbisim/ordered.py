@@ -9,24 +9,26 @@ The preorder records precedence in token generation.  After a firing:
 
 The update is computed on int masks (`step_rows`): a token set is a mask
 over a `TokenBits` numbering, and the preorder is one up-set mask per
-token.  `oim_successors` and `_step_order` decode its results.
+token.  `OIMGraph` is the ordered token game of one net on ints: it
+interns each marking once and builds its moves once, and it decodes
+markings and moves to the public types and encodes them back.  The fc/cn
+search, its canonical form, the validators, `oim_successors` and
+`reachable_oim` all play on one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .nets import NetError, PTNet, _explore
-from .indexed import IndexedMarking, Token, TokenBits, alpha, is_closed
+from .nets import Multiset, NetError, PTNet
+from .indexed import IndexedMarking, TokenBits, alpha, is_closed
 
 
 @dataclass(frozen=True)
 class OrderedIndexedMarking:
     tokens: frozenset  # frozenset[Token]
     order: frozenset  # frozenset[tuple[Token, Token]], a preorder on tokens
-
-    def leq(self, a: Token, b: Token) -> bool:
-        return (a, b) in self.order
 
 
 def oim_check(o: OrderedIndexedMarking) -> None:
@@ -55,12 +57,6 @@ class OIMStep:
     tid: str
     removed: frozenset  # frozenset[Token]
     target: OrderedIndexedMarking
-
-    def untouched(self, source: OrderedIndexedMarking) -> frozenset:
-        return source.tokens - self.removed
-
-    def generated(self, source: OrderedIndexedMarking) -> frozenset:
-        return self.target.tokens - (source.tokens - self.removed)
 
 
 def step_rows(mask: int, rows: tuple, removed: int,
@@ -140,31 +136,148 @@ def _step_order(
     return decode_rows(bits, target, rows, {})
 
 
-def oim_moves(net: PTNet, bits: TokenBits, mask: int, rows: tuple) -> list:
-    """(transition, removed, created, target mask, target rows, plan) for
-    every firing of the ordered token game from (mask, rows), in the order
-    of `TokenBits.firings`."""
-    return [(t, removed, created, *step_rows(mask, rows, removed, created))
-            for t, removed, created in bits.firings(net, mask)]
+_MISSING = object()
+
+
+class OIMGraph:
+    """The ordered token game of a net on ints.  Tokens are bits of `bits`,
+    numbered on first use; each distinct marking (mask, rows), where
+    rows[i] is the up-set mask of the i-th token of mask in bit order, is
+    interned to an id in the order it is found, so walking the ids in
+    order from the first interned is a breadth-first search.  A move is
+    the tuple
+
+        (label, tid, removed mask, deleted entries, target id,
+         untouched mask, created mask, plan)
+
+    built once per marking, with a (position, bit, up-set) entry per
+    deleted token and the plan of `step_rows`.  Decoded markings,
+    relations, steps and token pairs are shared, so that equal parts of a
+    certificate are one object."""
+
+    def __init__(self, net: PTNet):
+        self.net = net
+        self.bits = TokenBits()
+        self.ids: dict[tuple, int] = {}  # (mask, rows) -> id
+        self.oims: list[tuple] = []  # id -> (mask, rows)
+        self.moves: list = []  # id -> (moves, moves by label), or None
+        self.pairs: dict = {}  # token pairs, shared by every decoded relation
+        self.relations: dict[tuple, frozenset] = {}  # (mask, rows) -> pairs
+        self.decoded: dict[int, OrderedIndexedMarking] = {}
+        self.steps: dict[int, OIMStep] = {}  # id(move) -> its OIMStep
+        # OrderedIndexedMarking -> id and (pairs, mask, within) -> rows,
+        # each None where a pair mentions a foreign token
+        self.encoded: dict = {}
+        self.encoded_relations: dict = {}
+
+    def intern(self, mask: int, rows: tuple) -> int:
+        key = (mask, rows)
+        o = self.ids.get(key)
+        if o is None:
+            o = self.ids[key] = len(self.oims)
+            self.oims.append(key)
+            self.moves.append(None)
+        return o
+
+    def initial(self, m: Multiset) -> int:
+        """The id of init_oim of the closed indexed marking of m: every
+        token precedes every token."""
+        k = self.bits.mask([(p, i) for p, n in m.items()
+                            for i in range(1, n + 1)])
+        return self.intern(k, (k,) * k.bit_count())
+
+    def successors(self, o: int) -> tuple:
+        """(moves, moves by label) from marking o: transitions in
+        declaration order, victim choices ordered by their sorted
+        tokens."""
+        entry = self.moves[o]
+        if entry is None:
+            mask, rows = self.oims[o]
+            moves, by_label = [], {}
+            for t, removed, created in self.bits.firings(self.net, mask):
+                target, target_rows, plan = step_rows(mask, rows, removed,
+                                                      created)
+                deleted = []
+                rest = removed
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    i = (mask & (b - 1)).bit_count()
+                    deleted.append((i, b, rows[i]))
+                move = (t.label, t.tid, removed, tuple(deleted),
+                        self.intern(target, target_rows), mask & ~removed,
+                        created, plan)
+                moves.append(move)
+                by_label.setdefault(t.label, []).append(move)
+            entry = self.moves[o] = (moves, by_label)
+        return entry
+
+    def relation(self, mask: int, rows: tuple) -> frozenset:
+        """The token pairs of rows over the tokens of mask."""
+        key = (mask, rows)
+        pairs = self.relations.get(key)
+        if pairs is None:
+            pairs = self.relations[key] = decode_rows(self.bits, mask, rows,
+                                                      self.pairs)
+        return pairs
+
+    def oim(self, o: int) -> OrderedIndexedMarking:
+        x = self.decoded.get(o)
+        if x is None:
+            mask, rows = self.oims[o]
+            x = self.decoded[o] = OrderedIndexedMarking(
+                frozenset(self.bits.decode(mask)), self.relation(mask, rows))
+        return x
+
+    def step(self, move: tuple) -> OIMStep:
+        s = self.steps.get(id(move))
+        if s is None:
+            s = self.steps[id(move)] = OIMStep(
+                move[1], frozenset(self.bits.decode(move[2])),
+                self.oim(move[4]))
+        return s
+
+    def encode_relation(self, pairs: frozenset, mask: int,
+                        within: int) -> Optional[tuple]:
+        """The rows of pairs from the tokens of mask to those of within, or
+        None if a pair mentions another token."""
+        key = (pairs, mask, within)
+        rows = self.encoded_relations.get(key, _MISSING)
+        if rows is _MISSING:
+            rows = encode_rows(self.bits, mask, pairs, within)
+            rows = self.encoded_relations[key] = (
+                rows if sum(r.bit_count() for r in rows) == len(pairs)
+                else None)
+        return rows
+
+    def encode(self, o: OrderedIndexedMarking) -> Optional[int]:
+        """The id of o, or None if its order mentions a foreign token."""
+        x = self.encoded.get(o, _MISSING)
+        if x is _MISSING:
+            mask = self.bits.mask(o.tokens)
+            rows = self.encode_relation(o.order, mask, mask)
+            x = self.encoded[o] = (None if rows is None
+                                   else self.intern(mask, rows))
+        return x
 
 
 def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     """All firings of the ordered token game from o, all victim choices."""
-    bits = TokenBits()
-    mask = bits.mask(o.tokens)
-    steps = []
-    pairs: dict = {}
-    for t, removed, _, target, rows, _ in oim_moves(
-            net, bits, mask, encode_rows(bits, mask, o.order, mask)):
-        steps.append(OIMStep(
-            t.tid, frozenset(bits.decode(removed)),
-            OrderedIndexedMarking(frozenset(bits.decode(target)),
-                                  decode_rows(bits, target, rows, pairs))))
-    return steps
+    graph = OIMGraph(net)
+    start = graph.encode(o)
+    if start is None:
+        raise NetError(f"order mentions foreign token in {o}")
+    return [graph.step(move) for move in graph.successors(start)[0]]
 
 
 def reachable_oim(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
-    """All ordered indexed markings reachable from init_oim(k0)."""
-    return frozenset(_explore(
-        init_oim(k0), lambda o: [s.target for s in oim_successors(net, o)],
-        lambda o: alpha(o.tokens), cap))
+    """All ordered indexed markings reachable from init_oim(k0).  Raises
+    what exploring the marking of k0 under `cap` raises."""
+    graph = OIMGraph(net)
+    graph.encode(init_oim(k0))
+    net.kernel.explore((alpha(k0),), cap)
+    o = 0
+    while o < len(graph.oims):
+        graph.successors(o)
+        o += 1
+    return frozenset(map(graph.oim, range(o)))

@@ -88,16 +88,14 @@ class Process:
     def fold(self, conditions) -> Multiset:
         return Multiset.of(*(self.cond_place[b] for b in conditions))
 
-    def label_of(self, eid: str) -> str:
-        return self.net.transition(self.event_trans[eid]).label
-
     def causal_net(self) -> CausalNet:
         flow = set()
         for e, pre in self.event_pre.items():
             flow.update((b, e) for b in pre)
         for e, post in self.event_post.items():
             flow.update((e, b) for b in post)
-        events = tuple((e, self.label_of(e)) for e in self.event_seq)
+        events = tuple((e, self.net.transition(self.event_trans[e]).label)
+                       for e in self.event_seq)
         return CausalNet(tuple(sorted(self.cond_place, key=_nat)), events,
                          frozenset(flow))
 

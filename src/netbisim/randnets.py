@@ -5,9 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .nets import (
-    BoundExceededError, Multiset, NetSystem, PTNet, Transition, reachable,
-)
+from .nets import BoundExceededError, Multiset, PTNet, Transition
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ def _small(net: PTNet, m1: Multiset, m2: Multiset,
     """Whether m1 and m2 are config.bound-bounded, with at most
     config.max_reachable reachable markings together."""
     try:
-        size = sum(len(reachable(NetSystem(net, m), config.bound).markings)
+        size = sum(len(net.kernel.explore((m,), config.bound))
                    for m in (m1, m2))
     except BoundExceededError:
         return False

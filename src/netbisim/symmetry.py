@@ -17,15 +17,17 @@ refined by their numbers of neighbours in each cell; cells of twins
 remaining cells are split by individualising a vertex at a time, keeping
 the least-coded leaf and skipping the twins of tried vertices.
 
-Vertices are bit positions and sets of them are int masks.  The canonical
-form depends only on token names and relations, never on the bit order of
-a `TokenBits` numbering, because validators number tokens in another
+`Canonicaliser` reads the markings of the `ordered.OIMGraph` the search
+plays on and interns the renamed markings there.  Vertices are bit
+positions and sets of them are int masks.  The canonical form depends
+only on token names and relations, never on the bit order of the graph's
+`TokenBits` numbering, because validators number tokens in another
 order.
 """
 
 from __future__ import annotations
 
-from .indexed import TokenBits
+from .ordered import OIMGraph
 
 
 def image(x: int, bitmap: dict) -> int:
@@ -147,14 +149,11 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
 
 
 class Canonicaliser:
-    """Canonical int triples, mixed into the game search, which provides
-    `bits` (a `TokenBits`), `oims` (its interned (mask, rows) markings, by
-    id) and `intern(mask, rows)` (the id of a marking, added if new)."""
+    """Canonical int triples over the markings of an `OIMGraph`; mixed
+    into the game search, which plays on the same graph."""
 
-    bits: TokenBits
-    oims: list
-
-    def __init__(self):
+    def __init__(self, graph: OIMGraph):
+        self.graph = graph
         self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
 
     def canonical(self, triple: tuple) -> tuple:
@@ -163,8 +162,9 @@ class Canonicaliser:
         that the triples differing by such a renaming share.  A triple
         whose tokens all have index 1 (no place holds two) is its own."""
         left, right, beta = triple
-        oims = self.oims
-        if not (oims[left][0] | oims[right][0]) & ~self.bits.firsts:
+        graph = self.graph
+        oims = graph.oims
+        if not (oims[left][0] | oims[right][0]) & ~graph.bits.firsts:
             return triple
         c = self.canon.get(triple)
         if c is None:
@@ -183,8 +183,8 @@ class Canonicaliser:
         up[v] and down[v] are the masks of the tokens above and below the
         token of bit v, and cells are the masks of its places' tokens, in
         place order."""
-        mask, rows = self.oims[o]
-        tokens = self.bits.tokens
+        mask, rows = self.graph.oims[o]
+        tokens = self.graph.bits.tokens
         up = [0] * len(tokens)
         down = [0] * len(tokens)
         by_place: dict[str, int] = {}
@@ -206,8 +206,9 @@ class Canonicaliser:
         place: perm lists the old positions in the new bit order, bitmap
         sends old bits to new ones.  Both are None if no token is
         renamed."""
-        mask, rows = self.oims[o]
-        tokens = self.bits.tokens
+        graph = self.graph
+        mask, rows = graph.oims[o]
+        tokens = graph.bits.tokens
         rank: dict[str, int] = {}
         new = {}
         for v in order:
@@ -216,10 +217,10 @@ class Canonicaliser:
             new[1 << v] = (p, rank[p])
         if all(new[1 << v] == tokens[v] for v in order):
             return o, None, None
-        bitmap = {b: self.bits.of(t) for b, t in new.items()}
+        bitmap = {b: graph.bits.of(t) for b, t in new.items()}
         olds = sorted(bitmap, key=bitmap.__getitem__)
         perm = [(mask & (b - 1)).bit_count() for b in olds]
-        return (self.intern(sum(bitmap.values()), tuple(
+        return (graph.intern(sum(bitmap.values()), tuple(
             [image(rows[i], bitmap) for i in perm])), perm, bitmap)
 
     def least_relabel(self, left: int, right: int, beta: tuple) -> tuple:
@@ -232,7 +233,7 @@ class Canonicaliser:
         n = len(lup)
         out = lup + [x << n for x in rup]
         inn = ldown + [x << n for x in rdown]
-        mask = self.oims[left][0]
+        mask = self.graph.oims[left][0]
         for row in beta:
             b = mask & -mask
             mask ^= b

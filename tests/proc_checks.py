@@ -14,7 +14,7 @@ def check_coherence(ps):
     order = event_order(p)
     for b in p.maximal:
         for b2 in p.maximal:
-            lhs = ps.oim.leq(delta[b], delta[b2])
+            lhs = (delta[b], delta[b2]) in ps.oim.order
             minimal_case = p.cond_pre[b] is None and delta[b] in ps.k0
             eb, eb2 = p.cond_pre[b], p.cond_pre[b2]
             causal_case = (
@@ -87,7 +87,7 @@ def check_minimality(ps):
             continue
         assert delta[b] in ps.k0
         for b2 in p.maximal:
-            assert ps.oim.leq(delta[b], delta[b2])
+            assert (delta[b], delta[b2]) in ps.oim.order
 
 
 def check_preset_not_eq_pi(p):

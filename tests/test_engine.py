@@ -385,10 +385,10 @@ def test_cyclic_refutation_rejected():
         assert deleted_condition_fc(attack.removed, resp.removed,
                                     triple.left.order, triple.right.order,
                                     triple.beta)
-        beta = beta_update(
-            attack.untouched(triple.left), attack.generated(triple.left),
-            resp.untouched(triple.right), resp.generated(triple.right),
-            triple.beta)
+        left = triple.left.tokens - attack.removed
+        right = triple.right.tokens - resp.removed
+        beta = beta_update(left, attack.target.tokens - left,
+                           right, resp.target.tokens - right, triple.beta)
         return attack, resp, GameTriple(attack.target, resp.target, beta)
 
     _, _, full = only_move(_initial_triple(m0, m0))

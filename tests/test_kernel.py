@@ -1,7 +1,8 @@
 """The compiled marking kernel against references written from the
 definitions: t is enabled at m iff pre(t) <= m, and firing it gives
 m - pre(t) + post(t).  The nets come from `randnets` (arc weights up to
-2); the references explore breadth first over `Multiset`s."""
+2); the references explore breadth first over `Multiset`s, and over the
+indexed and ordered indexed markings of the token games."""
 
 import random
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ import netbisim.engine as engine
 from netbisim import (
     BoundExceededError, Limits, Multiset, NetError, NetSystem, PTNet,
     Transition, decide_interleaving, decide_oim, decide_oimc, enabled,
-    reachable,
+    im_successors, init_oim, oim_successors, reachable, reachable_im,
+    reachable_oim,
 )
 from netbisim.indexed import TokenBits, initial_indexed
 from netbisim.randnets import CorpusConfig, random_instance
@@ -125,6 +127,45 @@ def test_bound_error_matches_the_definitions(seed):
     place, marking, _ = want.value.key
     assert str(got.value) == (f"place {place!r} holds {marking[place]} "
                               f"tokens in {marking}, cap is {cap}")
+
+
+def ref_states(start, successors) -> frozenset:
+    """The states reachable from start over successors, breadth first."""
+    order, seen = [start], {start}
+    for x in order:
+        for step in successors(x):
+            if step.target not in seen:
+                seen.add(step.target)
+                order.append(step.target)
+    return frozenset(order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=3))
+def test_token_game_explorers_match_a_reference(seed, cap):
+    """reachable_im and reachable_oim list the states a breadth-first walk
+    over im_successors and oim_successors reaches; past the cap they raise
+    what `reachable` raises from the projected marking, message included.
+    They start from the sum of an instance's markings, which is not always
+    3-bounded, so that some caps are exceeded."""
+    net, m1, m2 = instance(seed)
+    k0 = initial_indexed(m1 + m2)
+    try:
+        reachable(NetSystem(net, m1 + m2), cap)
+        want = None
+    except BoundExceededError as exc:
+        want = exc
+    for explore, start, successors in (
+            (reachable_im, k0, im_successors),
+            (reachable_oim, init_oim(k0), oim_successors)):
+        if want is None:
+            assert explore(net, k0, cap) == ref_states(
+                start, lambda x: successors(net, x))
+            continue
+        with pytest.raises(BoundExceededError) as got:
+            explore(net, k0, cap)
+        assert error_key(got.value) == error_key(want)
+        assert str(got.value) == str(want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,16 +5,14 @@ from math import comb
 from hypothesis import example, given, settings, strategies as st
 
 from netbisim import (
-    Limits, Multiset, NetSystem, OIMStep, OrderedIndexedMarking, PTNet,
+    Multiset, NetSystem, OIMStep, OrderedIndexedMarking, PTNet,
     Transition, alpha,
     beta_update, boxminus, boxplus, decide_interleaving, decide_oim,
     decide_oimc, deleted_condition_cn, enabled, fire, initial_indexed,
     init_oim, im_successors, oim_successors, reachable, ps_init,
     ps_successors,
 )
-from netbisim.engine import _Codec, _Search
-from netbisim.indexed import indices_of
-from netbisim.ordered import oim_check
+from netbisim.ordered import OIMGraph, oim_check
 from netbisim.randnets import CorpusConfig, random_instance
 
 from proc_checks import (
@@ -86,7 +84,7 @@ def test_im_successors_lift_token_game(seed):
         t = net.transition(tid)
         expected = 1
         for place, n in t.pre.items():
-            expected *= comb(len(indices_of(k, place)), n)
+            expected *= comb(sum(p == place for p, _ in k), n)
         assert len(group) == expected
         for s in group:
             assert alpha(s.target) == (alpha(k) - t.pre) + t.post
@@ -120,17 +118,17 @@ def test_oim_step_invariants(seed):
         steps = oim_successors(net, o)
         for s in steps:
             oim_check(s.target)
-            generated = s.generated(o)
-            untouched = s.untouched(o)
+            untouched = o.tokens - s.removed
+            generated = s.target.tokens - untouched
             for a in generated:
                 for b in generated:
-                    assert s.target.leq(a, b)
+                    assert (a, b) in s.target.order
             for a in untouched:
                 for b in untouched:
-                    assert s.target.leq(a, b) == o.leq(a, b)
+                    assert ((a, b) in s.target.order) == ((a, b) in o.order)
                 for b in generated:
-                    if s.target.leq(a, b):
-                        assert any(o.leq(a, d) for d in s.removed)
+                    if (a, b) in s.target.order:
+                        assert any((a, d) in o.order for d in s.removed)
         if not steps:
             break
         o = steps[0].target
@@ -208,7 +206,8 @@ def reference_oim_successors(net, o):
             continue
         per_place = [
             [frozenset((place, i) for i in c)
-             for c in combinations(sorted(indices_of(o.tokens, place)), n)]
+             for c in combinations(sorted(i for p, i in o.tokens
+                                          if p == place), n)]
             for place, n in t.pre.items()
         ]
         choices = [frozenset().union(*c) for c in product(*per_place)]
@@ -232,18 +231,17 @@ def reference_oim_successors(net, o):
 
 
 def check_mask_successors(net, m1, m2):
-    """On the OIMs reachable from m1 and m2, the search's mask moves,
+    """On the OIMs reachable from m1 and m2, the graph's mask moves,
     decoded, are oim_successors, in content and order, and oim_successors
     is the definition."""
-    search = _Search(net, "fc", Limits())
-    codec = _Codec(search)
-    left, right, _ = search.root(m1, m2)
+    graph = OIMGraph(net)
+    left, right = graph.initial(m1), graph.initial(m2)
     todo, seen = [left, right], {left, right}
     while todo and len(seen) < 60:
         o = todo.pop()
-        moves, _ = search.successors(o)
-        decoded = [codec.step(move) for move in moves]
-        source = codec.oim(o)
+        moves, _ = graph.successors(o)
+        decoded = [graph.step(move) for move in moves]
+        source = graph.oim(o)
         assert decoded == oim_successors(net, source)
         assert decoded == reference_oim_successors(net, source)
         for move in moves:

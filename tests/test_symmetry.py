@@ -13,7 +13,7 @@ from netbisim import (
     PTNet, Transition, decide_interleaving, decide_oim, decide_oimc,
     validate_refutation, validate_witness,
 )
-from netbisim.engine import _Codec, _initial_triple, _Search
+from netbisim.engine import _initial_triple, _Search
 from netbisim.indexed import is_closed
 from netbisim.randnets import mutation_corpus, mutation_instance
 
@@ -35,12 +35,12 @@ def play(seed):
         attacker_left = rng.random() < 0.5
         attacker = triple[0] if attacker_left else triple[1]
         defender = triple[1] if attacker_left else triple[0]
-        attacks = search.successors(attacker)[0]
+        attacks = search.graph.successors(attacker)[0]
         if not attacks:
             break
         nexts = [nxt for _, nxt in search.admissible(
             triple, rng.choice(attacks), attacker_left,
-            search.successors(defender)[1])]
+            search.graph.successors(defender)[1])]
         if not nexts:
             break
         triple = rng.choice(nexts)
@@ -132,7 +132,7 @@ def arbitrary(seed):
     beta = frozenset((a, b) for a in left.tokens for b in right.tokens
                      if rng.random() < 0.5)
     search = _Search(net, "fc", Limits())
-    return search, [_Codec(search).encode(GameTriple(left, right, beta))]
+    return search, [search.encode(GameTriple(left, right, beta))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,25 +142,23 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
     in another order, have one canonical triple: a closed renaming of the
     triple, and its own canonical triple."""
     search, triples = triples_of(seed)
-    codec = _Codec(search)
     rng = random.Random(seed)
     for t in triples:
         c = search.canonical(t)
-        g, h = codec.triple(t), codec.triple(c)
+        g, h = search.triple(t), search.triple(c)
         assert search.canonical(c) == c
         assert is_closed(h.left.tokens) and is_closed(h.right.tokens)
         assert isomorphic(g, h)
         for _ in range(2):
-            copy = codec.encode(renamed(g, rng))
+            copy = search.encode(renamed(g, rng))
             assert search.canonical(copy) == c
-        other = _Search(search.net, "fc", Limits())
-        tokens = list(search.bits.tokens)
+        other = _Search(search.graph.net, "fc", Limits())
+        tokens = list(search.graph.bits.tokens)
         rng.shuffle(tokens)
         for tok in tokens:
-            other.bits.of(tok)
-        other_codec = _Codec(other)
-        copy = other_codec.encode(renamed(g, rng))
-        assert other_codec.triple(other.canonical(copy)) == h
+            other.graph.bits.of(tok)
+        copy = other.encode(renamed(g, rng))
+        assert other.triple(other.canonical(copy)) == h
 
 
 def test_canonical_tries_every_vertex_of_a_tied_cell():
@@ -183,12 +181,11 @@ def test_canonical_tries_every_vertex_of_a_tied_cell():
     net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
                                         Multiset.of("p"))])
     search = _Search(net, "fc", Limits())
-    codec = _Codec(search)
-    c = search.canonical(codec.encode(g))
-    assert isomorphic(g, codec.triple(c))
+    c = search.canonical(search.encode(g))
+    assert isomorphic(g, search.triple(c))
     rng = random.Random(1)
     for _ in range(20):
-        assert search.canonical(codec.encode(renamed(g, rng))) == c
+        assert search.canonical(search.encode(renamed(g, rng))) == c
 
 
 def decide_both(net, m1, m2, cap, flavor, monkeypatch):
