@@ -8,10 +8,11 @@ from .nets import (
 )
 from .indexed import (
     IndexedMarking, InsufficientTokensError, Token, alpha, boxminus, boxplus,
-    initial_indexed, is_closed, im_successors, reachable_im,
+    im_space, initial_indexed, is_closed, im_successors, reachable_im,
 )
 from .ordered import (
-    OIMStep, OrderedIndexedMarking, init_oim, oim_successors, reachable_oim,
+    OIMStep, OrderedIndexedMarking, init_oim, oim_space, oim_successors,
+    reachable_oim,
 )
 from .processes import (
     CausalNet, Extension, InvalidDeltaError, Process, ProcessSequence,
@@ -37,10 +38,10 @@ __all__ = [
     "NotEnabledError", "PTNet", "ReachabilityResult", "Transition",
     "enabled", "fire", "reachable",
     "IndexedMarking", "InsufficientTokensError", "Token", "alpha",
-    "boxminus", "boxplus", "initial_indexed", "is_closed", "im_successors",
-    "reachable_im",
-    "OIMStep", "OrderedIndexedMarking", "init_oim", "oim_successors",
-    "reachable_oim",
+    "boxminus", "boxplus", "im_space", "initial_indexed", "is_closed",
+    "im_successors", "reachable_im",
+    "OIMStep", "OrderedIndexedMarking", "init_oim", "oim_space",
+    "oim_successors", "reachable_oim",
     "CausalNet", "Extension", "InvalidDeltaError", "Process",
     "ProcessSequence", "empty_process", "event_leq", "event_order",
     "process_extensions", "ps_init", "ps_step", "ps_successors",

@@ -12,8 +12,8 @@ import sys
 from collections import Counter
 
 from .nets import NetError, NetSystem, reachable
-from .indexed import initial_indexed, reachable_im, im_successors
-from .ordered import oim_successors, reachable_oim
+from .indexed import im_space, initial_indexed, reachable_im
+from .ordered import oim_space, reachable_oim
 from .engine import (
     Limits, decide_interleaving, decide_oim, decide_oimc, format_refutation,
     format_witness,
@@ -123,8 +123,7 @@ def _cmd_check(args) -> int:
         decide = decide_oim if args.equiv == "fc" else decide_oimc
         verdict = decide(doc.net, m1, m2, args.cap, limits)
     print(verdict.outcome)
-    if "limit" in verdict.stats:
-        print(f"limit reached: {verdict.stats['limit']}", file=sys.stderr)
+    _report_limit(verdict)
     if args.witness:
         if verdict.witness is not None:
             text = format_witness(verdict.witness)
@@ -137,17 +136,23 @@ def _cmd_check(args) -> int:
     return _OUTCOME_CODE[verdict.outcome]
 
 
+def _report_limit(verdict) -> None:
+    if "limit" in verdict.stats:
+        print(f"limit reached: {verdict.stats['limit']}", file=sys.stderr)
+
+
 def _cmd_oracle(args) -> int:
     doc, m1, m2 = _load(args.net, args.m1, args.m2)
     verdict = oracle_game(doc.net, m1, m2, args.flavor, args.depth)
     print(verdict.outcome)
+    _report_limit(verdict)
     return _OUTCOME_CODE[verdict.outcome]
 
 
-# --what -> (name, explorer, successors, DOT export)
+# --what -> (name, explorer, explorer with each state's steps, DOT export)
 _INDEXED_SPACES = {
-    "im": ("indexed markings", reachable_im, im_successors, export_im_dot),
-    "oim": ("ordered indexed markings", reachable_oim, oim_successors,
+    "im": ("indexed markings", reachable_im, im_space, export_im_dot),
+    "oim": ("ordered indexed markings", reachable_oim, oim_space,
             export_oim_dot),
 }
 
@@ -166,11 +171,12 @@ def _cmd_explore(args) -> int:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(export_reachability_dot(markings.values(), edges))
     else:
-        noun, explore, successors, export = _INDEXED_SPACES[args.what]
-        states = explore(net, initial_indexed(m), args.cap)
+        noun, explore, space, export = _INDEXED_SPACES[args.what]
+        states = (space if args.dot else explore)(
+            net, initial_indexed(m), args.cap)
         print(f"{noun} {len(states)}")
         if args.dot:
-            steps = [(x, s) for x in states for s in successors(net, x)]
+            steps = [(x, s) for x, out in states.items() for s in out]
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(export(states, steps))
     return EXIT_EQUIV

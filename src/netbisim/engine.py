@@ -10,17 +10,24 @@ assumption; the search then resumes the frame below.  When the stack empties
 the winning set is self-supporting (a bisimulation), and refutations share
 the node of every triple they cite.
 
-The game runs on ints (`_Search`), over the markings of one
-`ordered.OIMGraph`: each token is a bit of its `TokenBits` numbering, a
-token set is a mask, and the preorder of a marking and beta are rows of
-masks, one per token.  The graph interns each distinct ordered indexed
-marking to an id, so a triple is (left id, right id, beta rows), and
-builds each marking's moves once, bucketed by label.  `(place, index)`
-tokens, `GameTriple` and frozenset beta are the boundary format: a
-decided witness or refutation is decoded to them through the graph, and
-the validators encode them back and replay the same int game.  The
-frozenset functions `beta_update` and `deleted_condition_fc/cn` are
-wrappers over the mask forms.
+The game runs on ints (`_Search`), over the markings of the net's
+`ordered.OIMGraph` (`PTNet.oim_graph`): each token is a bit of its
+`TokenBits` numbering, a token set is a mask, and the preorder of a
+marking and beta are rows of masks, one per token.  The graph interns
+each distinct ordered indexed marking to an id, so a triple is (left id,
+right id, beta rows), and builds each marking's moves once, bucketed by
+label.  It is built once per net object and kept with it: the fc and cn
+deciders and both validators, called on one net in any order, play on
+the same ints and moves, each holding the graph's lock, so that calls
+from several threads take turns.  It keeps ints and moves only.  What
+one call makes lives in its `_Search` and goes with it: the `OIMCodec`
+with the decoded certificate objects, the canonical memo, the refutation
+memo and the limits.  `(place, index)` tokens, `GameTriple` and
+frozenset beta are the boundary format: a decided witness or refutation
+is decoded to them through the codec, and the validators encode them
+back and replay the same int game.  The frozenset functions
+`beta_update` and `deleted_condition_fc/cn` are wrappers over the mask
+forms.
 
 The game is invariant under place-preserving renaming of each side's
 token indices, so the search works on canonical triples
@@ -43,8 +50,8 @@ from typing import Literal, Optional
 from .nets import Multiset, PTNet
 from .indexed import Token, TokenBits, initial_indexed
 from .ordered import (
-    OIMGraph, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
-    init_oim,
+    OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
+    holding_graph, init_oim,
 )
 from .symmetry import Canonicaliser
 
@@ -244,13 +251,15 @@ def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
 
 
 class _Search(Canonicaliser):
-    """The game on the ints of an `OIMGraph`.  A triple is (left id,
-    right id, beta), beta holding the mask of right tokens related to each
-    left token; moves are the graph's.  Refutation nodes hold int triples
-    and moves until `refutation` decodes them."""
+    """One call's game on the ints of the net's `OIMGraph`.  A triple is
+    (left id, right id, beta), beta holding the mask of right tokens
+    related to each left token; moves are the graph's.  Refutation nodes
+    hold int triples and moves until `refutation` decodes them through
+    the call's codec."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
-        super().__init__(OIMGraph(net))
+        super().__init__(net.oim_graph)
+        self.codec = OIMCodec(self.graph)
         self.flavor = flavor
         self.holds = _cn_holds if flavor == "cn" else _fc_holds
         self.limits = limits
@@ -362,13 +371,13 @@ class _Search(Canonicaliser):
 
     def triple(self, t: tuple) -> GameTriple:
         left, right, beta = t
-        graph = self.graph
-        return GameTriple(graph.oim(left), graph.oim(right),
-                          graph.relation(graph.oims[left][0], beta))
+        codec = self.codec
+        return GameTriple(codec.oim(left), codec.oim(right),
+                          codec.relation(self.graph.oims[left][0], beta))
 
     def refutation(self, root: Refutation) -> Refutation:
         """The refutation DAG below root, its triples and moves decoded."""
-        step = self.graph.step
+        step = self.codec.step
         new: dict[int, Refutation] = {}
         for node in root.nodes() if root.responses else (root,):
             new[id(node)] = Refutation(
@@ -380,12 +389,11 @@ class _Search(Canonicaliser):
 
     def encode(self, t: GameTriple) -> Optional[tuple]:
         """The int triple of t, or None if it mentions a foreign token."""
-        graph = self.graph
-        left, right = graph.encode(t.left), graph.encode(t.right)
+        codec, oims = self.codec, self.graph.oims
+        left, right = codec.encode(t.left), codec.encode(t.right)
         if left is None or right is None:
             return None
-        beta = graph.encode_relation(t.beta, graph.oims[left][0],
-                                     graph.oims[right][0])
+        beta = codec.encode_relation(t.beta, oims[left][0], oims[right][0])
         return None if beta is None else (left, right, beta)
 
 
@@ -397,6 +405,7 @@ def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
     )
 
 
+@holding_graph
 def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                  flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
     # The bound check: m2 is explored only if m1's search did not reach it.
@@ -464,6 +473,7 @@ def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
                                "seconds": time.monotonic() - t0})
 
 
+@holding_graph
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
                      flavor: Flavor) -> bool:
     """Independent closure check, up to place-preserving renaming of token
@@ -505,6 +515,7 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     return True
 
 
+@holding_graph
 def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     """Replay a refutation: at every node the attacker move must exist and
     every admissible defender response must itself be refuted, by a node
@@ -517,7 +528,7 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     except ValueError:
         return False
     helper = _Search(net, flavor, Limits())
-    graph = helper.graph
+    graph, step = helper.graph, helper.codec.step
 
     def replays(node: Refutation) -> bool:
         triple = node.triple
@@ -529,11 +540,11 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         attacker_left = node.side == "left"
         attacker, defender = t[:2] if attacker_left else t[1::-1]
         attack = next((m for m in graph.successors(attacker)[0]
-                       if graph.step(m) == node.attacker), None)
+                       if step(m) == node.attacker), None)
         if attack is None:
             return False
         admissible = {
-            graph.step(resp): nxt
+            step(resp): nxt
             for resp, nxt in helper.admissible(
                 t, attack, attacker_left, graph.successors(defender)[1])
         }

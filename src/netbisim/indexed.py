@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 
-from .nets import Multiset, NetError, PTNet, Transition
+from .nets import Kernel, Multiset, NetError, PTNet, Transition
 
 Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
@@ -116,12 +116,13 @@ class TokenBits:
                 made |= self.of((place, i))
         return made
 
-    def firings(self, net: PTNet, mask: int) -> list[tuple[Transition, int, int]]:
+    def firings(self, kernel: Kernel, transitions: tuple,
+                mask: int) -> list[tuple[Transition, int, int]]:
         """(transition, removed, created) for every firing of the individual
-        token game from mask, all victim choices: transitions in declaration
-        order, victim choices ordered by their sorted tokens."""
+        token game from mask, all victim choices, on a net's kernel and
+        transitions: transitions in declaration order, victim choices
+        ordered by their sorted tokens."""
         tokens = self.tokens
-        kernel = net.kernel
         index = kernel.index
         # place number -> tokens; a token on a place the net does not
         # declare (a tampered certificate's) enables nothing
@@ -134,7 +135,6 @@ class TokenBits:
                 counts[i] = counts.get(i, 0) + 1
             rest ^= low
         out = []
-        transitions = net.transitions
         for pos in kernel.enabled(counts):
             t = transitions[pos]
             for removed in self.victims(mask, t.pre):
@@ -178,7 +178,8 @@ def im_successors(net: PTNet, k: IndexedMarking) -> list[IMStep]:
     return [
         IMStep(t.tid, frozenset(bits.decode(removed)),
                frozenset(bits.decode(mask & ~removed | created)))
-        for t, removed, created in bits.firings(net, mask)
+        for t, removed, created in bits.firings(net.kernel, net.transitions,
+                                                mask)
     ]
 
 
@@ -189,12 +190,18 @@ def reachable_im(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
         raise NetError("initial indexed marking must be closed")
     net.kernel.explore((alpha(k0),), cap)
     bits = TokenBits()
+    kernel, transitions = net.kernel, net.transitions
     found = [bits.mask(k0)]
     seen = set(found)
     for mask in found:
-        for _, removed, created in bits.firings(net, mask):
+        for _, removed, created in bits.firings(kernel, transitions, mask):
             target = mask & ~removed | created
             if target not in seen:
                 seen.add(target)
                 found.append(target)
     return frozenset(frozenset(bits.decode(mask)) for mask in found)
+
+
+def im_space(net: PTNet, k0: IndexedMarking, cap: int) -> dict:
+    """Each indexed marking reachable from k0 -> its `im_successors`."""
+    return {k: im_successors(net, k) for k in reachable_im(net, k0, cap)}

@@ -11,7 +11,9 @@ So the cost of a state grows with its tokens and the transitions they
 feed, not with the size of the net.  `reachable`, the bound check of the
 deciders and of `reachable_im` / `reachable_oim`, `decide_interleaving`,
 the game's `TokenBits.firings` and the CLI all run on the kernel;
-`Multiset` markings are its boundary format.
+`Multiset` markings are its boundary format.  The ordered token game of
+the fc/cn deciders is built on the kernel, also once per net object
+(`PTNet.oim_graph`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from __future__ import annotations
 from collections import abc, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+
+if TYPE_CHECKING:
+    from .ordered import OIMGraph
 
 CountsLike = Union[Mapping[str, int], Iterable[tuple[str, int]], "Multiset", None]
 
@@ -187,6 +192,14 @@ class PTNet:
     def kernel(self) -> "Kernel":
         """The net compiled to ints, built on first use."""
         return Kernel(self)
+
+    @cached_property
+    def oim_graph(self) -> "OIMGraph":
+        """The ordered token game of the net on ints (`ordered.OIMGraph`),
+        built on first use and shared by every fc/cn call on this net
+        object; an equal net built anew has its own."""
+        from .ordered import OIMGraph
+        return OIMGraph(self)
 
     @classmethod
     def make(

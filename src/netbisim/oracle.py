@@ -334,7 +334,7 @@ def oracle_game(net: PTNet, m1: Multiset, m2: Multiset, flavor: str,
     equivalent  — the game tree closes (every branch deadlocks or repeats
                   up to process isomorphism) within depth;
     not-equivalent — the attacker wins within depth;
-    unknown     — the depth ran out first.
+    unknown     — the depth ran out first; stats["limit"] is "depth".
 
     fc has one initial state; cn has one per pairing of the initial
     tokens, and is equivalent iff some pairing wins, not-equivalent iff
@@ -357,4 +357,6 @@ def oracle_game(net: PTNet, m1: Multiset, m2: Multiset, flavor: str,
         if v is None:
             outcome = "unknown"
     stats = {"states": len(oracle.definitive) + len(oracle.unknown_at)}
+    if outcome == "unknown":
+        stats["limit"] = "depth"
     return BisimVerdict(outcome, witness=witness, stats=stats)

@@ -10,15 +10,24 @@ The preorder records precedence in token generation.  After a firing:
 The update is computed on int masks (`step_rows`): a token set is a mask
 over a `TokenBits` numbering, and the preorder is one up-set mask per
 token.  `OIMGraph` is the ordered token game of one net on ints: it
-interns each marking once and builds its moves once, and it decodes
-markings and moves to the public types and encodes them back.  The fc/cn
-search, its canonical form, the validators, `oim_successors` and
-`reachable_oim` all play on one.
+interns each marking once and builds its moves once.  Each net object
+builds one, on first use (`PTNet.oim_graph`), and every fc/cn search,
+canonical form, validator, `oim_successors` and `reachable_oim` call on
+that net plays on it, so a marking's moves are built once however many
+calls reach it.  The graph keeps ints and moves only: the token
+numbering, the interned markings and their move lists.  It does not keep
+what one call makes: `OIMCodec`, which decodes markings and moves to the
+public types and encodes them back, and the search's canonical memo live
+as long as their call.  Nor does it hold the net, only its kernel and
+transitions, so it is freed with the net by reference counting.  A net
+built anew, even an equal one, shares nothing with another.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import wraps
 from typing import Optional
 
 from .nets import Multiset, NetError, PTNet
@@ -143,32 +152,24 @@ class OIMGraph:
     """The ordered token game of a net on ints.  Tokens are bits of `bits`,
     numbered on first use; each distinct marking (mask, rows), where
     rows[i] is the up-set mask of the i-th token of mask in bit order, is
-    interned to an id in the order it is found, so walking the ids in
-    order from the first interned is a breadth-first search.  A move is
-    the tuple
+    interned to an id in the order it is found.  A move is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
          untouched mask, created mask, plan)
 
     built once per marking, with a (position, bit, up-set) entry per
-    deleted token and the plan of `step_rows`.  Decoded markings,
-    relations, steps and token pairs are shared, so that equal parts of a
-    certificate are one object."""
+    deleted token and the plan of `step_rows`.  The graph grows with the
+    calls that play on it; what a call decodes lives in its `OIMCodec`.
+    A call holds `lock` while it plays (`holding_graph`)."""
 
     def __init__(self, net: PTNet):
-        self.net = net
+        self.kernel = net.kernel
+        self.transitions = net.transitions
+        self.lock = threading.RLock()
         self.bits = TokenBits()
         self.ids: dict[tuple, int] = {}  # (mask, rows) -> id
         self.oims: list[tuple] = []  # id -> (mask, rows)
         self.moves: list = []  # id -> (moves, moves by label), or None
-        self.pairs: dict = {}  # token pairs, shared by every decoded relation
-        self.relations: dict[tuple, frozenset] = {}  # (mask, rows) -> pairs
-        self.decoded: dict[int, OrderedIndexedMarking] = {}
-        self.steps: dict[int, OIMStep] = {}  # id(move) -> its OIMStep
-        # OrderedIndexedMarking -> id and (pairs, mask, within) -> rows,
-        # each None where a pair mentions a foreign token
-        self.encoded: dict = {}
-        self.encoded_relations: dict = {}
 
     def intern(self, mask: int, rows: tuple) -> int:
         key = (mask, rows)
@@ -194,7 +195,8 @@ class OIMGraph:
         if entry is None:
             mask, rows = self.oims[o]
             moves, by_label = [], {}
-            for t, removed, created in self.bits.firings(self.net, mask):
+            for t, removed, created in self.bits.firings(
+                    self.kernel, self.transitions, mask):
                 target, target_rows, plan = step_rows(mask, rows, removed,
                                                       created)
                 deleted = []
@@ -212,28 +214,59 @@ class OIMGraph:
             entry = self.moves[o] = (moves, by_label)
         return entry
 
+    def reached(self, start: int) -> list[int]:
+        """The ids of the markings reachable from start, breadth first."""
+        found = [start]
+        seen = {start}
+        for o in found:
+            for move in self.successors(o)[0]:
+                if move[4] not in seen:
+                    seen.add(move[4])
+                    found.append(move[4])
+        return found
+
+
+class OIMCodec:
+    """The markings and moves of an `OIMGraph` as the public types, and
+    back, for one call.  Decoded markings, relations, steps and token
+    pairs are shared, so that equal parts of a certificate are one object.
+    Encoding numbers the tokens it meets and interns the markings in the
+    graph."""
+
+    def __init__(self, graph: OIMGraph):
+        self.graph = graph
+        self.pairs: dict = {}  # token pairs, shared by every decoded relation
+        self.relations: dict[tuple, frozenset] = {}  # (mask, rows) -> pairs
+        self.decoded: dict[int, OrderedIndexedMarking] = {}
+        self.steps: dict[int, OIMStep] = {}  # id(move) -> its OIMStep
+        # OrderedIndexedMarking -> id and (pairs, mask, within) -> rows,
+        # each None where a pair mentions a foreign token
+        self.encoded: dict = {}
+        self.encoded_relations: dict = {}
+
     def relation(self, mask: int, rows: tuple) -> frozenset:
         """The token pairs of rows over the tokens of mask."""
         key = (mask, rows)
         pairs = self.relations.get(key)
         if pairs is None:
-            pairs = self.relations[key] = decode_rows(self.bits, mask, rows,
-                                                      self.pairs)
+            pairs = self.relations[key] = decode_rows(self.graph.bits, mask,
+                                                      rows, self.pairs)
         return pairs
 
     def oim(self, o: int) -> OrderedIndexedMarking:
         x = self.decoded.get(o)
         if x is None:
-            mask, rows = self.oims[o]
+            mask, rows = self.graph.oims[o]
             x = self.decoded[o] = OrderedIndexedMarking(
-                frozenset(self.bits.decode(mask)), self.relation(mask, rows))
+                frozenset(self.graph.bits.decode(mask)),
+                self.relation(mask, rows))
         return x
 
     def step(self, move: tuple) -> OIMStep:
         s = self.steps.get(id(move))
         if s is None:
             s = self.steps[id(move)] = OIMStep(
-                move[1], frozenset(self.bits.decode(move[2])),
+                move[1], frozenset(self.graph.bits.decode(move[2])),
                 self.oim(move[4]))
         return s
 
@@ -244,7 +277,7 @@ class OIMGraph:
         key = (pairs, mask, within)
         rows = self.encoded_relations.get(key, _MISSING)
         if rows is _MISSING:
-            rows = encode_rows(self.bits, mask, pairs, within)
+            rows = encode_rows(self.graph.bits, mask, pairs, within)
             rows = self.encoded_relations[key] = (
                 rows if sum(r.bit_count() for r in rows) == len(pairs)
                 else None)
@@ -254,30 +287,58 @@ class OIMGraph:
         """The id of o, or None if its order mentions a foreign token."""
         x = self.encoded.get(o, _MISSING)
         if x is _MISSING:
-            mask = self.bits.mask(o.tokens)
+            mask = self.graph.bits.mask(o.tokens)
             rows = self.encode_relation(o.order, mask, mask)
             x = self.encoded[o] = (None if rows is None
-                                   else self.intern(mask, rows))
+                                   else self.graph.intern(mask, rows))
         return x
 
 
+def holding_graph(fn):
+    """fn(net, ...) run holding the lock of the net's `OIMGraph`.  The
+    calls on a net share its graph, and numbering a token or interning a
+    marking is a read-modify-write, so calls from several threads take
+    turns."""
+    @wraps(fn)
+    def call(net: PTNet, *args, **kwargs):
+        with net.oim_graph.lock:
+            return fn(net, *args, **kwargs)
+    return call
+
+
+@holding_graph
 def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     """All firings of the ordered token game from o, all victim choices."""
-    graph = OIMGraph(net)
-    start = graph.encode(o)
+    codec = OIMCodec(net.oim_graph)
+    start = codec.encode(o)
     if start is None:
         raise NetError(f"order mentions foreign token in {o}")
-    return [graph.step(move) for move in graph.successors(start)[0]]
+    return [codec.step(move) for move in codec.graph.successors(start)[0]]
 
 
+def _oim_walk(net: PTNet, k0: IndexedMarking, cap: int) -> tuple:
+    """(codec, ids of the ordered indexed markings reachable from
+    init_oim(k0), breadth first)."""
+    if not is_closed(k0):
+        raise NetError("initial indexed marking must be closed")
+    net.kernel.explore((alpha(k0),), cap)
+    graph = net.oim_graph
+    return OIMCodec(graph), graph.reached(graph.initial(alpha(k0)))
+
+
+@holding_graph
 def reachable_oim(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
     """All ordered indexed markings reachable from init_oim(k0).  Raises
     what exploring the marking of k0 under `cap` raises."""
-    graph = OIMGraph(net)
-    graph.encode(init_oim(k0))
-    net.kernel.explore((alpha(k0),), cap)
-    o = 0
-    while o < len(graph.oims):
-        graph.successors(o)
-        o += 1
-    return frozenset(map(graph.oim, range(o)))
+    codec, found = _oim_walk(net, k0, cap)
+    return frozenset(map(codec.oim, found))
+
+
+@holding_graph
+def oim_space(net: PTNet, k0: IndexedMarking, cap: int) -> dict:
+    """Each ordered indexed marking reachable from init_oim(k0) -> its
+    `oim_successors`, decoded from the moves of the walk that found it."""
+    codec, found = _oim_walk(net, k0, cap)
+    successors = codec.graph.successors
+    return {codec.oim(o): [codec.step(move) for move in successors(o)[0]]
+            for o in found}

@@ -21,8 +21,9 @@ the least-coded leaf and skipping the twins of tried vertices.
 plays on and interns the renamed markings there.  Vertices are bit
 positions and sets of them are int masks.  The canonical form depends
 only on token names and relations, never on the bit order of the graph's
-`TokenBits` numbering, because validators number tokens in another
-order.
+`TokenBits` numbering: the calls on a net share its graph, so the order
+in which tokens are numbered depends on which calls came first.  The
+memo of canonical triples is the search's own and goes with it.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
 
 class Canonicaliser:
     """Canonical int triples over the markings of an `OIMGraph`; mixed
-    into the game search, which plays on the same graph."""
+    into the game search, which plays on the same graph.  The memo
+    `canon` lasts as long as the search."""
 
     def __init__(self, graph: OIMGraph):
         self.graph = graph

@@ -110,15 +110,20 @@ def test_check_limits_need_fc_or_cn(buf4_path, capsys):
                          buf4_path, "m0", "m0"]) == 3
 
 
-def test_oracle_exit_codes(fig1_path, tmp_path):
+def test_oracle_exit_codes(fig1_path, tmp_path, capsys):
+    """Exit 2 names the limit that fired on stderr, as `check` does."""
     assert cli_main(["oracle", "--flavor", "fc", "--depth", "2",
                      fig1_path, "m_s1", "m_s3"]) == 0
     assert cli_main(["oracle", "--flavor", "cn", "--depth", "2",
                      fig1_path, "m_s1", "m_s3"]) == 1
+    assert capsys.readouterr().err == ""
     cycle = tmp_path / "cycle.pn"
     cycle.write_text(CYCLE)
     assert cli_main(["oracle", "--flavor", "fc", "--depth", "2",
                      str(cycle), "m", "m"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "unknown\n"
+    assert captured.err == "limit reached: depth\n"
 
 
 def test_depth_zero_is_input_error(fig1_path, capsys):

@@ -14,8 +14,8 @@ import netbisim.engine as engine
 from netbisim import (
     BoundExceededError, Limits, Multiset, NetError, NetSystem, PTNet,
     Transition, decide_interleaving, decide_oim, decide_oimc, enabled,
-    im_successors, init_oim, oim_successors, reachable, reachable_im,
-    reachable_oim,
+    im_space, im_successors, init_oim, oim_space, oim_successors, reachable,
+    reachable_im, reachable_oim,
 )
 from netbisim.indexed import TokenBits, initial_indexed
 from netbisim.randnets import CorpusConfig, random_instance
@@ -144,7 +144,8 @@ def ref_states(start, successors) -> frozenset:
 @given(seeds, st.integers(min_value=1, max_value=3))
 def test_token_game_explorers_match_a_reference(seed, cap):
     """reachable_im and reachable_oim list the states a breadth-first walk
-    over im_successors and oim_successors reaches; past the cap they raise
+    over im_successors and oim_successors reaches, and im_space and
+    oim_space map each of them to its successors; past the cap they raise
     what `reachable` raises from the projected marking, message included.
     They start from the sum of an instance's markings, which is not always
     3-bounded, so that some caps are exceeded."""
@@ -155,17 +156,20 @@ def test_token_game_explorers_match_a_reference(seed, cap):
         want = None
     except BoundExceededError as exc:
         want = exc
-    for explore, start, successors in (
-            (reachable_im, k0, im_successors),
-            (reachable_oim, init_oim(k0), oim_successors)):
+    for explore, space, start, successors in (
+            (reachable_im, im_space, k0, im_successors),
+            (reachable_oim, oim_space, init_oim(k0), oim_successors)):
         if want is None:
-            assert explore(net, k0, cap) == ref_states(
-                start, lambda x: successors(net, x))
+            states = explore(net, k0, cap)
+            assert states == ref_states(start, lambda x: successors(net, x))
+            assert space(net, k0, cap) == {x: successors(net, x)
+                                           for x in states}
             continue
-        with pytest.raises(BoundExceededError) as got:
-            explore(net, k0, cap)
-        assert error_key(got.value) == error_key(want)
-        assert str(got.value) == str(want)
+        for walk in (explore, space):
+            with pytest.raises(BoundExceededError) as got:
+                walk(net, k0, cap)
+            assert error_key(got.value) == error_key(want)
+            assert str(got.value) == str(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,7 +217,8 @@ def test_one_enabledness_test(seed, counts):
     want = [t.tid for t in net.transitions if t.pre <= m]
     assert enabled(net, m) == want
     bits = TokenBits()
-    fired = bits.firings(net, bits.mask(initial_indexed(m)))
+    fired = bits.firings(net.kernel, net.transitions,
+                         bits.mask(initial_indexed(m)))
     assert list(dict.fromkeys(t.tid for t, _, _ in fired)) == want
 
 

@@ -49,8 +49,18 @@ def test_cycle_net_is_inconclusive(cycle_net):
     """Processes grow forever on a cyclic net, so the bounded game can
     neither close nor refute reflexive pairs."""
     m = Multiset.of("a", "a")
-    v = oracle_game(cycle_net, m, m, "fc", 3)
-    assert v.outcome == "unknown"
+    for flavor in ("fc", "cn"):
+        v = oracle_game(cycle_net, m, m, flavor, 3)
+        assert v.outcome == "unknown"
+        assert v.stats["limit"] == "depth"
+
+
+def test_decided_oracle_names_no_limit(fig1_net):
+    for flavor in ("fc", "cn"):
+        v = oracle_game(fig1_net, Multiset.of("s1"), Multiset.of("s3"),
+                        flavor, 2)
+        assert v.outcome != "unknown"
+        assert "limit" not in v.stats
 
 
 def test_input_validation(fig1_net):

@@ -23,7 +23,7 @@ DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
 
 
 def play(seed):
-    """(search, raw triples) along a random play of the fc game on a
+    """(net, search, raw triples) along a random play of the fc game on a
     mutation instance: the triples as the moves produce them, unrenamed."""
     rng = random.Random(seed)
     _, net, m1, m2 = mutation_instance(rng, CorpusConfig(bound=3))
@@ -47,7 +47,7 @@ def play(seed):
         triples.append(triple)
     del search.canonical
     assert search.canonical(triples[0]) == triples[0]  # the root
-    return search, triples
+    return net, search, triples
 
 
 def renamed(t: GameTriple, rng) -> GameTriple:
@@ -109,7 +109,7 @@ def isomorphic(g: GameTriple, h: GameTriple) -> bool:
 
 
 def arbitrary(seed):
-    """(search, [triple]) for a random triple of the search's net, not
+    """(net, search, [triple]) for a random triple of the search's net, not
     necessarily reachable: random preorders on random tokens of two or
     three places, and a random beta, so that beta also tells apart tokens
     that the orders cannot."""
@@ -132,7 +132,7 @@ def arbitrary(seed):
     beta = frozenset((a, b) for a in left.tokens for b in right.tokens
                      if rng.random() < 0.5)
     search = _Search(net, "fc", Limits())
-    return search, [search.encode(GameTriple(left, right, beta))]
+    return net, search, [search.encode(GameTriple(left, right, beta))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,7 +141,7 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
     """Renamed copies of a triple, also encoded over a token numbering made
     in another order, have one canonical triple: a closed renaming of the
     triple, and its own canonical triple."""
-    search, triples = triples_of(seed)
+    net, search, triples = triples_of(seed)
     rng = random.Random(seed)
     for t in triples:
         c = search.canonical(t)
@@ -152,7 +152,9 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
         for _ in range(2):
             copy = search.encode(renamed(g, rng))
             assert search.canonical(copy) == c
-        other = _Search(search.graph.net, "fc", Limits())
+        # a copy of the net has a graph of its own
+        other = _Search(PTNet.make(net.places, net.transitions, net.labels),
+                        "fc", Limits())
         tokens = list(search.graph.bits.tokens)
         rng.shuffle(tokens)
         for tok in tokens:
