@@ -48,10 +48,10 @@ from functools import cache
 from typing import Literal, Optional
 
 from .nets import Multiset, PTNet
-from .indexed import Token, TokenBits, initial_indexed
+from .indexed import Token, TokenBits
 from .ordered import (
     OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
-    holding_graph, init_oim,
+    holding_graph,
 )
 from .symmetry import Canonicaliser
 
@@ -379,7 +379,7 @@ class _Search(Canonicaliser):
         """The refutation DAG below root, its triples and moves decoded."""
         step = self.codec.step
         new: dict[int, Refutation] = {}
-        for node in root.nodes() if root.responses else (root,):
+        for node in root.nodes():
             new[id(node)] = Refutation(
                 self.triple(node.triple), node.reason, node.side,
                 None if node.attacker is None else step(node.attacker),
@@ -397,14 +397,6 @@ class _Search(Canonicaliser):
         return None if beta is None else (left, right, beta)
 
 
-def _initial_triple(m1: Multiset, m2: Multiset) -> GameTriple:
-    k1 = initial_indexed(m1)
-    k2 = initial_indexed(m2)
-    return GameTriple(
-        init_oim(k1), init_oim(k2), frozenset((a, b) for a in k1 for b in k2)
-    )
-
-
 @holding_graph
 def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                  flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
@@ -412,11 +404,6 @@ def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
     net.kernel.explore((m1, m2), cap)
     search = _Search(net, flavor, limits or Limits())
     try:
-        if flavor == "cn" and m1.size != m2.size:
-            # The size gate refutes the root before any move is played.
-            search._tick()
-            return BisimVerdict("not-equivalent", refutation=Refutation(
-                _initial_triple(m1, m2), "size-gate"), stats=_stats(search))
         won, payload = search.run(search.root(m1, m2))
     except ResourceLimitReached as exc:
         return BisimVerdict("unknown",
@@ -483,7 +470,9 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     triple is one of those.  So a witness closed without renaming (one
     listing every renamed copy it reaches) passes too.  The triples are
     canonicalised only once a successor is not found among them as they
-    are, which never happens for a witness of canonical triples."""
+    are.  For a witness of canonical triples that happens when a
+    defender response leads out of the witness, as when a defender's
+    first admissible response is refuted and a later one wins."""
     helper = _Search(net, flavor, Limits())
     encoded = set(map(helper.encode, witness))
     if None in encoded:

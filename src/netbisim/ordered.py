@@ -228,30 +228,24 @@ class OIMGraph:
 
 class OIMCodec:
     """The markings and moves of an `OIMGraph` as the public types, and
-    back, for one call.  Decoded markings, relations, steps and token
-    pairs are shared, so that equal parts of a certificate are one object.
-    Encoding numbers the tokens it meets and interns the markings in the
-    graph."""
+    back, for one call.  Decoded markings and token pairs are shared, so
+    that equal parts of a certificate are one object; relations and steps
+    are decoded anew each time.  Encoding numbers the tokens it meets and
+    interns the markings in the graph."""
 
     def __init__(self, graph: OIMGraph):
         self.graph = graph
         self.pairs: dict = {}  # token pairs, shared by every decoded relation
-        self.relations: dict[tuple, frozenset] = {}  # (mask, rows) -> pairs
         self.decoded: dict[int, OrderedIndexedMarking] = {}
-        self.steps: dict[int, OIMStep] = {}  # id(move) -> its OIMStep
         # OrderedIndexedMarking -> id and (pairs, mask, within) -> rows,
-        # each None where a pair mentions a foreign token
+        # each None where a token index is bad or a pair mentions a
+        # foreign token
         self.encoded: dict = {}
         self.encoded_relations: dict = {}
 
     def relation(self, mask: int, rows: tuple) -> frozenset:
         """The token pairs of rows over the tokens of mask."""
-        key = (mask, rows)
-        pairs = self.relations.get(key)
-        if pairs is None:
-            pairs = self.relations[key] = decode_rows(self.graph.bits, mask,
-                                                      rows, self.pairs)
-        return pairs
+        return decode_rows(self.graph.bits, mask, rows, self.pairs)
 
     def oim(self, o: int) -> OrderedIndexedMarking:
         x = self.decoded.get(o)
@@ -263,12 +257,8 @@ class OIMCodec:
         return x
 
     def step(self, move: tuple) -> OIMStep:
-        s = self.steps.get(id(move))
-        if s is None:
-            s = self.steps[id(move)] = OIMStep(
-                move[1], frozenset(self.graph.bits.decode(move[2])),
-                self.oim(move[4]))
-        return s
+        return OIMStep(move[1], frozenset(self.graph.bits.decode(move[2])),
+                       self.oim(move[4]))
 
     def encode_relation(self, pairs: frozenset, mask: int,
                         within: int) -> Optional[tuple]:
@@ -284,13 +274,18 @@ class OIMCodec:
         return rows
 
     def encode(self, o: OrderedIndexedMarking) -> Optional[int]:
-        """The id of o, or None if its order mentions a foreign token."""
+        """The id of o, or None if a token's index is not an int >= 1 or
+        its order mentions a foreign token.  Nothing is numbered for a
+        marking with such an index."""
         x = self.encoded.get(o, _MISSING)
         if x is _MISSING:
-            mask = self.graph.bits.mask(o.tokens)
-            rows = self.encode_relation(o.order, mask, mask)
-            x = self.encoded[o] = (None if rows is None
-                                   else self.graph.intern(mask, rows))
+            if not all(type(i) is int and i >= 1 for _, i in o.tokens):
+                x = None
+            else:
+                mask = self.graph.bits.mask(o.tokens)
+                rows = self.encode_relation(o.order, mask, mask)
+                x = None if rows is None else self.graph.intern(mask, rows)
+            self.encoded[o] = x
         return x
 
 
@@ -312,7 +307,8 @@ def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     codec = OIMCodec(net.oim_graph)
     start = codec.encode(o)
     if start is None:
-        raise NetError(f"order mentions foreign token in {o}")
+        raise NetError(f"token index not an int >= 1, or order mentions "
+                       f"foreign token, in {o}")
     return [codec.step(move) for move in codec.graph.successors(start)[0]]
 
 

@@ -170,14 +170,10 @@ class Canonicaliser:
             return triple
         c = self.canon.get(triple)
         if c is None:
-            lf, rf = self.least_relabel(left, right, beta)
-            if lf[1] is None and rf[1] is None:
-                c = triple
-            else:
-                rows = beta if lf[1] is None else [beta[i] for i in lf[1]]
-                c = (lf[0], rf[0], tuple(rows) if rf[2] is None else tuple(
-                    [image(row, rf[2]) for row in rows]))
-            self.canon[triple] = c
+            (lo, perm, _), (ro, _, bitmap) = self.least_relabel(left, right,
+                                                                beta)
+            c = self.canon[triple] = (lo, ro, tuple(
+                [image(beta[i], bitmap) for i in perm]))
         return c
 
     def shape(self, o: int) -> tuple:
@@ -206,20 +202,16 @@ class Canonicaliser:
         """(id, perm, bitmap) of OIM o with its tokens renamed, in the given
         order of their bit positions, to (place, 1), (place, 2), ... per
         place: perm lists the old positions in the new bit order, bitmap
-        sends old bits to new ones.  Both are None if no token is
-        renamed."""
+        sends old bits to new ones."""
         graph = self.graph
         mask, rows = graph.oims[o]
         tokens = graph.bits.tokens
         rank: dict[str, int] = {}
-        new = {}
+        bitmap = {}
         for v in order:
             p = tokens[v][0]
             rank[p] = rank.get(p, 0) + 1
-            new[1 << v] = (p, rank[p])
-        if all(new[1 << v] == tokens[v] for v in order):
-            return o, None, None
-        bitmap = {b: graph.bits.of(t) for b, t in new.items()}
+            bitmap[1 << v] = graph.bits.of((p, rank[p]))
         olds = sorted(bitmap, key=bitmap.__getitem__)
         perm = [(mask & (b - 1)).bit_count() for b in olds]
         return (graph.intern(sum(bitmap.values()), tuple(

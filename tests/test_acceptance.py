@@ -25,10 +25,10 @@ from netbisim import (
     validate_refutation, validate_witness,
 )
 from netbisim.cli import cli_main
-from netbisim.engine import _initial_triple
 from netbisim.randnets import CorpusConfig, random_instance
 
 from proc_checks import check_coherence, check_one_step_correspondence
+from test_engine import initial_triple
 
 CORPUS_SEED = 20260823
 
@@ -202,7 +202,7 @@ def test_criterion_8_witness_validity(fig1_net, parallel_choice_net):
         for net, m1, m2 in pairs:
             for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
                 verdict = decide(net, m1, m2, 4)
-                root = _initial_triple(m1, m2)
+                root = initial_triple(m1, m2)
                 if verdict.outcome == "equivalent":
                     assert verdict.witness is not None
                     assert validate_witness(net, verdict.witness, root, flavor)

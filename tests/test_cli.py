@@ -150,6 +150,13 @@ def test_explore_cap_zero_is_input_error(fig2_path, what, capsys):
     assert capsys.readouterr().err.strip() == "error: cap must be positive"
 
 
+def test_parse_error_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.pn"
+    path.write_text("net x y\n")
+    assert cli_main(["bound", "--cap", "2", str(path), "m"]) == 3
+    assert "line 1, column 7: trailing input" in capsys.readouterr().err
+
+
 def test_bound_prints_least_bound(fig2_path, capsys):
     assert cli_main(["bound", "--cap", "8", fig2_path, "m0"]) == 0
     assert capsys.readouterr().out.strip() == "5"

@@ -1,20 +1,30 @@
 import hashlib
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from netbisim import (
-    BoundExceededError, CorpusConfig, GameTriple, Limits, Multiset, OIMStep,
-    PTNet, Refutation, Transition, beta_update, corpus, decide_interleaving,
-    decide_oim, decide_oimc, deleted_condition_cn, deleted_condition_fc,
-    format_refutation, format_witness, oim_successors, validate_refutation,
-    validate_witness,
+    BoundExceededError, CorpusConfig, GameTriple, Limits, Multiset, NetError,
+    OIMStep, OrderedIndexedMarking, PTNet, Refutation, Transition,
+    beta_update, corpus, decide_interleaving, decide_oim, decide_oimc,
+    deleted_condition_cn, deleted_condition_fc, format_refutation,
+    format_witness, init_oim, initial_indexed, oim_successors, parse_net,
+    validate_refutation, validate_witness,
 )
-from netbisim.engine import _initial_triple
 
 from test_oracle import par
+
+NETS = Path(__file__).resolve().parent.parent / "nets"
+
+
+def initial_triple(m1, m2):
+    """The root of the fc/cn game for m1 and m2, from public names."""
+    k1, k2 = initial_indexed(m1), initial_indexed(m2)
+    return GameTriple(init_oim(k1), init_oim(k2),
+                      frozenset((a, b) for a in k1 for b in k2))
 
 
 def buffer(k):
@@ -166,7 +176,7 @@ def test_fig1_fc_equivalent(fig1_net):
     assert v.outcome == "equivalent"
     assert validate_witness(
         fig1_net, v.witness,
-        _initial_triple(Multiset.of("s1"), Multiset.of("s3")), "fc",
+        initial_triple(Multiset.of("s1"), Multiset.of("s3")), "fc",
     )
 
 
@@ -248,7 +258,7 @@ def test_refutation_serialization(fig1_net):
 def test_tampered_witness_rejected(fig1_net):
     m1, m2 = Multiset.of("s1"), Multiset.of("s3")
     v = decide_oim(fig1_net, m1, m2, 4)
-    root = _initial_triple(m1, m2)
+    root = initial_triple(m1, m2)
     smaller = frozenset(t for t in v.witness if t != root)
     assert not validate_witness(fig1_net, smaller, root, "fc")
     # dropping a non-root triple breaks closure too
@@ -264,7 +274,7 @@ def test_tampered_certificates_rejected():
     produces, also only by a pair that mentions a foreign token, fail
     validation."""
     net, m0 = buffer(2)
-    root = _initial_triple(m0, m0)
+    root = initial_triple(m0, m0)
     witness = decide_oim(net, m0, m0, 2).witness
     assert validate_witness(net, witness, root, "fc")
     foreign = ("nowhere", 1)
@@ -292,6 +302,66 @@ def test_tampered_certificates_rejected():
                                      beta=node.triple.beta | {(token, foreign)})),
     ):
         assert not validate_refutation(net, bad, "fc")
+
+
+def test_bad_token_index_is_rejected_and_numbers_nothing():
+    """A certificate token whose index is not an int >= 1, on a place that
+    has numbered tokens, fails validation, and oim_successors raises
+    NetError for a marking holding one.  Nothing is numbered for it, so a
+    later decision on the same net is unchanged."""
+    doc = parse_net((NETS / "fig2.pn").read_text())
+    net, m0 = doc.net, doc.marking("m0")
+    before = decide_oim(net, m0, m0, 8)
+    root = initial_triple(m0, m0)
+    tokens = root.left.tokens | {("s2", "x")}
+    odd = OrderedIndexedMarking(tokens, frozenset(
+        (a, b) for a in tokens for b in tokens))
+    with pytest.raises(NetError):
+        oim_successors(net, odd)
+    extra = GameTriple(odd, odd, frozenset())
+    assert not validate_witness(net, before.witness | {extra}, root, "fc")
+    after = decide_oim(net, m0, m0, 8)
+    assert after.stats["triples"] == before.stats["triples"]
+    assert digest(after) == digest(before)
+
+    doc = parse_net((NETS / "fig1.pn").read_text())
+    net, m1, m2 = doc.net, doc.marking("m_s1"), doc.marking("m_s3")
+    before = decide_oimc(net, m1, m2, 4)
+    triple = before.refutation.triple
+    tokens = triple.left.tokens | {("s1", "x")}
+    odd = OrderedIndexedMarking(tokens, frozenset(
+        (a, b) for a in tokens for b in tokens))
+    bad = replace(before.refutation, triple=replace(triple, left=odd))
+    assert not validate_refutation(net, bad, "cn")
+    after = decide_oimc(net, m1, m2, 4)
+    assert after.stats["triples"] == before.stats["triples"]
+    assert digest(after) == digest(before)
+
+
+def test_validators_reject_foreign_roots_and_wrong_successors(fig1_net):
+    """A witness root that names a token on an undeclared place, and a
+    refutation whose sub-node replays but names a foreign token or is not
+    the response's successor, fail validation."""
+    m1, m2 = Multiset.of("s1"), Multiset.of("s3")
+    root = initial_triple(m1, m2)
+    witness = decide_oim(fig1_net, m1, m2, 4).witness
+    assert validate_witness(fig1_net, witness, root, "fc")
+    ghost = replace(root, beta=root.beta | {(("s1", 1), ("ghost", 1))})
+    assert not validate_witness(fig1_net, witness, ghost, "fc")
+
+    ref = decide_oimc(fig1_net, m1, m2, 4).refutation
+    assert validate_refutation(fig1_net, ref, "cn")
+    (resp, sub), = ref.responses
+    assert sub.reason == "size-gate"
+    t = sub.triple
+    for bad in (
+        replace(t, beta=frozenset({(("s2", 1), ("ghost", 1))})),
+        GameTriple(t.right, t.left, frozenset()),
+    ):
+        gated = Refutation(bad, "size-gate")
+        assert validate_refutation(fig1_net, gated, "cn")
+        assert not validate_refutation(
+            fig1_net, replace(ref, responses=((resp, gated),)), "cn")
 
 
 def test_interleaving_terminates_with_many_blocks():
@@ -370,7 +440,7 @@ def test_deep_search_needs_no_recursion_limit(monkeypatch):
         v = decide(net, m1, m2, 1)
         assert v.outcome == "equivalent"
         assert v.stats["triples"] == 3000
-        assert validate_witness(net, v.witness, _initial_triple(m1, m2), flavor)
+        assert validate_witness(net, v.witness, initial_triple(m1, m2), flavor)
 
 
 def test_cyclic_refutation_rejected():
@@ -391,7 +461,7 @@ def test_cyclic_refutation_rejected():
                            right, resp.target.tokens - right, triple.beta)
         return attack, resp, GameTriple(attack.target, resp.target, beta)
 
-    _, _, full = only_move(_initial_triple(m0, m0))
+    _, _, full = only_move(initial_triple(m0, m0))
     get, get_resp, empty = only_move(full)
     put, put_resp, back = only_move(empty)
     assert back == full

@@ -83,6 +83,20 @@ def test_syntax_errors_carry_position():
         parse_net("places s1\n")  # missing net directive
 
 
+@pytest.mark.parametrize("text,line,col,msg", [
+    ("net\n", 1, 4, "expected a token"),
+    ("net n\nplaces s1\ntrans t x s1 -> s1\n", 3, 11, "expected ':'"),
+    ("net n\nplaces 1p\n", 2, 10, "bad place '1p'"),
+    ("net n\nnet m\n", 2, 4, "duplicate net directive"),
+    ("net x y\n", 1, 7, "trailing input"),
+])
+def test_parse_error_positions(text, line, col, msg):
+    with pytest.raises(ParseError) as exc:
+        parse_net(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value).endswith(msg)
+
+
 def test_round_trip():
     for text in (FIG1_TEXT, FIG2_TEXT):
         doc = parse_net(text)

@@ -17,10 +17,9 @@ from netbisim import (
     PTNet, Refutation, decide_oim, decide_oimc, initial_indexed, oim_space,
     reachable_oim, validate_refutation, validate_witness,
 )
-from netbisim.engine import _initial_triple
 from netbisim.randnets import mutation_corpus
 
-from test_engine import alarm_pair, buffer, digest
+from test_engine import alarm_pair, buffer, digest, initial_triple
 from test_symmetry import certified
 
 DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
@@ -60,7 +59,7 @@ def tamper(net: PTNet, m1: Multiset, m2: Multiset, flavor: str):
     an undeclared place and the second token of each place, so that the
     net's graph numbers these before any first token.  The refutation's
     attack is not a move, so it fails."""
-    root = _initial_triple(m1, m2)
+    root = initial_triple(m1, m2)
     tokens = frozenset([("ghost", 1)] + [(p, 2) for p in net.places])
     left = OrderedIndexedMarking(tokens, frozenset(
         (a, b) for a in tokens for b in tokens))

@@ -13,11 +13,11 @@ from netbisim import (
     PTNet, Transition, decide_interleaving, decide_oim, decide_oimc,
     validate_refutation, validate_witness,
 )
-from netbisim.engine import _initial_triple, _Search
+from netbisim.engine import _Search
 from netbisim.indexed import is_closed
 from netbisim.randnets import mutation_corpus, mutation_instance
 
-from test_engine import buffer
+from test_engine import buffer, initial_triple
 
 DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
 
@@ -201,7 +201,7 @@ def decide_both(net, m1, m2, cap, flavor, monkeypatch):
 
 def certified(net, m1, m2, flavor, verdict) -> bool:
     if verdict.witness is not None:
-        return validate_witness(net, verdict.witness, _initial_triple(m1, m2),
+        return validate_witness(net, verdict.witness, initial_triple(m1, m2),
                                 flavor)
     return validate_refutation(net, verdict.refutation, flavor)
 
@@ -237,7 +237,7 @@ def test_buf6_decides_on_few_triples(flavor):
     v = DECIDERS[flavor](net, m0, m0, 6)
     assert v.outcome == "equivalent"
     assert v.stats["triples"] <= 200
-    assert validate_witness(net, v.witness, _initial_triple(m0, m0), flavor)
+    assert validate_witness(net, v.witness, initial_triple(m0, m0), flavor)
 
 
 def test_mutation_tier_agrees_with_unreduced_game(monkeypatch):
