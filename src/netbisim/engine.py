@@ -11,11 +11,12 @@ the winning set is self-supporting (a bisimulation), and refutations share
 the node of every triple they cite.
 
 The game runs on ints (`_Search`), over the markings of the net's
-`ordered.OIMGraph` (`PTNet.oim_graph`): each token is a bit of its
-`TokenBits` numbering, a token set is a mask, and the preorder of a
-marking and beta are rows of masks, one per token.  The graph interns
-each distinct ordered indexed marking to an id, so a triple is (left id,
-right id, beta rows), and builds each marking's moves once, bucketed by
+`ordered.OIMGraph` (`PTNet.oim_graph`): a marking is its sorted token
+tuple, each token is its position there, a token set is a mask of
+positions, and the preorder of a marking and beta are rows of masks, one
+per token.  The graph interns each distinct ordered indexed marking to an
+id, so a triple is (left id, right id, beta rows, over the right
+marking's positions), and builds each marking's moves once, bucketed by
 label.  It is built once per net object and kept with it: the fc and cn
 deciders and both validators, called on one net in any order, play on
 the same ints and moves, each holding the graph's lock, so that calls
@@ -48,10 +49,10 @@ from functools import cache
 from typing import Literal, Optional
 
 from .nets import Multiset, PTNet
-from .indexed import Token, TokenBits
+from .indexed import Token
 from .ordered import (
     OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
-    holding_graph,
+    holding_graph, step_rows,
 )
 from .symmetry import Canonicaliser
 
@@ -142,11 +143,12 @@ class ResourceLimitReached(Exception):
         self.limit = limit
 
 
-def _next_beta(beta: tuple, plan: tuple, untouched: int, created: int) -> tuple:
+def _next_beta(beta: tuple, plan: tuple, remap: dict, created: int) -> tuple:
     """beta on masks: the row of each left target token is its source row
-    restricted to the untouched right tokens, or, if the left firing
-    created it, all tokens the right firing created."""
-    return tuple([beta[i] & untouched if i >= 0 else created for i in plan])
+    sent through the right move's remap, which drops the deleted right
+    tokens, or, if the left firing created it, all tokens the right firing
+    created.  The images are stored in the remap (`ordered.Remap`)."""
+    return tuple([remap[beta[i]] if i >= 0 else created for i in plan])
 
 
 def _fc_holds(beta: tuple, left: tuple, right_removed: int, right: tuple) -> bool:
@@ -228,14 +230,14 @@ def _deleted_masks(removed1, removed2, leq1, leq2, beta) -> tuple:
 def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> Beta:
     """beta' = beta restricted to untouched x untouched, plus all pairs of
     freshly generated tokens."""
-    bits = TokenBits()
-    left, right = bits.mask(untouched1), bits.mask(untouched2)
-    target = left | bits.mask(generated1)
-    plan = tuple((left & (b - 1)).bit_count() if b & left else -1
-                 for b in map(bits.of, bits.decode(target)))
-    rows = _next_beta(encode_rows(bits, left, beta, right), plan, right,
-                      bits.mask(generated2))
-    return decode_rows(bits, target, rows, {})
+    left, right = tuple(sorted(untouched1)), tuple(sorted(untouched2))
+    kept = [(a, b) for a, b in beta if a in untouched1 and b in untouched2]
+    target1, _, plan, _, _ = step_rows(left, (0,) * len(left), 0,
+                                       tuple(sorted(generated1)))
+    target2, _, _, remap, made = step_rows(right, (0,) * len(right), 0,
+                                           tuple(sorted(generated2)))
+    rows = _next_beta(encode_rows(left, kept, right), plan, remap, made)
+    return decode_rows(target1, rows, target2, {})
 
 
 def deleted_condition_fc(removed1, removed2, leq1, leq2, beta: Beta) -> bool:
@@ -273,8 +275,7 @@ class _Search(Canonicaliser):
         tells the tokens of a place apart, so it is its own canonical
         triple."""
         left, right = self.graph.initial(m1), self.graph.initial(m2)
-        oims = self.graph.oims
-        return left, right, (oims[right][0],) * oims[left][0].bit_count()
+        return left, right, ((1 << m2.size) - 1,) * m1.size
 
     def _tick(self):
         self.explored += 1
@@ -298,7 +299,7 @@ class _Search(Canonicaliser):
             left, right = (attack, resp) if attacker_left else (resp, attack)
             if holds(beta, left[3], right[2], right[3]):
                 yield resp, canonical((left[4], right[4], _next_beta(
-                    beta, left[7], right[5], right[6])))
+                    beta, left[6], right[7], right[5])))
 
     def evaluate(self, triple: tuple):
         """Play one triple: yield each successor triple whose value is
@@ -307,8 +308,8 @@ class _Search(Canonicaliser):
         if the triple survives, otherwise its refutation node."""
         left, right, _ = triple
         graph = self.graph
-        if (self.flavor == "cn" and graph.oims[left][0].bit_count()
-                != graph.oims[right][0].bit_count()):
+        if (self.flavor == "cn" and len(graph.oims[left][0])
+                != len(graph.oims[right][0])):
             return Refutation(triple, "size-gate")
         left_moves, left_labels = graph.successors(left)
         right_moves, right_labels = graph.successors(right)
@@ -373,27 +374,31 @@ class _Search(Canonicaliser):
         left, right, beta = t
         codec = self.codec
         return GameTriple(codec.oim(left), codec.oim(right),
-                          codec.relation(self.graph.oims[left][0], beta))
+                          codec.relation(left, beta, right))
 
     def refutation(self, root: Refutation) -> Refutation:
         """The refutation DAG below root, its triples and moves decoded."""
         step = self.codec.step
         new: dict[int, Refutation] = {}
         for node in root.nodes():
+            left, right, _ = node.triple
+            attacker, defender = ((left, right) if node.side == "left"
+                                  else (right, left))
             new[id(node)] = Refutation(
                 self.triple(node.triple), node.reason, node.side,
-                None if node.attacker is None else step(node.attacker),
-                tuple((step(resp), new[id(sub)])
+                None if node.attacker is None
+                else step(attacker, node.attacker),
+                tuple((step(defender, resp), new[id(sub)])
                       for resp, sub in node.responses))
         return new[id(root)]
 
     def encode(self, t: GameTriple) -> Optional[tuple]:
         """The int triple of t, or None if it mentions a foreign token."""
-        codec, oims = self.codec, self.graph.oims
+        codec = self.codec
         left, right = codec.encode(t.left), codec.encode(t.right)
         if left is None or right is None:
             return None
-        beta = codec.encode_relation(t.beta, oims[left][0], oims[right][0])
+        beta = codec.encode_relation(t.beta, left, right)
         return None if beta is None else (left, right, beta)
 
 
@@ -529,11 +534,11 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         attacker_left = node.side == "left"
         attacker, defender = t[:2] if attacker_left else t[1::-1]
         attack = next((m for m in graph.successors(attacker)[0]
-                       if step(m) == node.attacker), None)
+                       if step(attacker, m) == node.attacker), None)
         if attack is None:
             return False
         admissible = {
-            step(resp): nxt
+            step(defender, resp): nxt
             for resp, nxt in helper.admissible(
                 t, attack, attacker_left, graph.successors(defender)[1])
         }

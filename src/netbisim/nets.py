@@ -10,7 +10,7 @@ consume from a marked place, and one breadth-first search
 So the cost of a state grows with its tokens and the transitions they
 feed, not with the size of the net.  `reachable`, the bound check of the
 deciders and of `reachable_im` / `reachable_oim`, `decide_interleaving`,
-the game's `TokenBits.firings` and the CLI all run on the kernel;
+the game's `indexed.firings` and the CLI all run on the kernel;
 `Multiset` markings are its boundary format.  The ordered token game of
 the fc/cn deciders is built on the kernel, also once per net object
 (`PTNet.oim_graph`).

@@ -7,31 +7,34 @@ The preorder records precedence in token generation.  After a firing:
   3. an untouched token precedes every generated token iff it preceded,
      in the pre-firing order, some token the firing deleted.
 
-The update is computed on int masks (`step_rows`): a token set is a mask
-over a `TokenBits` numbering, and the preorder is one up-set mask per
-token.  `OIMGraph` is the ordered token game of one net on ints: it
-interns each marking once and builds its moves once.  Each net object
-builds one, on first use (`PTNet.oim_graph`), and every fc/cn search,
-canonical form, validator, `oim_successors` and `reachable_oim` call on
-that net plays on it, so a marking's moves are built once however many
-calls reach it.  The graph keeps ints and moves only: the token
-numbering, the interned markings and their move lists.  It does not keep
-what one call makes: `OIMCodec`, which decodes markings and moves to the
-public types and encodes them back, and the search's canonical memo live
-as long as their call.  Nor does it hold the net, only its kernel and
-transitions, so it is freed with the net by reference counting.  A net
-built anew, even an equal one, shares nothing with another.
+The update is computed on positions (`step_rows`): a marking is the
+sorted tuple of its tokens, a token is its position there, a token set is
+an int mask of positions, and the preorder is one up-set mask per token.
+No numbering reaches past one marking: a move maps the positions of its
+source to those of its target.  `OIMGraph` is the ordered token game of
+one net on ints: it interns each marking once and builds its moves once.
+Each net object builds one, on first use (`PTNet.oim_graph`), and every
+fc/cn search, canonical form, validator, `oim_successors` and
+`reachable_oim` call on that net plays on it, so a marking's moves are
+built once however many calls reach it.  The graph keeps the interned
+markings and their move lists only.  It does not keep what one call
+makes: `OIMCodec`, which decodes markings and moves to the public types
+and encodes them back, and the search's canonical memo live as long as
+their call.  Nor does it hold the net, only its kernel and transitions,
+so it is freed with the net by reference counting.  A net built anew,
+even an equal one, shares nothing with another.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import wraps
 from typing import Optional
 
 from .nets import Multiset, NetError, PTNet
-from .indexed import IndexedMarking, TokenBits, alpha, is_closed
+from .indexed import IndexedMarking, alpha, firings, is_closed, pick
 
 
 @dataclass(frozen=True)
@@ -68,65 +71,96 @@ class OIMStep:
     target: OrderedIndexedMarking
 
 
-def step_rows(mask: int, rows: tuple, removed: int,
-              created: int) -> tuple[int, tuple, tuple]:
-    """The order update on masks.  `rows[i]` is the up-set mask of the i-th
-    token of `mask` in bit order.  Returns the target mask, its rows and its
-    plan: for each target token in bit order, its position in `mask`, or -1
-    if the firing created it."""
-    untouched = mask & ~removed
-    target = untouched | created
-    new_rows = []
+def shifted(x: int, gone: list, made: list) -> int:
+    """The mask x of source positions as target positions: the bits of
+    `gone`, deleted positions in descending order, are dropped, and a zero
+    bit opens at each of `made`, created target positions in ascending
+    order.  Untouched tokens keep their relative order, so this is the map
+    of a move on the positions it leaves."""
+    for i in gone:
+        x = x & ((1 << i) - 1) | (x >> (i + 1)) << i
+    for j in made:
+        x = x & ((1 << j) - 1) | (x >> j) << (j + 1)
+    return x
+
+
+class Remap(dict):
+    """`shifted` for one move, as a memo: subscripted with a source mask,
+    it gives the mask's image and stores it."""
+
+    __slots__ = ("gone", "made")
+
+    def __missing__(self, x: int) -> int:
+        y = self[x] = shifted(x, self.gone, self.made)
+        return y
+
+
+def step_rows(tokens: tuple, rows: tuple, removed: int,
+              created: tuple) -> tuple[tuple, tuple, tuple, Remap, int]:
+    """The order update on positions.  `rows[i]` is the up-set mask of
+    tokens[i], `removed` the mask of the deleted positions and `created`
+    the sorted tokens the firing makes.  Returns the target tokens, their
+    rows, the plan (for each target position, its source position, or -1
+    if the firing created it), the `Remap` of the move and the mask of the
+    created target positions."""
+    target = []
     plan = []
-    rest = target
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if low & untouched:
-            i = (mask & (low - 1)).bit_count()
-            up = rows[i]
-            # Clause (3) is evaluated against the pre-firing order.
-            new_rows.append(up & untouched | (created if up & removed else 0))
-            plan.append(i)
+    gone = []
+    for i, tok in enumerate(tokens):
+        if removed >> i & 1:
+            gone.append(i)
         else:
-            new_rows.append(created)
-            plan.append(-1)
-    return target, tuple(new_rows), tuple(plan)
+            target.append(tok)
+            plan.append(i)
+    gone.reverse()
+    opened = []
+    made = 0
+    for tok in created:
+        j = bisect_left(target, tok)
+        target.insert(j, tok)
+        plan.insert(j, -1)
+        opened.append(j)
+        made |= 1 << j
+    remap = Remap()
+    remap.gone = gone
+    remap.made = opened
+    # Clause (3) is evaluated against the pre-firing order.
+    new_rows = tuple([made if i < 0 else shifted(rows[i], gone, opened) | (
+        made if rows[i] & removed else 0) for i in plan])
+    return tuple(target), new_rows, tuple(plan), remap, made
 
 
-def encode_rows(bits: TokenBits, mask: int, pairs, within: int) -> tuple:
-    """The rows of a relation from the tokens of mask to those of within:
-    rows[i] is the mask of the tokens the i-th token of mask is related to.
-    Pairs that mention other tokens are dropped."""
-    rows = [0] * mask.bit_count()
-    bit = bits.bit
+def encode_rows(tokens: tuple, pairs, within: tuple) -> Optional[tuple]:
+    """The rows of a relation from the sorted tuple tokens to the sorted
+    tuple within: rows[i] is the mask of the positions of within that
+    tokens[i] is related to.  None if a pair names another token."""
+    at = {tok: i for i, tok in enumerate(tokens)}
+    to = at if within is tokens else {tok: j for j, tok in enumerate(within)}
+    rows = [0] * len(tokens)
     for a, b in pairs:
-        ba, bb = bit.get(a, 0), bit.get(b, 0)
-        if ba & mask and bb & within:
-            rows[(mask & (ba - 1)).bit_count()] |= bb
+        i, j = at.get(a), to.get(b)
+        if i is None or j is None:
+            return None
+        rows[i] |= 1 << j
     return tuple(rows)
 
 
-def decode_rows(bits: TokenBits, mask: int, rows: tuple,
-                 pairs: dict) -> frozenset:
-    """The relation of rows as token pairs.  Pairs are shared through
-    `pairs`: bit of a -> bit of b -> (a, b)."""
-    tokens = bits.tokens
+def decode_rows(tokens: tuple, rows: tuple, within: tuple,
+                pairs: dict) -> frozenset:
+    """The relation of `encode_rows` rows as token pairs.  Equal pairs are
+    one object, shared through `pairs`: token a -> token b -> (a, b)."""
     out = []
-    rest = mask
-    for up in rows:
-        a = rest & -rest
-        rest ^= a
+    for a, up in zip(tokens, rows):
         known = pairs.get(a)
         if known is None:
             known = pairs[a] = {}
         while up:
             b = up & -up
             up ^= b
-            pair = known.get(b)
+            tb = within[b.bit_length() - 1]
+            pair = known.get(tb)
             if pair is None:
-                pair = known[b] = (tokens[a.bit_length() - 1],
-                                   tokens[b.bit_length() - 1])
+                pair = known[tb] = (a, tb)
             out.append(pair)
     return frozenset(out)
 
@@ -137,55 +171,62 @@ def _step_order(
     generated: frozenset,
     removed: frozenset,
 ) -> frozenset:
-    bits = TokenBits()
-    gone = bits.mask(removed)
-    mask = bits.mask(untouched) | gone
-    target, rows, _ = step_rows(mask, encode_rows(bits, mask, old, mask),
-                                gone, bits.mask(generated))
-    return decode_rows(bits, target, rows, {})
+    tokens = tuple(sorted(untouched | removed))
+    gone = sum(1 << i for i, tok in enumerate(tokens) if tok in removed)
+    target, rows, *_ = step_rows(tokens, encode_rows(tokens, old, tokens),
+                                 gone, tuple(sorted(generated)))
+    return decode_rows(target, rows, target, {})
 
 
 _MISSING = object()
 
 
+def _is_token(tok) -> bool:
+    return (type(tok) is tuple and len(tok) == 2 and type(tok[0]) is str
+            and type(tok[1]) is int and tok[1] >= 1)
+
+
 class OIMGraph:
-    """The ordered token game of a net on ints.  Tokens are bits of `bits`,
-    numbered on first use; each distinct marking (mask, rows), where
-    rows[i] is the up-set mask of the i-th token of mask in bit order, is
-    interned to an id in the order it is found.  A move is the tuple
+    """The ordered token game of a net on ints.  Each distinct marking
+    (tokens, rows), its sorted token tuple and the up-set mask of each of
+    its positions, is interned to an id in the order it is found.  A move
+    is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
-         untouched mask, created mask, plan)
+         created mask, plan, remap)
 
     built once per marking, with a (position, bit, up-set) entry per
-    deleted token and the plan of `step_rows`.  The graph grows with the
-    calls that play on it; what a call decodes lives in its `OIMCodec`.
-    A call holds `lock` while it plays (`holding_graph`)."""
+    deleted token and the created mask, plan and remap of `step_rows`;
+    masks before the target id are over the source's positions, the
+    created mask over the target's.  The graph grows with the calls that
+    play on it; what a call decodes lives in its `OIMCodec`.  A call
+    holds `lock` while it plays (`holding_graph`), which also guards the
+    images stored in a move's `Remap`."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
         self.transitions = net.transitions
         self.lock = threading.RLock()
-        self.bits = TokenBits()
-        self.ids: dict[tuple, int] = {}  # (mask, rows) -> id
-        self.oims: list[tuple] = []  # id -> (mask, rows)
+        self.ids: dict[tuple, int] = {}  # (tokens, rows) -> id
+        self.oims: list[tuple] = []  # id -> (tokens, rows)
+        self.plain: list[bool] = []  # id -> every token has index 1
         self.moves: list = []  # id -> (moves, moves by label), or None
 
-    def intern(self, mask: int, rows: tuple) -> int:
-        key = (mask, rows)
+    def intern(self, tokens: tuple, rows: tuple) -> int:
+        key = (tokens, rows)
         o = self.ids.get(key)
         if o is None:
             o = self.ids[key] = len(self.oims)
             self.oims.append(key)
+            self.plain.append(all(i == 1 for _, i in tokens))
             self.moves.append(None)
         return o
 
     def initial(self, m: Multiset) -> int:
         """The id of init_oim of the closed indexed marking of m: every
         token precedes every token."""
-        k = self.bits.mask([(p, i) for p, n in m.items()
-                            for i in range(1, n + 1)])
-        return self.intern(k, (k,) * k.bit_count())
+        tokens = tuple((p, i) for p, n in m.items() for i in range(1, n + 1))
+        return self.intern(tokens, ((1 << len(tokens)) - 1,) * len(tokens))
 
     def successors(self, o: int) -> tuple:
         """(moves, moves by label) from marking o: transitions in
@@ -193,22 +234,16 @@ class OIMGraph:
         tokens."""
         entry = self.moves[o]
         if entry is None:
-            mask, rows = self.oims[o]
+            tokens, rows = self.oims[o]
             moves, by_label = [], {}
-            for t, removed, created in self.bits.firings(
-                    self.kernel, self.transitions, mask):
-                target, target_rows, plan = step_rows(mask, rows, removed,
-                                                      created)
-                deleted = []
-                rest = removed
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    i = (mask & (b - 1)).bit_count()
-                    deleted.append((i, b, rows[i]))
-                move = (t.label, t.tid, removed, tuple(deleted),
-                        self.intern(target, target_rows), mask & ~removed,
-                        created, plan)
+            for t, removed, created in firings(self.kernel, self.transitions,
+                                               tokens):
+                target, target_rows, plan, remap, made = step_rows(
+                    tokens, rows, removed, created)
+                deleted = tuple([(i, 1 << i, rows[i])
+                                 for i in reversed(remap.gone)])
+                move = (t.label, t.tid, removed, deleted,
+                        self.intern(target, target_rows), made, plan, remap)
                 moves.append(move)
                 by_label.setdefault(t.label, []).append(move)
             entry = self.moves[o] = (moves, by_label)
@@ -230,70 +265,71 @@ class OIMCodec:
     """The markings and moves of an `OIMGraph` as the public types, and
     back, for one call.  Decoded markings and token pairs are shared, so
     that equal parts of a certificate are one object; relations and steps
-    are decoded anew each time.  Encoding numbers the tokens it meets and
-    interns the markings in the graph."""
+    are decoded anew each time.  Encoding interns the markings in the
+    graph."""
 
     def __init__(self, graph: OIMGraph):
         self.graph = graph
         self.pairs: dict = {}  # token pairs, shared by every decoded relation
         self.decoded: dict[int, OrderedIndexedMarking] = {}
-        # OrderedIndexedMarking -> id and (pairs, mask, within) -> rows,
-        # each None where a token index is bad or a pair mentions a
-        # foreign token
+        # OrderedIndexedMarking -> id and (pairs, id, id) -> rows, each
+        # None where a token is malformed or a pair names a foreign token
         self.encoded: dict = {}
         self.encoded_relations: dict = {}
 
-    def relation(self, mask: int, rows: tuple) -> frozenset:
-        """The token pairs of rows over the tokens of mask."""
-        return decode_rows(self.graph.bits, mask, rows, self.pairs)
+    def relation(self, a: int, rows: tuple, b: int) -> frozenset:
+        """The token pairs of rows from the tokens of marking a to those
+        of marking b."""
+        oims = self.graph.oims
+        return decode_rows(oims[a][0], rows, oims[b][0], self.pairs)
 
     def oim(self, o: int) -> OrderedIndexedMarking:
         x = self.decoded.get(o)
         if x is None:
-            mask, rows = self.graph.oims[o]
+            tokens, rows = self.graph.oims[o]
             x = self.decoded[o] = OrderedIndexedMarking(
-                frozenset(self.graph.bits.decode(mask)),
-                self.relation(mask, rows))
+                frozenset(tokens), self.relation(o, rows, o))
         return x
 
-    def step(self, move: tuple) -> OIMStep:
-        return OIMStep(move[1], frozenset(self.graph.bits.decode(move[2])),
-                       self.oim(move[4]))
+    def step(self, o: int, move: tuple) -> OIMStep:
+        """The move of marking o as an `OIMStep`."""
+        return OIMStep(move[1], frozenset(pick(self.graph.oims[o][0],
+                                               move[2])), self.oim(move[4]))
 
-    def encode_relation(self, pairs: frozenset, mask: int,
-                        within: int) -> Optional[tuple]:
-        """The rows of pairs from the tokens of mask to those of within, or
-        None if a pair mentions another token."""
-        key = (pairs, mask, within)
+    def encode_relation(self, pairs: frozenset, a: int,
+                        b: int) -> Optional[tuple]:
+        """The rows of pairs from the tokens of marking a to those of
+        marking b, or None if a pair names another token."""
+        key = (pairs, a, b)
         rows = self.encoded_relations.get(key, _MISSING)
         if rows is _MISSING:
-            rows = encode_rows(self.graph.bits, mask, pairs, within)
-            rows = self.encoded_relations[key] = (
-                rows if sum(r.bit_count() for r in rows) == len(pairs)
-                else None)
+            oims = self.graph.oims
+            rows = self.encoded_relations[key] = encode_rows(
+                oims[a][0], pairs, oims[b][0])
         return rows
 
     def encode(self, o: OrderedIndexedMarking) -> Optional[int]:
-        """The id of o, or None if a token's index is not an int >= 1 or
-        its order mentions a foreign token.  Nothing is numbered for a
-        marking with such an index."""
+        """The id of o, or None if a token is not a (str place, int index
+        >= 1) pair or its order names a foreign token.  The tokens are
+        checked before they are sorted, so that no mix of types is
+        compared."""
         x = self.encoded.get(o, _MISSING)
         if x is _MISSING:
-            if not all(type(i) is int and i >= 1 for _, i in o.tokens):
-                x = None
-            else:
-                mask = self.graph.bits.mask(o.tokens)
-                rows = self.encode_relation(o.order, mask, mask)
-                x = None if rows is None else self.graph.intern(mask, rows)
+            x = None
+            if all(map(_is_token, o.tokens)):
+                tokens = tuple(sorted(o.tokens))
+                rows = encode_rows(tokens, o.order, tokens)
+                if rows is not None:
+                    x = self.graph.intern(tokens, rows)
             self.encoded[o] = x
         return x
 
 
 def holding_graph(fn):
     """fn(net, ...) run holding the lock of the net's `OIMGraph`.  The
-    calls on a net share its graph, and numbering a token or interning a
-    marking is a read-modify-write, so calls from several threads take
-    turns."""
+    calls on a net share its graph, and interning a marking or storing an
+    image in a move's remap is a read-modify-write, so calls from several
+    threads take turns."""
     @wraps(fn)
     def call(net: PTNet, *args, **kwargs):
         with net.oim_graph.lock:
@@ -307,9 +343,10 @@ def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     codec = OIMCodec(net.oim_graph)
     start = codec.encode(o)
     if start is None:
-        raise NetError(f"token index not an int >= 1, or order mentions "
-                       f"foreign token, in {o}")
-    return [codec.step(move) for move in codec.graph.successors(start)[0]]
+        raise NetError(f"token not a (place, index >= 1) pair, or order "
+                       f"mentions foreign token, in {o}")
+    return [codec.step(start, move)
+            for move in codec.graph.successors(start)[0]]
 
 
 def _oim_walk(net: PTNet, k0: IndexedMarking, cap: int) -> tuple:
@@ -336,5 +373,5 @@ def oim_space(net: PTNet, k0: IndexedMarking, cap: int) -> dict:
     `oim_successors`, decoded from the moves of the walk that found it."""
     codec, found = _oim_walk(net, k0, cap)
     successors = codec.graph.successors
-    return {codec.oim(o): [codec.step(move) for move in successors(o)[0]]
+    return {codec.oim(o): [codec.step(o, move) for move in successors(o)[0]]
             for o in found}

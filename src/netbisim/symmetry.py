@@ -18,12 +18,10 @@ remaining cells are split by individualising a vertex at a time, keeping
 the least-coded leaf and skipping the twins of tried vertices.
 
 `Canonicaliser` reads the markings of the `ordered.OIMGraph` the search
-plays on and interns the renamed markings there.  Vertices are bit
-positions and sets of them are int masks.  The canonical form depends
-only on token names and relations, never on the bit order of the graph's
-`TokenBits` numbering: the calls on a net share its graph, so the order
-in which tokens are numbered depends on which calls came first.  The
-memo of canonical triples is the search's own and goes with it.
+plays on and interns the renamed markings there.  The vertices are the
+positions of the left tokens, then those of the right tokens offset by
+the left side's size, and sets of them are int masks.  The memo of
+canonical triples is the search's own and goes with it.
 """
 
 from __future__ import annotations
@@ -164,79 +162,68 @@ class Canonicaliser:
         that the triples differing by such a renaming share.  A triple
         whose tokens all have index 1 (no place holds two) is its own."""
         left, right, beta = triple
-        graph = self.graph
-        oims = graph.oims
-        if not (oims[left][0] | oims[right][0]) & ~graph.bits.firsts:
+        plain = self.graph.plain
+        if plain[left] and plain[right]:
             return triple
         c = self.canon.get(triple)
         if c is None:
-            (lo, perm, _), (ro, _, bitmap) = self.least_relabel(left, right,
-                                                                beta)
-            c = self.canon[triple] = (lo, ro, tuple(
-                [image(beta[i], bitmap) for i in perm]))
+            c = self.canon[triple] = self.least_relabel(left, right, beta)
         return c
 
     def shape(self, o: int) -> tuple:
-        """(up, down, cells) of OIM o, over the bit positions of its tokens:
+        """(up, down, cells) of OIM o, over the positions of its tokens:
         up[v] and down[v] are the masks of the tokens above and below the
-        token of bit v, and cells are the masks of its places' tokens, in
-        place order."""
-        mask, rows = self.graph.oims[o]
-        tokens = self.graph.bits.tokens
-        up = [0] * len(tokens)
+        token at v, and cells are the masks of its places' tokens, the
+        runs of equal places, in place order."""
+        tokens, rows = self.graph.oims[o]
         down = [0] * len(tokens)
-        by_place: dict[str, int] = {}
-        for row in rows:
-            b = mask & -mask
-            mask ^= b
-            v = b.bit_length() - 1
-            up[v] = row
-            by_place[tokens[v][0]] = by_place.get(tokens[v][0], 0) | b
+        cells: list[int] = []
+        for v, row in enumerate(rows):
+            b = 1 << v
             while row:
                 c = row & -row
                 row ^= c
                 down[c.bit_length() - 1] |= b
-        return up, down, [by_place[p] for p in sorted(by_place)]
+            if v and tokens[v][0] == tokens[v - 1][0]:
+                cells[-1] |= b
+            else:
+                cells.append(b)
+        return list(rows), down, cells
 
     def relabel(self, o: int, order: list) -> tuple:
-        """(id, perm, bitmap) of OIM o with its tokens renamed, in the given
-        order of their bit positions, to (place, 1), (place, 2), ... per
-        place: perm lists the old positions in the new bit order, bitmap
-        sends old bits to new ones."""
-        graph = self.graph
-        mask, rows = graph.oims[o]
-        tokens = graph.bits.tokens
-        rank: dict[str, int] = {}
-        bitmap = {}
-        for v in order:
-            p = tokens[v][0]
-            rank[p] = rank.get(p, 0) + 1
-            bitmap[1 << v] = graph.bits.of((p, rank[p]))
-        olds = sorted(bitmap, key=bitmap.__getitem__)
-        perm = [(mask & (b - 1)).bit_count() for b in olds]
-        return (graph.intern(sum(bitmap.values()), tuple(
-            [image(rows[i], bitmap) for i in perm])), perm, bitmap)
+        """(id, bitmap) of OIM o with the token at order[j] moved to
+        position j and renamed to (place, 1), (place, 2), ... per place:
+        bitmap sends old bits to new ones.  Refinement and individualisation
+        split cells in place, so an order of `least_order` keeps each
+        place's tokens together, in place order, and position j still
+        holds a token of the place of tokens[j]: the renamed tokens are the
+        closed tokens of o's places, already sorted."""
+        tokens, rows = self.graph.oims[o]
+        closed = []
+        for p, _ in tokens:
+            closed.append((p, closed[-1][1] + 1 if closed and closed[-1][0] == p
+                           else 1))
+        bitmap = {1 << v: 1 << j for j, v in enumerate(order)}
+        return (self.graph.intern(tuple(closed), tuple(
+            [image(rows[v], bitmap) for v in order])), bitmap)
 
     def least_relabel(self, left: int, right: int, beta: tuple) -> tuple:
-        """The `relabel`s of both sides by `least_order` on the digraph of
-        both orders and beta, whose vertices are the bit positions v of the
-        left tokens and v + n of the right ones, for the n tokens
-        numbered."""
+        """The triple relabelled on both sides by `least_order` on the
+        digraph of both orders and beta, whose vertices are the positions v
+        of the left tokens and v + n of the right ones, for the n left
+        tokens."""
         (lup, ldown, lcells), (rup, rdown, rcells) = (self.shape(left),
                                                       self.shape(right))
         n = len(lup)
         out = lup + [x << n for x in rup]
         inn = ldown + [x << n for x in rdown]
-        mask = self.graph.oims[left][0]
-        for row in beta:
-            b = mask & -mask
-            mask ^= b
-            out[b.bit_length() - 1] |= row << n
+        for v, row in enumerate(beta):
+            out[v] |= row << n
             while row:
                 c = row & -row
                 row ^= c
-                inn[n + c.bit_length() - 1] |= b
+                inn[n + c.bit_length() - 1] |= 1 << v
         order = least_order(lcells + [c << n for c in rcells], out, inn)
-        k = len(beta)
-        return (self.relabel(left, order[:k]),
-                self.relabel(right, [v - n for v in order[k:]]))
+        lo, _ = self.relabel(left, order[:n])
+        ro, bitmap = self.relabel(right, [v - n for v in order[n:]])
+        return lo, ro, tuple([image(beta[v], bitmap) for v in order[:n]])

@@ -306,9 +306,9 @@ def test_tampered_certificates_rejected():
 
 def test_bad_token_index_is_rejected_and_numbers_nothing():
     """A certificate token whose index is not an int >= 1, on a place that
-    has numbered tokens, fails validation, and oim_successors raises
-    NetError for a marking holding one.  Nothing is numbered for it, so a
-    later decision on the same net is unchanged."""
+    holds other tokens, fails validation, and oim_successors raises
+    NetError for a marking holding one.  Nothing of it stays in the net's
+    graph, so a later decision on the same net is unchanged."""
     doc = parse_net((NETS / "fig2.pn").read_text())
     net, m0 = doc.net, doc.marking("m0")
     before = decide_oim(net, m0, m0, 8)
@@ -334,6 +334,32 @@ def test_bad_token_index_is_rejected_and_numbers_nothing():
     bad = replace(before.refutation, triple=replace(triple, left=odd))
     assert not validate_refutation(net, bad, "cn")
     after = decide_oimc(net, m1, m2, 4)
+    assert after.stats["triples"] == before.stats["triples"]
+    assert digest(after) == digest(before)
+
+
+@pytest.mark.parametrize("bad", [("s1",), ("s1", 1, 2), (5, 1), "xy"],
+                         ids=["short", "long", "int-place", "str"])
+def test_malformed_certificate_token_is_rejected(bad):
+    """A certificate token that is not a (str place, int index) pair, added
+    to a marking of a fig2 witness, makes the validators return False and
+    oim_successors raise NetError, however it would sort against the
+    other tokens.  A later decision on the same net is unchanged."""
+    doc = parse_net((NETS / "fig2.pn").read_text())
+    net, m0 = doc.net, doc.marking("m0")
+    before = decide_oim(net, m0, m0, 8)
+    root = initial_triple(m0, m0)
+    tokens = root.left.tokens | {bad}
+    odd = OrderedIndexedMarking(tokens, frozenset(
+        (a, b) for a in tokens for b in tokens))
+    with pytest.raises(NetError):
+        oim_successors(net, odd)
+    extra = GameTriple(odd, root.right, frozenset())
+    assert not validate_witness(net, before.witness | {extra}, root, "fc")
+    node = Refutation(extra, "move", "left",
+                      OIMStep("u", frozenset(), root.left))
+    assert not validate_refutation(net, node, "fc")
+    after = decide_oim(net, m0, m0, 8)
     assert after.stats["triples"] == before.stats["triples"]
     assert digest(after) == digest(before)
 
@@ -441,6 +467,9 @@ def test_deep_search_needs_no_recursion_limit(monkeypatch):
         assert v.outcome == "equivalent"
         assert v.stats["triples"] == 3000
         assert validate_witness(net, v.witness, initial_triple(m1, m2), flavor)
+    # masks are sized by the marking, not by the ring
+    assert all(row.bit_length() <= len(tokens)
+               for tokens, rows in net.oim_graph.oims for row in rows)
 
 
 def test_cyclic_refutation_rejected():

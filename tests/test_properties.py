@@ -241,7 +241,7 @@ def check_mask_successors(net, m1, m2):
     while todo and len(seen) < 60:
         o = todo.pop()
         moves, _ = graph.successors(o)
-        decoded = [codec.step(move) for move in moves]
+        decoded = [codec.step(o, move) for move in moves]
         source = codec.oim(o)
         assert decoded == oim_successors(net, source)
         assert decoded == reference_oim_successors(net, source)

@@ -57,8 +57,9 @@ def decided(net, m1, m2, cap, flavor) -> tuple:
 def tamper(net: PTNet, m1: Multiset, m2: Multiset, flavor: str):
     """Validate, on net, certificates whose first triple names a token on
     an undeclared place and the second token of each place, so that the
-    net's graph numbers these before any first token.  The refutation's
-    attack is not a move, so it fails."""
+    net's graph interns a marking holding these before the calls under
+    test play on it.  The refutation's attack is not a move, so it
+    fails."""
     root = initial_triple(m1, m2)
     tokens = frozenset([("ghost", 1)] + [(p, 2) for p in net.places])
     left = OrderedIndexedMarking(tokens, frozenset(

@@ -1,5 +1,5 @@
 """Symmetry reduction of the fc/cn game: canonical triples are renamings of
-their triples that do not depend on token indices or bit order, and the
+their triples that do not depend on token indices or interning order, and the
 reduced game decides as the unreduced one, with valid certificates."""
 
 import itertools
@@ -138,9 +138,9 @@ def arbitrary(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from([play, arbitrary]))
 def test_canonical_is_an_invariant_renaming(seed, triples_of):
-    """Renamed copies of a triple, also encoded over a token numbering made
-    in another order, have one canonical triple: a closed renaming of the
-    triple, and its own canonical triple."""
+    """Renamed copies of a triple, also encoded in another graph whose
+    markings were interned in another order, have one canonical triple: a
+    closed renaming of the triple, and its own canonical triple."""
     net, search, triples = triples_of(seed)
     rng = random.Random(seed)
     for t in triples:
@@ -152,14 +152,16 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
         for _ in range(2):
             copy = search.encode(renamed(g, rng))
             assert search.canonical(copy) == c
-        # a copy of the net has a graph of its own
+        # a copy of the net has a graph of its own, in which the markings
+        # of renamed copies were interned first, in random order
         other = _Search(PTNet.make(net.places, net.transitions, net.labels),
                         "fc", Limits())
-        tokens = list(search.graph.bits.tokens)
-        rng.shuffle(tokens)
-        for tok in tokens:
-            other.graph.bits.of(tok)
-        copy = other.encode(renamed(g, rng))
+        copies = [renamed(g, rng) for _ in range(3)]
+        sides = [o for copy in copies for o in (copy.left, copy.right)]
+        rng.shuffle(sides)
+        for o in sides:
+            other.codec.encode(o)
+        copy = other.encode(copies[0])
         assert other.triple(other.canonical(copy)) == h
 
 
