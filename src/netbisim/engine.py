@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Literal, Optional
 
-from .nets import Multiset, PTNet
+from .nets import Multiset, NetError, PTNet
 from .indexed import Token
 from .ordered import (
     OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
@@ -262,8 +262,10 @@ class _Search(Canonicaliser):
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
         super().__init__(net.oim_graph)
         self.codec = OIMCodec(self.graph)
+        self.holds = {"fc": _fc_holds, "cn": _cn_holds}.get(flavor)
+        if self.holds is None:
+            raise NetError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
-        self.holds = _cn_holds if flavor == "cn" else _fc_holds
         self.limits = limits
         self.false_memo: dict[tuple, Refutation] = {}
         self.explored = 0
@@ -393,12 +395,14 @@ class _Search(Canonicaliser):
         return new[id(root)]
 
     def encode(self, t: GameTriple) -> Optional[tuple]:
-        """The int triple of t, or None if it mentions a foreign token."""
+        """The int triple of t, or None if it mentions a foreign token or
+        a relation holds an element that is not a pair of its tokens."""
         codec = self.codec
         left, right = codec.encode(t.left), codec.encode(t.right)
         if left is None or right is None:
             return None
-        beta = codec.encode_relation(t.beta, left, right)
+        oims = self.graph.oims
+        beta = encode_rows(oims[left][0], t.beta, oims[right][0])
         return None if beta is None else (left, right, beta)
 
 
@@ -516,19 +520,25 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     whose triple has the response's canonical successor as its canonical
     triple (`_Search.canonical`).  Each distinct node is replayed once; a
     refutation that leads back to one of its own nodes proves nothing and
-    is rejected."""
+    is rejected.  It proves only that `ref.triple` loses: a caller checks
+    that this is the root it asked about."""
+    helper = _Search(net, flavor, Limits())
     try:
         nodes = ref.nodes()
     except ValueError:
         return False
-    helper = _Search(net, flavor, Limits())
     graph, step = helper.graph, helper.codec.step
+    # Each node's int triple, encoded once; a size-gate root needs none.
+    encoded = {id(node): helper.encode(node.triple) for node in nodes
+               if node is not ref or node.reason != "size-gate"}
 
     def replays(node: Refutation) -> bool:
         triple = node.triple
         if node.reason == "size-gate":
             return flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens)
-        t = helper.encode(triple)
+        if node.reason != "move" or node.side not in ("left", "right"):
+            return False
+        t = encoded[id(node)]
         if t is None:
             return False
         attacker_left = node.side == "left"
@@ -545,7 +555,7 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         if {resp for resp, _ in node.responses} != set(admissible):
             return False
         for resp, sub in node.responses:
-            t = helper.encode(sub.triple)
+            t = encoded[id(sub)]
             if t is None or (t != admissible[resp]
                              and helper.canonical(t) != admissible[resp]):
                 return False

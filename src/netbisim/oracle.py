@@ -46,32 +46,26 @@ def _places(m: Multiset) -> list[str]:
     return [p for p, n in m.items() for _ in range(n)]
 
 
-def _all_topo_orders(anc: tuple) -> list[tuple[int, ...]]:
-    """All linearizations of the events 0..len(anc)-1 respecting the
-    ancestor sets."""
+def _min_encoding(anc: tuple, encode) -> tuple:
+    """The least encode(order, pos) over all linearizations of the events
+    0..len(anc)-1 respecting the ancestor sets.  pos maps each event to its
+    position in the order and -1 to -1, so an encoder writes each condition
+    with its producer replaced by pos."""
     strict = [a - {e} for e, a in enumerate(anc)]
-    orders = []
+    pos = {-1: -1}
+    least = None
     stack = [((), frozenset(range(len(anc))))]
     while stack:
         placed, remaining = stack.pop()
         if not remaining:
-            orders.append(placed)
+            pos.update(zip(placed, range(len(placed))))
+            code = encode(placed, pos)
+            if least is None or code < least:
+                least = code
         for e in remaining:
             if strict[e].isdisjoint(remaining):
                 stack.append((placed + (e,), remaining - {e}))
-    return orders
-
-
-def _min_encoding(anc: tuple, encode) -> tuple:
-    """The least encode(order, pos) over all linearizations of the events.
-    pos maps each event to its position in the order and -1 to -1, so an
-    encoder writes each condition with its producer replaced by pos."""
-    pos = {-1: -1}
-    encodings = []
-    for order in _all_topo_orders(anc):
-        pos.update(zip(order, range(len(order))))
-        encodings.append(encode(order, pos))
-    return min(encodings)
+    return least
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,15 @@ def step_rows(tokens: tuple, rows: tuple, removed: int,
 def encode_rows(tokens: tuple, pairs, within: tuple) -> Optional[tuple]:
     """The rows of a relation from the sorted tuple tokens to the sorted
     tuple within: rows[i] is the mask of the positions of within that
-    tokens[i] is related to.  None if a pair names another token."""
+    tokens[i] is related to.  None if an element of pairs is not a
+    2-tuple or names another token."""
     at = {tok: i for i, tok in enumerate(tokens)}
     to = at if within is tokens else {tok: j for j, tok in enumerate(within)}
     rows = [0] * len(tokens)
-    for a, b in pairs:
-        i, j = at.get(a), to.get(b)
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
+        i, j = at.get(pair[0]), to.get(pair[1])
         if i is None or j is None:
             return None
         rows[i] |= 1 << j
@@ -265,17 +268,16 @@ class OIMCodec:
     """The markings and moves of an `OIMGraph` as the public types, and
     back, for one call.  Decoded markings and token pairs are shared, so
     that equal parts of a certificate are one object; relations and steps
-    are decoded anew each time.  Encoding interns the markings in the
-    graph."""
+    are decoded, and relations encoded, anew each time.  Encoding interns
+    the markings in the graph."""
 
     def __init__(self, graph: OIMGraph):
         self.graph = graph
         self.pairs: dict = {}  # token pairs, shared by every decoded relation
         self.decoded: dict[int, OrderedIndexedMarking] = {}
-        # OrderedIndexedMarking -> id and (pairs, id, id) -> rows, each
-        # None where a token is malformed or a pair names a foreign token
+        # OrderedIndexedMarking -> id, or None where a token is malformed
+        # or a pair is not a pair of its tokens
         self.encoded: dict = {}
-        self.encoded_relations: dict = {}
 
     def relation(self, a: int, rows: tuple, b: int) -> frozenset:
         """The token pairs of rows from the tokens of marking a to those
@@ -296,23 +298,11 @@ class OIMCodec:
         return OIMStep(move[1], frozenset(pick(self.graph.oims[o][0],
                                                move[2])), self.oim(move[4]))
 
-    def encode_relation(self, pairs: frozenset, a: int,
-                        b: int) -> Optional[tuple]:
-        """The rows of pairs from the tokens of marking a to those of
-        marking b, or None if a pair names another token."""
-        key = (pairs, a, b)
-        rows = self.encoded_relations.get(key, _MISSING)
-        if rows is _MISSING:
-            oims = self.graph.oims
-            rows = self.encoded_relations[key] = encode_rows(
-                oims[a][0], pairs, oims[b][0])
-        return rows
-
     def encode(self, o: OrderedIndexedMarking) -> Optional[int]:
         """The id of o, or None if a token is not a (str place, int index
-        >= 1) pair or its order names a foreign token.  The tokens are
-        checked before they are sorted, so that no mix of types is
-        compared."""
+        >= 1) pair or an element of its order is not a pair of its
+        tokens.  The tokens are checked before they are sorted, so that no
+        mix of types is compared."""
         x = self.encoded.get(o, _MISSING)
         if x is _MISSING:
             x = None

@@ -390,6 +390,77 @@ def test_validators_reject_foreign_roots_and_wrong_successors(fig1_net):
             fig1_net, replace(ref, responses=((resp, gated),)), "cn")
 
 
+# Elements of a relation that are not a pair of tokens, built from two
+# tokens a and b of its markings.
+NOT_PAIRS = {
+    "int": lambda a, b: 5,
+    "short": lambda a, b: (a,),
+    "long": lambda a, b: (a, b, a),
+    "set": lambda a, b: frozenset({a, b}),
+}
+
+
+@pytest.mark.parametrize("where", ["order", "beta"])
+@pytest.mark.parametrize("bad", sorted(NOT_PAIRS))
+def test_malformed_relation_pair_is_rejected(bad, where):
+    """An element of a certificate's order or beta that is not a 2-tuple
+    makes the validators return False and oim_successors raise NetError.
+    The set {a, b} is read as neither pair: both pairs are in the root's
+    relations already, so either reading would leave the fig2 witness
+    valid.  A later decision on the same net is unchanged."""
+    doc = parse_net((NETS / "fig2.pn").read_text())
+    net, m0 = doc.net, doc.marking("m0")
+    before = decide_oim(net, m0, m0, 8)
+    root = initial_triple(m0, m0)
+    assert root in before.witness
+    extra = NOT_PAIRS[bad](*sorted(root.left.tokens)[:2])
+    if where == "order":
+        odd = replace(root.left, order=root.left.order | {extra})
+        with pytest.raises(NetError):
+            oim_successors(net, odd)
+        tampered = replace(root, left=odd)
+    else:
+        tampered = replace(root, beta=root.beta | {extra})
+    witness = before.witness - {root} | {tampered}
+    assert not validate_witness(net, witness, tampered, "fc")
+    node = Refutation(tampered, "move", "left",
+                      OIMStep("u", frozenset(), root.left))
+    assert not validate_refutation(net, node, "fc")
+    after = decide_oim(net, m0, m0, 8)
+    assert after.stats["triples"] == before.stats["triples"]
+    assert digest(after) == digest(before)
+
+
+def test_validators_reject_unknown_flavors_reasons_and_sides(
+        fig1_net, parallel_choice_net):
+    """Only "fc" and "cn" name a game: another flavor raises NetError
+    instead of replaying as fc.  A refutation node whose reason is not
+    "size-gate" or "move", or whose side is not "left" or "right", fails
+    validation."""
+    m1, m2 = Multiset.of("s1"), Multiset.of("s3")
+    root = initial_triple(m1, m2)
+    witness = decide_oim(fig1_net, m1, m2, 4).witness
+    ref = decide_oimc(fig1_net, m1, m2, 4).refutation
+    for flavor in ("il", "FC", None):
+        with pytest.raises(NetError, match="unknown flavor"):
+            validate_witness(fig1_net, witness, root, flavor)
+        with pytest.raises(NetError, match="unknown flavor"):
+            validate_refutation(fig1_net, ref, flavor)
+
+    net = parallel_choice_net
+    ref = decide_oim(net, Multiset.of("p1", "p2"), Multiset.of("q0"),
+                     2).refutation
+    assert validate_refutation(net, ref, "fc")
+    assert not validate_refutation(net, replace(ref, reason="whatever"), "fc")
+    # Only the right side can move, so the root's attacker is the right.
+    ref = decide_oim(net, Multiset.of("p1x"), Multiset.of("p2"),
+                     2).refutation
+    assert ref.side == "right"
+    assert validate_refutation(net, ref, "fc")
+    for side in ("up", "Right", None):
+        assert not validate_refutation(net, replace(ref, side=side), "fc")
+
+
 def test_interleaving_terminates_with_many_blocks():
     """buf(10) has 11 reachable markings, each its own block."""
     net, m0 = buffer(10)
