@@ -2,13 +2,14 @@
 (= causal-net) bisimilarity, plus an interleaving baseline.
 
 The decision is an on-the-fly coinductive game over triples
-(oim1, oim2, beta), searched depth first on an explicit stack.  Triples
-on the stack are assumed winning.  A refuted triple is memoized
-permanently as a refutation node, and every triple that was found winning
-since it was pushed is withdrawn, since only those can rest on its
-assumption; the search then resumes the frame below.  When the stack empties
-the winning set is self-supporting (a bisimulation), and refutations share
-the node of every triple they cite.
+(oim1, oim2, beta), searched depth first on an explicit stack of frames,
+tuples of a triple and the indices of its current attack and response
+(no generator per level).  Triples on the stack are assumed winning.  A
+refuted triple is memoized permanently as a refutation node, and every
+triple found winning since it was pushed is withdrawn, as only those can
+rest on its assumption; the search then resumes the frame below.  When the
+stack empties the winning set is self-supporting (a bisimulation), and
+refutations share the node of every triple they cite.
 
 The game runs on ints (`_Search`), over the markings of the net's
 `ordered.OIMGraph` (`PTNet.oim_graph`): a marking is its sorted token
@@ -52,7 +53,7 @@ from .nets import Multiset, NetError, PTNet
 from .indexed import Token
 from .ordered import (
     OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
-    holding_graph, step_rows,
+    holding_graph, shifted, step_rows,
 )
 from .symmetry import Canonicaliser
 
@@ -143,12 +144,19 @@ class ResourceLimitReached(Exception):
         self.limit = limit
 
 
-def _next_beta(beta: tuple, plan: tuple, remap: dict, created: int) -> tuple:
+def _next_beta(beta: tuple, plan: tuple, images: dict, gone: tuple,
+               made: tuple, created: int) -> tuple:
     """beta on masks: the row of each left target token is its source row
-    sent through the right move's remap, which drops the deleted right
-    tokens, or, if the left firing created it, all tokens the right firing
-    created.  The images are stored in the remap (`ordered.Remap`)."""
-    return tuple([remap[beta[i]] if i >= 0 else created for i in plan])
+    sent through the right move's `ordered.shifted(x, gone, made)`, kept
+    in its memo `images`, which drops the deleted right tokens; or, if the
+    left firing created it, `created`, the right firing's created mask."""
+    out = []
+    for i in plan:
+        y = created if i < 0 else images.get(beta[i])
+        if y is None:
+            y = images[beta[i]] = shifted(beta[i], gone, made)
+        out.append(y)
+    return tuple(out)
 
 
 def _fc_holds(beta: tuple, left: tuple, right_removed: int, right: tuple) -> bool:
@@ -232,11 +240,12 @@ def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> B
     freshly generated tokens."""
     left, right = tuple(sorted(untouched1)), tuple(sorted(untouched2))
     kept = [(a, b) for a, b in beta if a in untouched1 and b in untouched2]
-    target1, _, plan, _, _ = step_rows(left, (0,) * len(left), 0,
-                                       tuple(sorted(generated1)))
-    target2, _, _, remap, made = step_rows(right, (0,) * len(right), 0,
-                                           tuple(sorted(generated2)))
-    rows = _next_beta(encode_rows(left, kept, right), plan, remap, made)
+    target1, _, plan, *_ = step_rows(left, (0,) * len(left), 0,
+                                     tuple(sorted(generated1)))
+    target2, _, _, gone, opened, made = step_rows(
+        right, (0,) * len(right), 0, tuple(sorted(generated2)))
+    rows = _next_beta(encode_rows(left, kept, right), plan, {}, gone, opened,
+                      made)
     return decode_rows(target1, rows, target2, {})
 
 
@@ -289,88 +298,90 @@ class _Search(Canonicaliser):
         ):
             raise ResourceLimitReached("max_seconds")
 
-    def admissible(self, triple: tuple, attack: tuple, attacker_left: bool,
-                   by_label: dict):
-        """Yield (response, canonical successor triple) for each defender
-        response with the attack's label that meets the deleted-token
-        condition, in the defender's move order."""
-        beta = triple[2]
-        holds = self.holds
-        canonical = self.canonical
-        for resp in by_label.get(attack[0], ()):
-            left, right = (attack, resp) if attacker_left else (resp, attack)
-            if holds(beta, left[3], right[2], right[3]):
-                yield resp, canonical((left[4], right[4], _next_beta(
-                    beta, left[6], right[7], right[5])))
-
-    def evaluate(self, triple: tuple):
-        """Play one triple: yield each successor triple whose value is
-        needed and receive True if it wins, otherwise its refutation node
-        (a caller that needs no refutation may send False).  Returns None
-        if the triple survives, otherwise its refutation node."""
-        left, right, _ = triple
-        graph = self.graph
-        if (self.flavor == "cn" and len(graph.oims[left][0])
-                != len(graph.oims[right][0])):
+    def gate(self, triple: tuple) -> Optional[Refutation]:
+        """The triple's size-gate node if cn's size gate refutes it."""
+        oims = self.graph.oims
+        if self.flavor == "cn" and len(oims[triple[0]][0]) != len(oims[triple[1]][0]):
             return Refutation(triple, "size-gate")
-        left_moves, left_labels = graph.successors(left)
-        right_moves, right_labels = graph.successors(right)
-        for attacker_left, attacks, responses in (
-            (True, left_moves, right_labels),
-            (False, right_moves, left_labels),
-        ):
-            for attack in attacks:
-                refuted = []
-                for resp, nxt in self.admissible(
-                        triple, attack, attacker_left, responses):
-                    node = yield nxt
-                    if node is True:
-                        break
-                    refuted.append((resp, node))
-                else:
-                    return Refutation(
-                        triple, "move", "left" if attacker_left else "right",
-                        attack, tuple(refuted),
-                    )
         return None
 
-    def run(self, root: tuple):
-        """(True, winning triples) or (False, refutation of the root)."""
+    def successor(self, beta: tuple, attack: tuple, resp: tuple,
+                  attacker_left: bool) -> Optional[tuple]:
+        """The canonical successor triple when the defender answers the
+        attack with resp, a move of the attack's label, or None if the
+        two moves break the deleted-token condition."""
+        left, right = (attack, resp) if attacker_left else (resp, attack)
+        if not self.holds(beta, left[3], right[2], right[3]):
+            return None
+        return self.canonical((left[4], right[4], _next_beta(
+            beta, left[6], right[7], right[8], right[9], right[5])))
+
+    def run(self, root: tuple) -> tuple:
+        """(True, winning triples) or (False, refutation of the root).  A
+        frame plays one triple: its attacks are the left marking's moves,
+        then the right's, each answered by the first response, in the
+        defender's move order, that has a `successor` that wins."""
         # The triples on the stack and those found winning, in the order
         # they were pushed.  A triple found winning rests only on triples
         # pushed before it, so refuting a triple withdraws exactly the
         # entries from its own onwards.
         assumed: dict[tuple, None] = {root: None}
+        false_memo = self.false_memo
+        successors, successor = self.graph.successors, self.successor
         self._tick()
-        # (triple, len(assumed) before its push, its evaluation)
-        frames = [(root, 0, self.evaluate(root))]
-        answer = None
+        answer = self.gate(root)
+        if answer is not None:
+            return False, answer
+        # (triple, len(assumed) before its push, attack index, response
+        # index, the refuted responses to that attack so far).  `answer`
+        # is the value of the top frame's response: True if it wins, else
+        # its refutation node; None when the frame is new.
+        frames = [(root, 0, 0, 0, ())]
         while frames:
-            triple, mark, game = frames[-1]
-            try:
-                nxt = game.send(answer)
-            except StopIteration as done:
-                frames.pop()
-                answer = done.value
-                if answer is None:
-                    answer = True
+            triple, mark, k, r, refuted = frames.pop()
+            (left_moves, left_labels), (right_moves, right_labels) = (
+                successors(triple[0]), successors(triple[1]))
+            n = len(left_moves)
+            while k < n + len(right_moves):
+                attacker_left = k < n
+                attack = left_moves[k] if attacker_left else right_moves[k - n]
+                responses = (right_labels if attacker_left
+                             else left_labels).get(attack[0], ())
+                if answer is True:
+                    k, r, refuted, answer = k + 1, 0, (), None
+                    continue
+                if answer is not None:
+                    refuted += ((responses[r], answer),)
+                    r += 1
+                while r < len(responses):
+                    nxt = successor(triple[2], attack, responses[r],
+                                    attacker_left)
+                    if nxt is not None:
+                        break
+                    r += 1
                 else:
-                    self.false_memo[triple] = answer
+                    answer = false_memo[triple] = Refutation(
+                        triple, "move", "left" if attacker_left else "right",
+                        attack, refuted)
                     while len(assumed) > mark:
                         assumed.popitem()
-                continue
-            if nxt in assumed:
-                answer = True
-            elif nxt in self.false_memo:
-                answer = self.false_memo[nxt]
+                    break
+                answer = True if nxt in assumed else false_memo.get(nxt)
+                if answer is None:
+                    self._tick()
+                    answer = self.gate(nxt)
+                    if answer is not None:
+                        false_memo[nxt] = answer
+                        continue
+                    frames += ((triple, mark, k, r, refuted),
+                               (nxt, len(assumed), 0, 0, ()))
+                    assumed[nxt] = None
+                    break
             else:
-                self._tick()
-                frames.append((nxt, len(assumed), self.evaluate(nxt)))
-                assumed[nxt] = None
-                answer = None
+                answer = True
         if answer is True:
             return True, list(assumed)
-        return False, self.false_memo[root]
+        return False, false_memo[root]
 
     def triple(self, t: tuple) -> GameTriple:
         left, right, beta = t
@@ -469,6 +480,15 @@ def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
                                "seconds": time.monotonic() - t0})
 
 
+def _well_typed(t) -> bool:
+    """Whether t is a GameTriple of OrderedIndexedMarkings whose token sets
+    and relations are frozensets, so that it can be hashed and encoded."""
+    return (isinstance(t, GameTriple) and isinstance(t.beta, frozenset)
+            and all(isinstance(o, OrderedIndexedMarking) and isinstance(
+                o.tokens, frozenset) and isinstance(o.order, frozenset)
+                for o in (t.left, t.right)))
+
+
 @holding_graph
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
                      flavor: Flavor) -> bool:
@@ -481,7 +501,10 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     canonicalised only once a successor is not found among them as they
     are.  For a witness of canonical triples that happens when a
     defender response leads out of the witness, as when a defender's
-    first admissible response is refuted and a later one wins."""
+    first admissible response is refuted and a later one wins.  A triple
+    whose token sets or relations are not frozensets fails it."""
+    if not (_well_typed(root) and all(map(_well_typed, witness))):
+        return False
     helper = _Search(net, flavor, Limits())
     encoded = set(map(helper.encode, witness))
     if None in encoded:
@@ -500,16 +523,19 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
         start = helper.canonical(start)
         if not (start in encoded or member(start)):
             return False
+    successors, successor = helper.graph.successors, helper.successor
     for triple in encoded:
-        game = helper.evaluate(triple)
-        wins = None
-        try:
-            while True:
-                nxt = game.send(wins)
-                wins = nxt in encoded or member(nxt)
-        except StopIteration as done:
-            if done.value is not None:
-                return False
+        if helper.gate(triple) is not None:
+            return False
+        (moves1, labels1), (moves2, labels2) = map(successors, triple[:2])
+        for attacker_left, attacks, labels in ((True, moves1, labels2),
+                                               (False, moves2, labels1)):
+            for attack in attacks:
+                if not any(
+                        (nxt := successor(triple[2], attack, resp, attacker_left))
+                        is not None and (nxt in encoded or member(nxt))
+                        for resp in labels.get(attack[0], ())):
+                    return False
     return True
 
 
@@ -520,12 +546,15 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     whose triple has the response's canonical successor as its canonical
     triple (`_Search.canonical`).  Each distinct node is replayed once; a
     refutation that leads back to one of its own nodes proves nothing and
-    is rejected.  It proves only that `ref.triple` loses: a caller checks
-    that this is the root it asked about."""
+    is rejected, and so is a node whose triple's token sets or relations
+    are not frozensets.  It proves only that `ref.triple` loses: a caller
+    checks that this is the root it asked about."""
     helper = _Search(net, flavor, Limits())
     try:
         nodes = ref.nodes()
     except ValueError:
+        return False
+    if not all(_well_typed(node.triple) for node in nodes):
         return False
     graph, step = helper.graph, helper.codec.step
     # Each node's int triple, encoded once; a size-gate root needs none.
@@ -547,17 +576,18 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
                        if step(attacker, m) == node.attacker), None)
         if attack is None:
             return False
-        admissible = {
+        answers = {
             step(defender, resp): nxt
-            for resp, nxt in helper.admissible(
-                t, attack, attacker_left, graph.successors(defender)[1])
+            for resp in graph.successors(defender)[1].get(attack[0], ())
+            if (nxt := helper.successor(t[2], attack, resp, attacker_left))
+            is not None
         }
-        if {resp for resp, _ in node.responses} != set(admissible):
+        if {resp for resp, _ in node.responses} != set(answers):
             return False
         for resp, sub in node.responses:
             t = encoded[id(sub)]
-            if t is None or (t != admissible[resp]
-                             and helper.canonical(t) != admissible[resp]):
+            if t is None or (t != answers[resp]
+                             and helper.canonical(t) != answers[resp]):
                 return False
         return True
 

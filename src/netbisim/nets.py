@@ -245,9 +245,10 @@ class Kernel:
     `pre`, its preset as (place, weight) pairs in place order; `removed`
     and `added`, its preset and postset as sorted place tuples.
     `consumers[place]` holds, ascending, the positions of the transitions
-    whose preset contains the place."""
+    whose preset contains the place.  `last` keeps the last `explore`."""
 
-    __slots__ = ("names", "index", "pre", "removed", "added", "consumers")
+    __slots__ = ("names", "index", "pre", "removed", "added", "consumers",
+                 "last")
 
     def __init__(self, net: PTNet):
         self.names = sorted(net.places)
@@ -267,6 +268,7 @@ class Kernel:
             removed.append(tuple(gone))
             added.append(tuple(made))
         self.consumers = [tuple(ts) for ts in consumers]
+        self.last: tuple = (None, None)
 
     def encode(self, m: Multiset) -> tuple:
         """The sorted place tuple of m; NetError if m mentions a place
@@ -318,12 +320,17 @@ class Kernel:
         seeds are explored breadth first one after the other, and a seed
         already reached is skipped.  Raises BoundExceededError at the first
         marking found that puts more than `cap` tokens on a place, and
-        NetError if cap is not positive."""
+        NetError if cap is not positive.  Callers only read the dict: a
+        call with the seeds, in order, and cap of the last call that
+        returned gets its dict, so fc, cn and il explore a pair once."""
         if cap < 1:
             raise NetError("cap must be positive")
+        key, last = (tuple(seeds), cap), self.last
+        if last[0] == key:
+            return last[1]
         enabled, removed, added = self.enabled, self.removed, self.added
         succ: dict[tuple, list] = {}
-        for seed in seeds:
+        for seed in key[0]:
             start = self.encode(seed)
             if start in succ:
                 continue
@@ -354,6 +361,7 @@ class Kernel:
                             _check_cap(self.decode(nxt), cap)
                         succ[nxt] = []
                         queue.append(nxt)
+        self.last = key, succ
         return succ
 
 

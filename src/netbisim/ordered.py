@@ -12,7 +12,8 @@ sorted tuple of its tokens, a token is its position there, a token set is
 an int mask of positions, and the preorder is one up-set mask per token.
 No numbering reaches past one marking: a move maps the positions of its
 source to those of its target.  `OIMGraph` is the ordered token game of
-one net on ints: it interns each marking once and builds its moves once.
+one net on ints: it interns each marking once and builds its moves once,
+each a tuple of ints and tuples with a dict memo of its position map.
 Each net object builds one, on first use (`PTNet.oim_graph`), and every
 fc/cn search, canonical form, validator, `oim_successors` and
 `reachable_oim` call on that net plays on it, so a marking's moves are
@@ -71,7 +72,7 @@ class OIMStep:
     target: OrderedIndexedMarking
 
 
-def shifted(x: int, gone: list, made: list) -> int:
+def shifted(x: int, gone: tuple, made: tuple) -> int:
     """The mask x of source positions as target positions: the bits of
     `gone`, deleted positions in descending order, are dropped, and a zero
     bit opens at each of `made`, created target positions in ascending
@@ -84,25 +85,15 @@ def shifted(x: int, gone: list, made: list) -> int:
     return x
 
 
-class Remap(dict):
-    """`shifted` for one move, as a memo: subscripted with a source mask,
-    it gives the mask's image and stores it."""
-
-    __slots__ = ("gone", "made")
-
-    def __missing__(self, x: int) -> int:
-        y = self[x] = shifted(x, self.gone, self.made)
-        return y
-
-
 def step_rows(tokens: tuple, rows: tuple, removed: int,
-              created: tuple) -> tuple[tuple, tuple, tuple, Remap, int]:
+              created: tuple) -> tuple[tuple, tuple, tuple, tuple, tuple, int]:
     """The order update on positions.  `rows[i]` is the up-set mask of
     tokens[i], `removed` the mask of the deleted positions and `created`
     the sorted tokens the firing makes.  Returns the target tokens, their
     rows, the plan (for each target position, its source position, or -1
-    if the firing created it), the `Remap` of the move and the mask of the
-    created target positions."""
+    if the firing created it), the `gone` and `made` arguments of
+    `shifted` for the move, as tuples, and the mask of the created target
+    positions."""
     target = []
     plan = []
     gone = []
@@ -121,13 +112,10 @@ def step_rows(tokens: tuple, rows: tuple, removed: int,
         plan.insert(j, -1)
         opened.append(j)
         made |= 1 << j
-    remap = Remap()
-    remap.gone = gone
-    remap.made = opened
     # Clause (3) is evaluated against the pre-firing order.
     new_rows = tuple([made if i < 0 else shifted(rows[i], gone, opened) | (
         made if rows[i] & removed else 0) for i in plan])
-    return tuple(target), new_rows, tuple(plan), remap, made
+    return tuple(target), new_rows, tuple(plan), tuple(gone), tuple(opened), made
 
 
 def encode_rows(tokens: tuple, pairs, within: tuple) -> Optional[tuple]:
@@ -196,15 +184,19 @@ class OIMGraph:
     is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
-         created mask, plan, remap)
+         created mask, plan, images, gone, opened)
 
     built once per marking, with a (position, bit, up-set) entry per
-    deleted token and the created mask, plan and remap of `step_rows`;
-    masks before the target id are over the source's positions, the
-    created mask over the target's.  The graph grows with the calls that
-    play on it; what a call decodes lives in its `OIMCodec`.  A call
-    holds `lock` while it plays (`holding_graph`), which also guards the
-    images stored in a move's `Remap`."""
+    deleted token and the created mask, plan, `gone` and `made` (here
+    `opened`) of `step_rows`; masks before the target id are over the
+    source's positions, the created mask over the target's.  `images` is
+    the move's memo of `shifted(x, gone, opened)`, a plain dict of ints.
+    A marking's moves and each label's bucket of them are tuples, which
+    hold only ints, tuples and that dict, so once they survive a
+    collection the cyclic collector no longer walks them.  The graph
+    grows with the calls that play on it; what a call decodes lives
+    in its `OIMCodec`.  A call holds `lock` while it plays
+    (`holding_graph`), which also guards the images a move stores."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
@@ -241,15 +233,15 @@ class OIMGraph:
             moves, by_label = [], {}
             for t, removed, created in firings(self.kernel, self.transitions,
                                                tokens):
-                target, target_rows, plan, remap, made = step_rows(
+                target, target_rows, plan, gone, opened, made = step_rows(
                     tokens, rows, removed, created)
-                deleted = tuple([(i, 1 << i, rows[i])
-                                 for i in reversed(remap.gone)])
+                deleted = tuple([(i, 1 << i, rows[i]) for i in reversed(gone)])
                 move = (t.label, t.tid, removed, deleted,
-                        self.intern(target, target_rows), made, plan, remap)
+                        self.intern(target, target_rows), made, plan, {},
+                        gone, opened)
                 moves.append(move)
-                by_label.setdefault(t.label, []).append(move)
-            entry = self.moves[o] = (moves, by_label)
+                by_label[t.label] = by_label.get(t.label, ()) + (move,)
+            entry = self.moves[o] = (tuple(moves), by_label)
         return entry
 
     def reached(self, start: int) -> list[int]:
@@ -318,7 +310,7 @@ class OIMCodec:
 def holding_graph(fn):
     """fn(net, ...) run holding the lock of the net's `OIMGraph`.  The
     calls on a net share its graph, and interning a marking or storing an
-    image in a move's remap is a read-modify-write, so calls from several
+    image in a move's memo is a read-modify-write, so calls from several
     threads take turns."""
     @wraps(fn)
     def call(net: PTNet, *args, **kwargs):

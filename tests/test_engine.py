@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from netbisim import (
     validate_refutation, validate_witness,
 )
 
+from netbisim.engine import _Search
 from test_oracle import par
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
@@ -364,6 +366,46 @@ def test_malformed_certificate_token_is_rejected(bad):
     assert digest(after) == digest(before)
 
 
+# Containers that are not frozensets, made from the frozenset they replace.
+NOT_FROZENSETS = {"set": set, "list": sorted, "none": lambda x: None}
+
+
+def retyped(t, where, bad):
+    """t with its left token set, its left order or its beta replaced by
+    NOT_FROZENSETS[bad] of it."""
+    make = NOT_FROZENSETS[bad]
+    if where == "beta":
+        return replace(t, beta=make(t.beta))
+    return replace(t, left=replace(t.left, **{where: make(getattr(t.left, where))}))
+
+
+@pytest.mark.parametrize("where", ["tokens", "order", "beta"])
+@pytest.mark.parametrize("bad", sorted(NOT_FROZENSETS))
+def test_relation_that_is_not_a_frozenset_is_rejected(bad, where, fig1_net):
+    """A certificate triple whose token set, order or beta is a set, a
+    list or None makes the validators return False, not raise, and is not
+    read as if it held its elements: as a witness root, as a triple of a
+    witness given as a list, as a refutation's move node and as a
+    size-gate node, alone or below a move."""
+    m1, m2 = Multiset.of("s1"), Multiset.of("s3")
+    root = initial_triple(m1, m2)
+    witness = decide_oim(fig1_net, m1, m2, 4).witness
+    assert validate_witness(fig1_net, witness, root, "fc")
+    odd = retyped(root, where, bad)
+    assert not validate_witness(fig1_net, witness, odd, "fc")
+    assert not validate_witness(fig1_net, [*witness - {root}, odd], root, "fc")
+
+    ref = decide_oimc(fig1_net, m1, m2, 4).refutation
+    assert validate_refutation(fig1_net, ref, "cn")
+    assert not validate_refutation(
+        fig1_net, replace(ref, triple=retyped(ref.triple, where, bad)), "cn")
+    (resp, sub), = ref.responses
+    gated = replace(sub, triple=retyped(sub.triple, where, bad))
+    assert not validate_refutation(fig1_net, gated, "cn")
+    assert not validate_refutation(
+        fig1_net, replace(ref, responses=((resp, gated),)), "cn")
+
+
 def test_validators_reject_foreign_roots_and_wrong_successors(fig1_net):
     """A witness root that names a token on an undeclared place, and a
     refutation whose sub-node replays but names a foreign token or is not
@@ -541,6 +583,24 @@ def test_deep_search_needs_no_recursion_limit(monkeypatch):
     # masks are sized by the marking, not by the ring
     assert all(row.bit_length() <= len(tokens)
                for tokens, rows in net.oim_graph.oims for row in rows)
+
+
+def test_search_leaves_few_tracked_objects():
+    """The game keeps its moves in containers the cyclic collector stops
+    walking once they survive a collection: after `_Search.run` on
+    ring(2000) fc and one collection, at most 6.5 objects per triple stay
+    tracked.  A move memo that is a dict subclass, or moves and label
+    buckets held in lists, leave 8."""
+    net, m1, m2 = ring(2000)
+    search = _Search(net, "fc", Limits())
+    root = search.root(m1, m2)
+    gc.collect()
+    before = len(gc.get_objects())
+    won, winning = search.run(root)
+    gc.collect()
+    tracked = len(gc.get_objects()) - before
+    assert won and len(winning) == search.explored == 2000
+    assert tracked / search.explored <= 6.5
 
 
 def test_cyclic_refutation_rejected():

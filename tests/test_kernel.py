@@ -18,6 +18,7 @@ from netbisim import (
     reachable_im, reachable_oim,
 )
 from netbisim.indexed import firings, initial_indexed
+from netbisim.nets import Kernel
 from netbisim.randnets import CorpusConfig, random_instance
 
 CONFIG = CorpusConfig(max_places=5, max_transitions=5, bound=3,
@@ -229,6 +230,37 @@ def test_kernel_is_built_on_first_use_and_kept():
     kernel = vars(net)["kernel"]
     decide_interleaving(net, Multiset.of("a"), Multiset.of("b"), 1)
     assert net.kernel is kernel
+
+
+def test_deciders_on_one_pair_explore_it_once(monkeypatch):
+    """The fc, cn and il deciders on one pair and cap get the one dict its
+    first exploration made.  A pair over the cap raises in each of them in
+    turn, and leaves the kept exploration as it was: nothing is kept of an
+    exploration that raised."""
+    returned = []
+    explore = Kernel.explore
+
+    def record(kernel, seeds, cap):
+        returned.append(explore(kernel, seeds, cap))
+        return returned[-1]
+
+    monkeypatch.setattr(Kernel, "explore", record)
+    net = PTNet.make(["a", "b", "c"], [
+        Transition("t", "x", Multiset.of("a"), Multiset.of("b")),
+        Transition("u", "x", Multiset.of("b"), Multiset.of("a")),
+        Transition("v", "y", Multiset.of("c"), Multiset.of("c", "c")),
+    ])
+    a, b, c = Multiset.of("a"), Multiset.of("b"), Multiset.of("c")
+    deciders = (decide_oim, decide_oimc, decide_interleaving)
+    for decide in deciders:
+        assert decide(net, a, b, 1).outcome == "equivalent"
+    assert len(returned) == 3
+    assert returned[0] is returned[1] is returned[2]
+    for decide in deciders:
+        with pytest.raises(BoundExceededError):
+            decide(net, a, c, 1)
+    assert decide_oim(net, a, b, 1).outcome == "equivalent"
+    assert len(returned) == 4 and returned[-1] is returned[0]
 
 
 def test_undeclared_place_in_second_marking_is_reported():

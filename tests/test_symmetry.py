@@ -28,7 +28,7 @@ def play(seed):
     rng = random.Random(seed)
     _, net, m1, m2 = mutation_instance(rng, CorpusConfig(bound=3))
     search = _Search(net, "fc", Limits())
-    search.canonical = lambda triple: triple  # admissible stays literal
+    search.canonical = lambda triple: triple  # successor stays literal
     triple = search.root(m1, m2)
     triples = [triple]
     for _ in range(8):
@@ -38,9 +38,10 @@ def play(seed):
         attacks = search.graph.successors(attacker)[0]
         if not attacks:
             break
-        nexts = [nxt for _, nxt in search.admissible(
-            triple, rng.choice(attacks), attacker_left,
-            search.graph.successors(defender)[1])]
+        attack = rng.choice(attacks)
+        responses = search.graph.successors(defender)[1].get(attack[0], ())
+        nexts = [nxt for resp in responses if (nxt := search.successor(
+            triple[2], attack, resp, attacker_left)) is not None]
         if not nexts:
             break
         triple = rng.choice(nexts)
