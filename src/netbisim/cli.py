@@ -118,7 +118,7 @@ def _cmd_check(args) -> int:
         limits = Limits(max_seconds=args.max_seconds)
         if args.max_triples is not None:
             limits.max_triples = args.max_triples
-        if limits.max_triples < 0 or (limits.max_seconds or 0) < 0:
+        if not (limits.max_triples >= 0 and (limits.max_seconds or 0) >= 0):
             raise NetError("--max-triples and --max-seconds must be >= 0")
         decide = decide_oim if args.equiv == "fc" else decide_oimc
         verdict = decide(doc.net, m1, m2, args.cap, limits)

@@ -33,13 +33,15 @@ forms.
 
 The game is invariant under place-preserving renaming of each side's
 token indices, so the search works on canonical triples
-(`_Search.canonical`, from `symmetry`): every successor is renamed
-before it is looked up, pushed or stored, and the root is canonical as
-it is.  `stats["triples"]` counts canonical triples, a witness is a set
-of canonical triples closed up to renaming, and each refutation node
-holds a canonical triple, whose attacker move and responses name tokens
-in that node's frame.  The moves of a marking (`OIMGraph.successors`)
-stay literal.
+(`_Search.canonical`, the search's memo of `symmetry.least_relabel`):
+every successor is renamed before it is looked up, pushed or stored, and
+the root is canonical as it is.  `stats["triples"]` counts canonical
+triples, a witness is a set of canonical triples closed up to renaming,
+and each refutation node holds a canonical triple, whose attacker move
+and responses name tokens in that node's frame.  The moves of a marking
+(`OIMGraph.successors`) stay literal: each is a 9-tuple whose position
+map carries beta rows to its target (`_next_beta`), as a renaming's
+carries them to the canonical frame.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from .nets import Multiset, NetError, PTNet
 from .indexed import Token
 from .ordered import (
     OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
-    holding_graph, shifted, step_rows,
+    holding_graph, image, step_rows,
 )
-from .symmetry import Canonicaliser
+from .symmetry import least_relabel
 
 Beta = frozenset  # frozenset[tuple[Token, Token]]
 Flavor = Literal["fc", "cn"]
@@ -144,17 +146,18 @@ class ResourceLimitReached(Exception):
         self.limit = limit
 
 
-def _next_beta(beta: tuple, plan: tuple, images: dict, gone: tuple,
-               made: tuple, created: int) -> tuple:
+def _next_beta(beta: tuple, plan: tuple, images: dict, to: tuple,
+               created: int) -> tuple:
     """beta on masks: the row of each left target token is its source row
-    sent through the right move's `ordered.shifted(x, gone, made)`, kept
-    in its memo `images`, which drops the deleted right tokens; or, if the
-    left firing created it, `created`, the right firing's created mask."""
+    sent through the right move's position map `to` by `ordered.image`,
+    kept in the move's memo `images`, which drops the deleted right
+    tokens; or, if the left firing created it, `created`, the right
+    firing's created mask."""
     out = []
     for i in plan:
         y = created if i < 0 else images.get(beta[i])
         if y is None:
-            y = images[beta[i]] = shifted(beta[i], gone, made)
+            y = images[beta[i]] = image(beta[i], to)
         out.append(y)
     return tuple(out)
 
@@ -240,12 +243,11 @@ def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> B
     freshly generated tokens."""
     left, right = tuple(sorted(untouched1)), tuple(sorted(untouched2))
     kept = [(a, b) for a, b in beta if a in untouched1 and b in untouched2]
-    target1, _, plan, *_ = step_rows(left, (0,) * len(left), 0,
-                                     tuple(sorted(generated1)))
-    target2, _, _, gone, opened, made = step_rows(
-        right, (0,) * len(right), 0, tuple(sorted(generated2)))
-    rows = _next_beta(encode_rows(left, kept, right), plan, {}, gone, opened,
-                      made)
+    target1, _, plan, _, _ = step_rows(left, (0,) * len(left), 0,
+                                       tuple(sorted(generated1)))
+    target2, _, _, to, made = step_rows(right, (0,) * len(right), 0,
+                                        tuple(sorted(generated2)))
+    rows = _next_beta(encode_rows(left, kept, right), plan, {}, to, made)
     return decode_rows(target1, rows, target2, {})
 
 
@@ -261,15 +263,17 @@ def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
     return _cn_holds(*_deleted_masks(removed1, removed2, (), (), beta))
 
 
-class _Search(Canonicaliser):
+class _Search:
     """One call's game on the ints of the net's `OIMGraph`.  A triple is
     (left id, right id, beta), beta holding the mask of right tokens
     related to each left token; moves are the graph's.  Refutation nodes
     hold int triples and moves until `refutation` decodes them through
-    the call's codec."""
+    the call's codec.  The canonical memo `canon` is the search's own and
+    lasts as long as it."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
-        super().__init__(net.oim_graph)
+        self.graph = net.oim_graph
+        self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
         self.codec = OIMCodec(self.graph)
         self.holds = {"fc": _fc_holds, "cn": _cn_holds}.get(flavor)
         if self.holds is None:
@@ -287,6 +291,19 @@ class _Search(Canonicaliser):
         triple."""
         left, right = self.graph.initial(m1), self.graph.initial(m2)
         return left, right, ((1 << m2.size) - 1,) * m1.size
+
+    def canonical(self, triple: tuple) -> tuple:
+        """The image of an int triple under a place-preserving renaming of
+        each side's tokens to (place, 1..n) that the triples differing by
+        such a renaming share (`symmetry.least_relabel`).  A triple whose
+        tokens all have index 1 (no place holds two) is its own."""
+        plain = self.graph.plain
+        if plain[triple[0]] and plain[triple[1]]:
+            return triple
+        c = self.canon.get(triple)
+        if c is None:
+            c = self.canon[triple] = least_relabel(self.graph, *triple)
+        return c
 
     def _tick(self):
         self.explored += 1
@@ -314,7 +331,7 @@ class _Search(Canonicaliser):
         if not self.holds(beta, left[3], right[2], right[3]):
             return None
         return self.canonical((left[4], right[4], _next_beta(
-            beta, left[6], right[7], right[8], right[9], right[5])))
+            beta, left[6], right[7], right[8], right[5])))
 
     def run(self, root: tuple) -> tuple:
         """(True, winning triples) or (False, refutation of the root).  A

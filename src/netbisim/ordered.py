@@ -11,9 +11,12 @@ The update is computed on positions (`step_rows`): a marking is the
 sorted tuple of its tokens, a token is its position there, a token set is
 an int mask of positions, and the preorder is one up-set mask per token.
 No numbering reaches past one marking: a move maps the positions of its
-source to those of its target.  `OIMGraph` is the ordered token game of
-one net on ints: it interns each marking once and builds its moves once,
-each a tuple of ints and tuples with a dict memo of its position map.
+source to those of its target by one position map (`invert`), and a mask
+reaches the target only through `image`; a canonical renaming in
+`symmetry` is a position map of the same kind.  `OIMGraph` is the ordered
+token game of one net on ints: it interns each marking once and builds
+its moves once, each a tuple of ints and tuples with a dict memo of the
+images of its position map.
 Each net object builds one, on first use (`PTNet.oim_graph`), and every
 fc/cn search, canonical form, validator, `oim_successors` and
 `reachable_oim` call on that net plays on it, so a marking's moves are
@@ -72,50 +75,52 @@ class OIMStep:
     target: OrderedIndexedMarking
 
 
-def shifted(x: int, gone: tuple, made: tuple) -> int:
-    """The mask x of source positions as target positions: the bits of
-    `gone`, deleted positions in descending order, are dropped, and a zero
-    bit opens at each of `made`, created target positions in ascending
-    order.  Untouched tokens keep their relative order, so this is the map
-    of a move on the positions it leaves."""
-    for i in gone:
-        x = x & ((1 << i) - 1) | (x >> (i + 1)) << i
-    for j in made:
-        x = x & ((1 << j) - 1) | (x >> j) << (j + 1)
-    return x
+def invert(plan: tuple, n: int) -> tuple:
+    """The position map of a plan (for each target position, its source
+    position, or -1 if new) from n source positions: for each source
+    position, the bit of its target position, or 0 if it is dropped."""
+    to = [0] * n
+    for j, i in enumerate(plan):
+        if i >= 0:
+            to[i] = 1 << j
+    return tuple(to)
+
+
+def image(x: int, to: tuple) -> int:
+    """The mask x of source positions sent through the position map `to`
+    of `invert`, one set bit at a time."""
+    out = 0
+    while x:
+        b = x & -x
+        x ^= b
+        out |= to[b.bit_length() - 1]
+    return out
 
 
 def step_rows(tokens: tuple, rows: tuple, removed: int,
-              created: tuple) -> tuple[tuple, tuple, tuple, tuple, tuple, int]:
+              created: tuple) -> tuple[tuple, tuple, tuple, tuple, int]:
     """The order update on positions.  `rows[i]` is the up-set mask of
     tokens[i], `removed` the mask of the deleted positions and `created`
     the sorted tokens the firing makes.  Returns the target tokens, their
     rows, the plan (for each target position, its source position, or -1
-    if the firing created it), the `gone` and `made` arguments of
-    `shifted` for the move, as tuples, and the mask of the created target
-    positions."""
-    target = []
-    plan = []
-    gone = []
+    if the firing created it), its position map `to` (`invert`) and the
+    mask of the created target positions."""
+    target, plan = [], []
     for i, tok in enumerate(tokens):
-        if removed >> i & 1:
-            gone.append(i)
-        else:
+        if not removed >> i & 1:
             target.append(tok)
             plan.append(i)
-    gone.reverse()
-    opened = []
     made = 0
     for tok in created:
         j = bisect_left(target, tok)
         target.insert(j, tok)
         plan.insert(j, -1)
-        opened.append(j)
         made |= 1 << j
+    to = invert(plan, len(tokens))
     # Clause (3) is evaluated against the pre-firing order.
-    new_rows = tuple([made if i < 0 else shifted(rows[i], gone, opened) | (
+    new_rows = tuple([made if i < 0 else image(rows[i], to) | (
         made if rows[i] & removed else 0) for i in plan])
-    return tuple(target), new_rows, tuple(plan), tuple(gone), tuple(opened), made
+    return tuple(target), new_rows, tuple(plan), to, made
 
 
 def encode_rows(tokens: tuple, pairs, within: tuple) -> Optional[tuple]:
@@ -156,19 +161,6 @@ def decode_rows(tokens: tuple, rows: tuple, within: tuple,
     return frozenset(out)
 
 
-def _step_order(
-    old: frozenset,
-    untouched: frozenset,
-    generated: frozenset,
-    removed: frozenset,
-) -> frozenset:
-    tokens = tuple(sorted(untouched | removed))
-    gone = sum(1 << i for i, tok in enumerate(tokens) if tok in removed)
-    target, rows, *_ = step_rows(tokens, encode_rows(tokens, old, tokens),
-                                 gone, tuple(sorted(generated)))
-    return decode_rows(target, rows, target, {})
-
-
 _MISSING = object()
 
 
@@ -184,13 +176,13 @@ class OIMGraph:
     is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
-         created mask, plan, images, gone, opened)
+         created mask, plan, images, to)
 
     built once per marking, with a (position, bit, up-set) entry per
-    deleted token and the created mask, plan, `gone` and `made` (here
-    `opened`) of `step_rows`; masks before the target id are over the
-    source's positions, the created mask over the target's.  `images` is
-    the move's memo of `shifted(x, gone, opened)`, a plain dict of ints.
+    deleted token and the created mask, plan and position map `to` of
+    `step_rows`; masks before the target id are over the source's
+    positions, the created mask over the target's.  `images` is the
+    move's memo of `image(x, to)`, a plain dict of ints.
     A marking's moves and each label's bucket of them are tuples, which
     hold only ints, tuples and that dict, so once they survive a
     collection the cyclic collector no longer walks them.  The graph
@@ -233,12 +225,12 @@ class OIMGraph:
             moves, by_label = [], {}
             for t, removed, created in firings(self.kernel, self.transitions,
                                                tokens):
-                target, target_rows, plan, gone, opened, made = step_rows(
+                target, target_rows, plan, to, made = step_rows(
                     tokens, rows, removed, created)
-                deleted = tuple([(i, 1 << i, rows[i]) for i in reversed(gone)])
+                deleted = tuple([(i, 1 << i, rows[i])
+                                 for i, b in enumerate(to) if not b])
                 move = (t.label, t.tid, removed, deleted,
-                        self.intern(target, target_rows), made, plan, {},
-                        gone, opened)
+                        self.intern(target, target_rows), made, plan, {}, to)
                 moves.append(move)
                 by_label[t.label] = by_label.get(t.label, ()) + (move,)
             entry = self.moves[o] = (tuple(moves), by_label)

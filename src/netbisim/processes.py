@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 
 from .nets import Multiset, NetError, PTNet
 from .indexed import IndexedMarking, Token, alpha, boxplus, is_closed
-from .ordered import OrderedIndexedMarking, _step_order, init_oim
+from .ordered import OrderedIndexedMarking, init_oim
 
 
 class InvalidDeltaError(NetError):
@@ -277,7 +277,13 @@ def ps_step(ps: ProcessSequence, ext: Extension,
 
     delta2 = {b: tok for b, tok in ps.delta if b not in ext.preset}
     delta2.update(assignment)
-    order = _step_order(ps.oim.order, untouched, created, deleted)
+    # The order clauses on token pairs: (1) untouched pairs keep their
+    # relation, (2) created tokens form a clique, (3) an untouched token
+    # below a deleted one before the firing is below every created one.
+    old = ps.oim.order
+    below = {a for a, d in old if d in deleted and a in untouched}
+    order = frozenset({(a, b) for a, b in old if a in untouched and b in untouched}
+                      | {(a, b) for a in below | created for b in created})
     return ProcessSequence(
         p2, ps.trace + (ext.eid,), tuple(sorted(delta2.items())),
         OrderedIndexedMarking(untouched | created, order), ps.k0,

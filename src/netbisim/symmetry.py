@@ -2,8 +2,8 @@
 
 Token indices carry no meaning: the game on a triple (oim1, oim2, beta)
 does not change when each side's tokens are renamed by a bijection that
-keeps every token on its place.  `Canonicaliser.canonical` maps a triple
-to one image under such a renaming, to tokens (place, 1..n), chosen from
+keeps every token on its place.  `least_relabel` maps a triple to one
+image under such a renaming, to tokens (place, 1..n), chosen from
 the triple's relations alone, so that triples that differ by a renaming
 share one image.  Soundness rests only on the image being a renaming of
 the triple; a weaker choice costs reduction, not correctness.
@@ -17,26 +17,20 @@ refined by their numbers of neighbours in each cell; cells of twins
 remaining cells are split by individualising a vertex at a time, keeping
 the least-coded leaf and skipping the twins of tried vertices.
 
-`Canonicaliser` reads the markings of the `ordered.OIMGraph` the search
-plays on and interns the renamed markings there.  The vertices are the
+The functions here read the markings of the `ordered.OIMGraph` the search
+plays on and intern the renamed markings there.  The vertices are the
 positions of the left tokens, then those of the right tokens offset by
-the left side's size, and sets of them are int masks.  The memo of
-canonical triples is the search's own and goes with it.
+the left side's size, and sets of them are int masks.  A renaming is a
+position map, as a move is: an order of positions is a plan (new
+position j holds old position order[j]), `ordered.invert` turns it into
+a map and `ordered.image` sends masks through it.  The memo of canonical
+triples is the search's own (`engine._Search.canonical`) and goes with
+it.
 """
 
 from __future__ import annotations
 
-from .ordered import OIMGraph
-
-
-def image(x: int, bitmap: dict) -> int:
-    """The mask of the bits bitmap sends the bits of x to."""
-    out = 0
-    while x:
-        b = x & -x
-        x ^= b
-        out |= bitmap[b]
-    return out
+from .ordered import OIMGraph, image, invert
 
 
 def refine(cells: list, out: list, inn: list, fresh: list) -> list:
@@ -114,8 +108,8 @@ def least_order(cells: list, out: list, inn: list) -> list:
 
 
 def _code(order: list, out: list) -> list:
-    at = {1 << v: 1 << j for j, v in enumerate(order)}
-    return [image(out[v], at) for v in order]
+    to = invert(order, len(order))
+    return [image(out[v], to) for v in order]
 
 
 def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
@@ -147,83 +141,61 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
                [b, cells[k] ^ b], out, inn, best)
 
 
-class Canonicaliser:
-    """Canonical int triples over the markings of an `OIMGraph`; mixed
-    into the game search, which plays on the same graph.  The memo
-    `canon` lasts as long as the search."""
+def shape(graph: OIMGraph, o: int) -> tuple:
+    """(up, down, cells) of OIM o, over the positions of its tokens: up[v]
+    and down[v] are the masks of the tokens above and below the token at
+    v, and cells are the masks of its places' tokens, the runs of equal
+    places, in place order."""
+    tokens, rows = graph.oims[o]
+    down = [0] * len(tokens)
+    cells: list[int] = []
+    for v, row in enumerate(rows):
+        b = 1 << v
+        while row:
+            c = row & -row
+            row ^= c
+            down[c.bit_length() - 1] |= b
+        if v and tokens[v][0] == tokens[v - 1][0]:
+            cells[-1] |= b
+        else:
+            cells.append(b)
+    return list(rows), down, cells
 
-    def __init__(self, graph: OIMGraph):
-        self.graph = graph
-        self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
 
-    def canonical(self, triple: tuple) -> tuple:
-        """The image of an int triple (left id, right id, beta rows) under
-        a place-preserving renaming of each side's tokens to (place, 1..n)
-        that the triples differing by such a renaming share.  A triple
-        whose tokens all have index 1 (no place holds two) is its own."""
-        left, right, beta = triple
-        plain = self.graph.plain
-        if plain[left] and plain[right]:
-            return triple
-        c = self.canon.get(triple)
-        if c is None:
-            c = self.canon[triple] = self.least_relabel(left, right, beta)
-        return c
+def relabel(graph: OIMGraph, o: int, order: list) -> tuple:
+    """(id, to) of OIM o with the token at order[j] moved to position j and
+    renamed to (place, 1), (place, 2), ... per place: `to` is the position
+    map of the plan `order`.  Refinement and individualisation split cells
+    in place, so an order of `least_order` keeps each place's tokens
+    together, in place order, and position j still holds a token of the
+    place of tokens[j]: the renamed tokens are the closed tokens of o's
+    places, already sorted."""
+    tokens, rows = graph.oims[o]
+    closed = []
+    for p, _ in tokens:
+        closed.append((p, closed[-1][1] + 1 if closed and closed[-1][0] == p
+                       else 1))
+    to = invert(order, len(tokens))
+    return graph.intern(tuple(closed), tuple([image(rows[v], to)
+                                              for v in order])), to
 
-    def shape(self, o: int) -> tuple:
-        """(up, down, cells) of OIM o, over the positions of its tokens:
-        up[v] and down[v] are the masks of the tokens above and below the
-        token at v, and cells are the masks of its places' tokens, the
-        runs of equal places, in place order."""
-        tokens, rows = self.graph.oims[o]
-        down = [0] * len(tokens)
-        cells: list[int] = []
-        for v, row in enumerate(rows):
-            b = 1 << v
-            while row:
-                c = row & -row
-                row ^= c
-                down[c.bit_length() - 1] |= b
-            if v and tokens[v][0] == tokens[v - 1][0]:
-                cells[-1] |= b
-            else:
-                cells.append(b)
-        return list(rows), down, cells
 
-    def relabel(self, o: int, order: list) -> tuple:
-        """(id, bitmap) of OIM o with the token at order[j] moved to
-        position j and renamed to (place, 1), (place, 2), ... per place:
-        bitmap sends old bits to new ones.  Refinement and individualisation
-        split cells in place, so an order of `least_order` keeps each
-        place's tokens together, in place order, and position j still
-        holds a token of the place of tokens[j]: the renamed tokens are the
-        closed tokens of o's places, already sorted."""
-        tokens, rows = self.graph.oims[o]
-        closed = []
-        for p, _ in tokens:
-            closed.append((p, closed[-1][1] + 1 if closed and closed[-1][0] == p
-                           else 1))
-        bitmap = {1 << v: 1 << j for j, v in enumerate(order)}
-        return (self.graph.intern(tuple(closed), tuple(
-            [image(rows[v], bitmap) for v in order])), bitmap)
-
-    def least_relabel(self, left: int, right: int, beta: tuple) -> tuple:
-        """The triple relabelled on both sides by `least_order` on the
-        digraph of both orders and beta, whose vertices are the positions v
-        of the left tokens and v + n of the right ones, for the n left
-        tokens."""
-        (lup, ldown, lcells), (rup, rdown, rcells) = (self.shape(left),
-                                                      self.shape(right))
-        n = len(lup)
-        out = lup + [x << n for x in rup]
-        inn = ldown + [x << n for x in rdown]
-        for v, row in enumerate(beta):
-            out[v] |= row << n
-            while row:
-                c = row & -row
-                row ^= c
-                inn[n + c.bit_length() - 1] |= 1 << v
-        order = least_order(lcells + [c << n for c in rcells], out, inn)
-        lo, _ = self.relabel(left, order[:n])
-        ro, bitmap = self.relabel(right, [v - n for v in order[n:]])
-        return lo, ro, tuple([image(beta[v], bitmap) for v in order[:n]])
+def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple) -> tuple:
+    """The triple relabelled on both sides by `least_order` on the digraph
+    of both orders and beta, whose vertices are the positions v of the
+    left tokens and v + n of the right ones, for the n left tokens."""
+    (lup, ldown, lcells), (rup, rdown, rcells) = (shape(graph, left),
+                                                  shape(graph, right))
+    n = len(lup)
+    out = lup + [x << n for x in rup]
+    inn = ldown + [x << n for x in rdown]
+    for v, row in enumerate(beta):
+        out[v] |= row << n
+        while row:
+            c = row & -row
+            row ^= c
+            inn[n + c.bit_length() - 1] |= 1 << v
+    order = least_order(lcells + [c << n for c in rcells], out, inn)
+    lo, _ = relabel(graph, left, order[:n])
+    ro, to = relabel(graph, right, [v - n for v in order[n:]])
+    return lo, ro, tuple([image(beta[v], to) for v in order[:n]])

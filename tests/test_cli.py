@@ -108,6 +108,8 @@ def test_check_limits_need_fc_or_cn(buf4_path, capsys):
                          buf4_path, "m0", "m0"]) == 64
         assert cli_main(["check", "--equiv", "fc", "--cap", "4", flag, "-1",
                          buf4_path, "m0", "m0"]) == 3
+    assert cli_main(["check", "--equiv", "fc", "--cap", "4", "--max-seconds",
+                     "nan", buf4_path, "m0", "m0"]) == 3
 
 
 def test_oracle_exit_codes(fig1_path, tmp_path, capsys):

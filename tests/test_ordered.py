@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from netbisim import (
-    Multiset, NetError, initial_indexed, init_oim, oim_successors,
-    reachable_oim,
+    Multiset, NetError, PTNet, Transition, initial_indexed, init_oim,
+    oim_successors, reachable_oim,
 )
-from netbisim.ordered import OrderedIndexedMarking, oim_check
+from netbisim.ordered import OrderedIndexedMarking, image, invert, oim_check
 
 
 def test_init_oim_is_full_square(fig2_m0):
@@ -74,17 +75,41 @@ def test_untouched_pairs_preserved(fig2_net, fig2_m0):
 def test_clause3_uses_prefiring_order():
     """An untouched token unrelated to any deleted token must not precede
     the generated ones."""
-    from netbisim.ordered import _step_order
-
+    net = PTNet.make(["p", "q"], [Transition("t", "t", Multiset.of("p"),
+                                             Multiset.of("q"))])
     a, b, new = ("p", 1), ("p", 2), ("q", 1)
+
+    def order_after_firing_b(old):
+        o = OrderedIndexedMarking(frozenset({a, b}), old)
+        step, = (s for s in oim_successors(net, o)
+                 if s.removed == frozenset({b}))
+        return step.target.order
+
     # pre-firing order: a and b only reflexively related
-    old = frozenset({(a, a), (b, b)})
-    order = _step_order(old, frozenset({a}), frozenset({new}), frozenset({b}))
+    order = order_after_firing_b(frozenset({(a, a), (b, b)}))
     assert (a, new) not in order
     # now a <= b held before the firing: a is promoted below the new token
-    old2 = frozenset({(a, a), (b, b), (a, b)})
-    order2 = _step_order(old2, frozenset({a}), frozenset({new}), frozenset({b}))
+    order2 = order_after_firing_b(frozenset({(a, a), (b, b), (a, b)}))
     assert (a, new) in order2
+
+
+@st.composite
+def plans(draw):
+    """(plan, n, x): a plan from n source positions that drops some and
+    opens new ones (-1), in any order, and a mask of source positions."""
+    n = draw(st.integers(0, 10))
+    kept = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    plan = draw(st.permutations(kept + [-1] * draw(st.integers(0, 4))))
+    return tuple(plan), n, draw(st.integers(0, (1 << n) - 1))
+
+
+@given(plans())
+def test_image_maps_each_kept_position_through_the_plan(case):
+    plan, n, x = case
+    y = image(x, invert(plan, n))
+    assert y >> len(plan) == 0
+    for j, i in enumerate(plan):
+        assert (y >> j & 1) == (i >= 0 and x >> i & 1)
 
 
 def test_reachable_oim_finite(fig2_net, fig2_m0):
