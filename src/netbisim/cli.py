@@ -160,9 +160,9 @@ _INDEXED_SPACES = {
 def _cmd_explore(args) -> int:
     doc, m = _load(args.net, args.marking)
     net = doc.net
+    kernel = net.kernel
+    succ = kernel.explore((m,), args.cap)  # the bound check comes first
     if args.what == "markings":
-        kernel = net.kernel
-        succ = kernel.explore((m,), args.cap)
         print(f"markings {len(succ)}")
         if args.dot:
             markings = {x: kernel.decode(x) for x in succ}

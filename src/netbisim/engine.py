@@ -49,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Literal, Optional
+from typing import Iterable, Literal, Optional
 
 from .nets import Multiset, NetError, PTNet
 from .indexed import Token
@@ -83,13 +83,16 @@ class Refutation:
 
     def nodes(self) -> list[Refutation]:
         """The distinct nodes below this one, itself included, each after
-        the nodes its responses lead to.  Raises ValueError on a cycle."""
+        the nodes its responses lead to.  Raises ValueError on a cycle,
+        and TypeError on a response that is not a (step, node) pair."""
         done: dict[int, Refutation] = {}  # id(node) -> node, children first
         open_ids = {id(self)}
         stack = [(self, iter(self.responses))]
         while stack:
             node, rest = stack[-1]
             for _, sub in rest:
+                if not isinstance(sub, Refutation):
+                    raise TypeError(f"a response leads to {sub!r}")
                 if id(sub) in open_ids:
                     raise ValueError("refutation leads back to itself")
                 if id(sub) not in done:
@@ -519,8 +522,10 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     are.  For a witness of canonical triples that happens when a
     defender response leads out of the witness, as when a defender's
     first admissible response is refuted and a later one wins.  A triple
-    whose token sets or relations are not frozensets fails it."""
-    if not (_well_typed(root) and all(map(_well_typed, witness))):
+    whose token sets or relations are not frozensets fails it, as does a
+    witness that is not iterable."""
+    if not (isinstance(witness, Iterable) and _well_typed(root)
+            and all(map(_well_typed, witness))):
         return False
     helper = _Search(net, flavor, Limits())
     encoded = set(map(helper.encode, witness))
@@ -564,12 +569,15 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     triple (`_Search.canonical`).  Each distinct node is replayed once; a
     refutation that leads back to one of its own nodes proves nothing and
     is rejected, and so is a node whose triple's token sets or relations
-    are not frozensets.  It proves only that `ref.triple` loses: a caller
-    checks that this is the root it asked about."""
+    are not frozensets, or whose responses are not (step, node) pairs.  It
+    proves only that `ref.triple` loses: a caller checks that this is the
+    root it asked about."""
     helper = _Search(net, flavor, Limits())
+    if not isinstance(ref, Refutation):
+        return False
     try:
         nodes = ref.nodes()
-    except ValueError:
+    except (TypeError, ValueError):
         return False
     if not all(_well_typed(node.triple) for node in nodes):
         return False

@@ -94,8 +94,8 @@ def _parse_ident(line: _Line, what: str) -> str:
 
 
 def _parse_terms(line: _Line, places: set[str]) -> Multiset:
-    """`0` or a +-separated list of [nat*]place terms."""
-    if line.peek() == "0":
+    """`0` alone or a +-separated list of [nat*]place terms."""
+    if re.match(r"\s*0\s*(->|\Z)", line.text[line.pos:]):
         line.expect("0")
         return Multiset()
     acc: dict[str, int] = {}

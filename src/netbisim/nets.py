@@ -331,11 +331,10 @@ class Kernel:
         enabled, removed, added = self.enabled, self.removed, self.added
         succ: dict[tuple, list] = {}
         for seed in key[0]:
+            _check_cap(seed, cap)  # before a huge seed is expanded
             start = self.encode(seed)
             if start in succ:
                 continue
-            if len(start) > cap and _over(start, cap):
-                _check_cap(self.decode(start), cap)
             succ[start] = []
             queue = deque((start,))
             while queue:

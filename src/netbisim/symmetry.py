@@ -12,10 +12,10 @@ The choice is a canonical labelling of a digraph (Ip & Dill, "Better
 verification through symmetry", 1996; McKay & Piperno, "Practical graph
 isomorphism, II", 2014): the vertices are the tokens, coloured by side and
 place, and the edges are both orders and beta.  Cells of vertices are
-refined by their numbers of neighbours in each cell; cells of twins
-(vertices whose swap is an automorphism) are split without branching; the
-remaining cells are split by individualising a vertex at a time, keeping
-the least-coded leaf and skipping the twins of tried vertices.
+refined by their numbers of neighbours in each cell; then the first cell
+that is not a singleton splits into singletons if its vertices are twins
+(their swaps are automorphisms), and otherwise by individualising one
+vertex of each twin class in turn, keeping the least-coded leaf.
 
 The functions here read the markings of the `ordered.OIMGraph` the search
 plays on and intern the renamed markings there.  The vertices are the
@@ -75,33 +75,12 @@ def twins(u: int, v: int, out: list, inn: list) -> bool:
             and out[u] >> v & 1 == out[v] >> u & 1)
 
 
-def split_twins(cells: list, out: list, inn: list) -> list:
-    """The cells, with each cell of pairwise twins split into singletons in
-    vertex order.  Every order of twins gives the same code, and since the
-    other vertices see all of a cell of twins or none of it, no refinement
-    follows."""
-    new = []
-    for cell in cells:
-        u = (cell & -cell).bit_length() - 1
-        rest = cell & (cell - 1)
-        verts = []
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            verts.append(b.bit_length() - 1)
-        if verts and all(twins(u, v, out, inn) for v in verts):
-            new += [1 << u] + [1 << v for v in verts]
-        else:
-            new.append(cell)
-    return new
-
-
 def least_order(cells: list, out: list, inn: list) -> list:
     """The vertex order of a least-coded discrete refinement of the ordered
-    cells.  Cells of twins are split outright; the first other cell is
-    split by individualising each of its vertices in turn, with refinement
-    in between.  A twin of a tried vertex is not tried: its subtree is an
-    image of the tried one's."""
+    cells.  The first cell that is not a singleton splits: a cell of twins
+    into singletons in vertex order, needing no refinement since the other
+    vertices see all of it or none; any other by individualising one vertex
+    per twin class in turn, with refinement, as twins have image subtrees."""
     best: list = []  # [code or None while it is the only leaf, order]
     _visit(cells, cells, out, inn, best)
     return best[1]
@@ -113,32 +92,42 @@ def _code(order: list, out: list) -> list:
 
 
 def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
-    """One node of `least_order`.  Recurses once per individualised
-    vertex."""
-    cells = split_twins(refine(cells, out, inn, fresh), out, inn)
-    k = next((k for k, c in enumerate(cells) if c & (c - 1)), None)
-    if k is None:
-        order = [c.bit_length() - 1 for c in cells]
-        if not best:
-            best[:] = None, order
-            return
-        if best[0] is None:
-            best[0] = _code(best[1], out)
-        c = _code(order, out)
-        if c < best[0]:
-            best[:] = c, order
-        return
-    tried: list[int] = []
-    rest = cells[k]
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        v = b.bit_length() - 1
-        if any(twins(u, v, out, inn) for u in tried):
+    """One node of `least_order`: recurses once per twin class."""
+    cells = refine(cells, out, inn, fresh)
+    k = 0
+    while k < len(cells):
+        cell = cells[k]
+        if not cell & (cell - 1):
+            k += 1
             continue
-        tried.append(v)
-        _visit(cells[:k] + [b, cells[k] ^ b] + cells[k + 1:],
-               [b, cells[k] ^ b], out, inn, best)
+        reps: list[int] = []  # the least vertex of each twin class
+        bits = []
+        rest = cell
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            bits.append(b)
+            v = b.bit_length() - 1
+            if not any(twins(u, v, out, inn) for u in reps):
+                reps.append(v)
+        if len(reps) == 1:
+            cells[k:k + 1] = bits
+            k += len(bits)
+            continue
+        for v in reps:
+            b = 1 << v
+            _visit(cells[:k] + [b, cell ^ b] + cells[k + 1:],
+                   [b, cell ^ b], out, inn, best)
+        return
+    order = [c.bit_length() - 1 for c in cells]
+    if not best:
+        best[:] = None, order
+        return
+    if best[0] is None:
+        best[0] = _code(best[1], out)
+    c = _code(order, out)
+    if c < best[0]:
+        best[:] = c, order
 
 
 def shape(graph: OIMGraph, o: int) -> tuple:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import netbisim
 from netbisim.cli import cli_main
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
@@ -167,6 +172,43 @@ def test_bound_prints_least_bound(fig2_path, capsys):
 def test_bound_cap_exceeded_is_error(fig2_path, capsys):
     assert cli_main(["bound", "--cap", "2", fig2_path, "m0"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+HUGE = """\
+net huge
+places s1 s2
+trans t a : s1 -> s2
+marking m0 : 1000000000000000*s1
+"""
+
+
+def _address_space_of_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--equiv", "fc", "--cap", "2", "NET", "m0", "m0"],
+    ["check", "--equiv", "il", "--cap", "2", "NET", "m0", "m0"],
+    ["bound", "--cap", "2", "NET", "m0"],
+    ["explore", "--what", "markings", "--cap", "2", "NET", "m0"],
+    ["explore", "--what", "im", "--cap", "2", "NET", "m0"],
+    ["explore", "--what", "oim", "--cap", "2", "NET", "m0"],
+], ids=["check-fc", "check-il", "bound", "explore-markings", "explore-im",
+        "explore-oim"])
+def test_marking_far_over_the_cap_is_refused(args, tmp_path):
+    """A marking of 10^15 tokens on one place is refused against the cap
+    before it is expanded into tokens: each command exits 3 within a 1 GB
+    address space instead of running out of memory."""
+    path = tmp_path / "huge.pn"
+    path.write_text(HUGE)
+    src = str(Path(netbisim.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "netbisim.cli",
+         *[str(path) if a == "NET" else a for a in args]],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60, preexec_fn=_address_space_of_1gb)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.strip().endswith("cap is 2")
 
 
 def test_explore_markings_and_dot(fig2_path, tmp_path, capsys):

@@ -802,3 +802,25 @@ def test_reduced_certificate_texts_pinned(name, flavor, fig1_net,
 
 def test_reduced_corpus_certificates_pinned():
     assert corpus_digest() == REDUCED_CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("malformed", [
+    lambda ref: replace(ref, responses=(5,)),
+    lambda ref: replace(ref, responses=None),
+    lambda ref: replace(ref, responses=((ref.responses[0][0], "x"),)),
+    lambda ref: None,
+], ids=["int-response", "no-responses", "str-node", "no-refutation"])
+def test_malformed_refutation_is_rejected_not_raised(malformed, fig1_net):
+    """A refutation node whose responses are not (step, node) pairs, and a
+    refutation that is None, make `validate_refutation` return False."""
+    ref = decide_oimc(fig1_net, Multiset.of("s1"), Multiset.of("s3"),
+                      4).refutation
+    assert validate_refutation(fig1_net, ref, "cn")
+    assert not validate_refutation(fig1_net, malformed(ref), "cn")
+
+
+@pytest.mark.parametrize("witness", [None, 5])
+def test_witness_that_is_not_iterable_is_rejected_not_raised(witness,
+                                                            fig1_net):
+    root = initial_triple(Multiset.of("s1"), Multiset.of("s3"))
+    assert not validate_witness(fig1_net, witness, root, "fc")

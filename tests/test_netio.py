@@ -89,12 +89,28 @@ def test_syntax_errors_carry_position():
     ("net n\nplaces 1p\n", 2, 10, "bad place '1p'"),
     ("net n\nnet m\n", 2, 4, "duplicate net directive"),
     ("net x y\n", 1, 7, "trailing input"),
+    ("net n\nplaces s1 s2\ntrans t b : 0*s1 -> s2\n", 3, 18,
+     "transition 't' has an empty preset"),
 ])
 def test_parse_error_positions(text, line, col, msg):
     with pytest.raises(ParseError) as exc:
         parse_net(text)
     assert (exc.value.line, exc.value.col) == (line, col)
     assert str(exc.value).endswith(msg)
+
+
+@pytest.mark.parametrize("terms,counts", [
+    ("0*s1 + s2", {"s2": 1}),
+    ("05*s1", {"s1": 5}),
+    ("0 * s1 + 2*s2", {"s2": 2}),
+    ("s1 + 0*s2", {"s1": 1}),
+    ("0", {}),
+])
+def test_zero_is_the_empty_marking_only_alone(terms, counts):
+    """A leading `0` is a count like any other unless it is the whole term
+    list."""
+    doc = parse_net(f"net n\nplaces s1 s2\nmarking m : {terms}\n")
+    assert doc.markings["m"] == Multiset(counts)
 
 
 def test_round_trip():

@@ -13,6 +13,7 @@ from netbisim import (
     PTNet, Transition, decide_interleaving, decide_oim, decide_oimc,
     validate_refutation, validate_witness,
 )
+from netbisim import symmetry
 from netbisim.engine import _Search
 from netbisim.indexed import is_closed
 from netbisim.randnets import mutation_corpus, mutation_instance
@@ -191,6 +192,52 @@ def test_canonical_tries_every_vertex_of_a_tied_cell():
     rng = random.Random(1)
     for _ in range(20):
         assert search.canonical(search.encode(renamed(g, rng))) == c
+
+
+def counted_visits(monkeypatch) -> list:
+    """[the number of `symmetry._visit` calls since], recursive ones
+    included."""
+    calls = [0]
+    visit = symmetry._visit
+
+    def counting(*args):
+        calls[0] += 1
+        return visit(*args)
+
+    monkeypatch.setattr(symmetry, "_visit", counting)
+    return calls
+
+
+def one_place_graph():
+    return PTNet.make(["s1"], [Transition("t", "a", Multiset.of("s1"),
+                                          Multiset.of("s1"))]).oim_graph
+
+
+def test_a_cell_of_twins_is_split_at_one_node(monkeypatch):
+    """600 tokens on one place, each before every other on both sides and
+    all related by beta: every cell is a cell of twins, so one search node
+    writes each out in vertex order, with no level per token."""
+    graph = one_place_graph()
+    o = graph.initial(Multiset({"s1": 600}))
+    beta = ((1 << 600) - 1,) * 600
+    calls = counted_visits(monkeypatch)
+    assert symmetry.least_relabel(graph, o, o, beta) == (o, o, beta)
+    assert calls == [1]
+
+
+def test_the_twins_of_a_tried_vertex_are_not_tried(monkeypatch):
+    """Four tokens a side whose order is two 2-cliques, and no beta: the
+    search individualises one token per clique, at the root and again on
+    the right side below each, for 1 + 2 * (1 + 2) = 7 nodes; trying every
+    token would take 1 + 4 * (1 + 4) = 21."""
+    graph = one_place_graph()
+    o = graph.intern(tuple(("s1", i) for i in range(1, 5)),
+                     (0b0011, 0b0011, 0b1100, 0b1100))
+    calls = counted_visits(monkeypatch)
+    lo, ro, beta = symmetry.least_relabel(graph, o, o, (0,) * 4)
+    assert calls == [7]
+    assert lo == ro and beta == (0,) * 4
+    assert symmetry.least_relabel(graph, lo, ro, beta) == (lo, ro, beta)
 
 
 def decide_both(net, m1, m2, cap, flavor, monkeypatch):
