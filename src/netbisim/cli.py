@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 equivalent, 1 not-equivalent, 2 unknown, 3 runtime error
-(bad input, bound exceeded), 64 usage error.
+(bad input, bound exceeded, or an internal error, whose traceback goes to
+stderr), 64 usage error.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from collections import Counter
 
 from .nets import NetError, NetSystem, reachable
@@ -237,6 +239,9 @@ def cli_main(argv=None) -> int:
         return handler(args)
     except (NetError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:  # not 1, which would read as not-equivalent
+        traceback.print_exc()
         return EXIT_ERROR
 
 

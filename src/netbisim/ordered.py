@@ -183,9 +183,9 @@ class OIMGraph:
     `step_rows`; masks before the target id are over the source's
     positions, the created mask over the target's.  `images` is the
     move's memo of `image(x, to)`, a plain dict of ints.
-    A marking's moves and each label's bucket of them are tuples, which
-    hold only ints, tuples and that dict, so once they survive a
-    collection the cyclic collector no longer walks them.  The graph
+    A marking's moves and each label's bucket of them are tuples.  As
+    each move holds its `images` dict, the cyclic collector keeps
+    tracking the moves and every tuple that holds them.  The graph
     grows with the calls that play on it; what a call decodes lives
     in its `OIMCodec`.  A call holds `lock` while it plays
     (`holding_graph`), which also guards the images a move stores."""

@@ -15,7 +15,9 @@ place, and the edges are both orders and beta.  Cells of vertices are
 refined by their numbers of neighbours in each cell; then the first cell
 that is not a singleton splits into singletons if its vertices are twins
 (their swaps are automorphisms), and otherwise by individualising one
-vertex of each twin class in turn, keeping the least-coded leaf.
+vertex of each twin class in turn, keeping the least-coded leaf.  A
+leaf's code is the digraph relabelled by its vertex order, so the least
+code is the canonical triple itself, read off its rows.
 
 The functions here read the markings of the `ordered.OIMGraph` the search
 plays on and intern the renamed markings there.  The vertices are the
@@ -76,14 +78,15 @@ def twins(u: int, v: int, out: list, inn: list) -> bool:
 
 
 def least_order(cells: list, out: list, inn: list) -> list:
-    """The vertex order of a least-coded discrete refinement of the ordered
-    cells.  The first cell that is not a singleton splits: a cell of twins
-    into singletons in vertex order, needing no refinement since the other
+    """The code of a least-coded discrete refinement of the ordered cells:
+    the rows of `out` renamed by its vertex order, in that order.  The
+    first cell that is not a singleton splits: a cell of twins into
+    singletons in vertex order, needing no refinement since the other
     vertices see all of it or none; any other by individualising one vertex
     per twin class in turn, with refinement, as twins have image subtrees."""
     best: list = []  # [code or None while it is the only leaf, order]
     _visit(cells, cells, out, inn, best)
-    return best[1]
+    return best[0] if best[0] is not None else _code(best[1], out)
 
 
 def _code(order: list, out: list) -> list:
@@ -130,61 +133,39 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
         best[:] = c, order
 
 
-def shape(graph: OIMGraph, o: int) -> tuple:
-    """(up, down, cells) of OIM o, over the positions of its tokens: up[v]
-    and down[v] are the masks of the tokens above and below the token at
-    v, and cells are the masks of its places' tokens, the runs of equal
-    places, in place order."""
-    tokens, rows = graph.oims[o]
-    down = [0] * len(tokens)
+def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple) -> tuple:
+    """The triple renamed on both sides by `least_order` on the digraph of
+    both orders and beta, whose vertices are the positions v of the n left
+    tokens and v + n of the right ones: out[v] is v's up-row with v's beta
+    row above it, and the cells are the runs of equal places of each side,
+    in place order.  Refinement and individualisation split cells in
+    place, so in the least leaf position j < n still holds a left token
+    and every place keeps its run: the code's rows are the renamed
+    triple's, left up-rows below n and beta and right up-rows above it,
+    and the renamed tokens are the closed tokens of each side's places."""
+    ltokens, lrows = graph.oims[left]
+    rtokens, rrows = graph.oims[right]
+    n = len(lrows)
+    out = [up | row << n for up, row in zip(lrows, beta)] + [
+        up << n for up in rrows]
+    inn = [0] * len(out)
     cells: list[int] = []
-    for v, row in enumerate(rows):
+    names: list[tuple] = []  # (place, 1..) per place run of each side
+    for v, (p, _) in enumerate(ltokens + rtokens):
         b = 1 << v
+        row = out[v]
         while row:
             c = row & -row
             row ^= c
-            down[c.bit_length() - 1] |= b
-        if v and tokens[v][0] == tokens[v - 1][0]:
+            inn[c.bit_length() - 1] |= b
+        if v != n and names and names[-1][0] == p:
             cells[-1] |= b
+            names.append((p, names[-1][1] + 1))
         else:
             cells.append(b)
-    return list(rows), down, cells
-
-
-def relabel(graph: OIMGraph, o: int, order: list) -> tuple:
-    """(id, to) of OIM o with the token at order[j] moved to position j and
-    renamed to (place, 1), (place, 2), ... per place: `to` is the position
-    map of the plan `order`.  Refinement and individualisation split cells
-    in place, so an order of `least_order` keeps each place's tokens
-    together, in place order, and position j still holds a token of the
-    place of tokens[j]: the renamed tokens are the closed tokens of o's
-    places, already sorted."""
-    tokens, rows = graph.oims[o]
-    closed = []
-    for p, _ in tokens:
-        closed.append((p, closed[-1][1] + 1 if closed and closed[-1][0] == p
-                       else 1))
-    to = invert(order, len(tokens))
-    return graph.intern(tuple(closed), tuple([image(rows[v], to)
-                                              for v in order])), to
-
-
-def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple) -> tuple:
-    """The triple relabelled on both sides by `least_order` on the digraph
-    of both orders and beta, whose vertices are the positions v of the
-    left tokens and v + n of the right ones, for the n left tokens."""
-    (lup, ldown, lcells), (rup, rdown, rcells) = (shape(graph, left),
-                                                  shape(graph, right))
-    n = len(lup)
-    out = lup + [x << n for x in rup]
-    inn = ldown + [x << n for x in rdown]
-    for v, row in enumerate(beta):
-        out[v] |= row << n
-        while row:
-            c = row & -row
-            row ^= c
-            inn[n + c.bit_length() - 1] |= 1 << v
-    order = least_order(lcells + [c << n for c in rcells], out, inn)
-    lo, _ = relabel(graph, left, order[:n])
-    ro, to = relabel(graph, right, [v - n for v in order[n:]])
-    return lo, ro, tuple([image(beta[v], to) for v in order[:n]])
+            names.append((p, 1))
+    code = least_order(cells, out, inn)
+    low = (1 << n) - 1
+    return (graph.intern(tuple(names[:n]), tuple([c & low for c in code[:n]])),
+            graph.intern(tuple(names[n:]), tuple([c >> n for c in code[n:]])),
+            tuple([c >> n for c in code[:n]]))

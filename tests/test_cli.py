@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import netbisim
+from netbisim import cli
 from netbisim.cli import cli_main
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
@@ -186,6 +187,19 @@ def _address_space_of_1gb():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_on_huge_in_1gb(args, tmp_path):
+    """The CLI run in a child process with a 1 GB address space, with NET
+    in args standing for a file holding HUGE."""
+    path = tmp_path / "huge.pn"
+    path.write_text(HUGE)
+    src = str(Path(netbisim.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "netbisim.cli",
+         *[str(path) if a == "NET" else a for a in args]],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60, preexec_fn=_address_space_of_1gb)
+
+
 @pytest.mark.parametrize("args", [
     ["check", "--equiv", "fc", "--cap", "2", "NET", "m0", "m0"],
     ["check", "--equiv", "il", "--cap", "2", "NET", "m0", "m0"],
@@ -199,16 +213,73 @@ def test_marking_far_over_the_cap_is_refused(args, tmp_path):
     """A marking of 10^15 tokens on one place is refused against the cap
     before it is expanded into tokens: each command exits 3 within a 1 GB
     address space instead of running out of memory."""
-    path = tmp_path / "huge.pn"
-    path.write_text(HUGE)
-    src = str(Path(netbisim.__file__).resolve().parent.parent)
-    run = subprocess.run(
-        [sys.executable, "-m", "netbisim.cli",
-         *[str(path) if a == "NET" else a for a in args]],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, timeout=60, preexec_fn=_address_space_of_1gb)
+    run = _run_on_huge_in_1gb(args, tmp_path)
     assert run.returncode == 3, run.stderr
     assert run.stderr.strip().endswith("cap is 2")
+
+
+def test_oracle_out_of_memory_exits_3(tmp_path):
+    """The oracle takes no cap, so it expands the marking of 10^15 tokens
+    and runs out of a 1 GB address space: the `MemoryError` is an
+    internal error (exit 3), not a not-equivalent verdict (exit 1)."""
+    run = _run_on_huge_in_1gb(
+        ["oracle", "--flavor", "fc", "--depth", "2", "NET", "m0", "m0"],
+        tmp_path)
+    assert run.returncode == 3, run.stderr
+    assert "MemoryError" in run.stderr
+
+
+def test_internal_error_exits_3_with_traceback(fig1_path, monkeypatch,
+                                               capsys):
+    def broken(*args):
+        raise RuntimeError("broken decider")
+
+    monkeypatch.setattr(cli, "decide_oim", broken)
+    assert cli_main(["check", "--equiv", "fc", "--cap", "4",
+                     fig1_path, "m_s1", "m_s3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: broken decider\n")
+
+
+def test_check_writes_refutation(tmp_path):
+    """`check --witness` writes a not-equivalent verdict's refutation as
+    `format_refutation` gives it."""
+    out = tmp_path / "refutation.txt"
+    path = str(NETS / "parallel_choice.pn")
+    assert cli_main(["check", "--equiv", "fc", "--witness", str(out),
+                     path, "m_par", "m_choice"]) == 1
+    doc = netbisim.parse_net((NETS / "parallel_choice.pn").read_text())
+    verdict = netbisim.decide_oim(doc.net, doc.markings["m_par"],
+                                  doc.markings["m_choice"], 16)
+    assert verdict.outcome == "not-equivalent"
+    assert out.read_text() == netbisim.format_refutation(verdict.refutation)
+
+
+def test_corpus_reports_disagreements(monkeypatch, capsys):
+    """An engine whose fc verdicts are flipped disagrees with the oracle on
+    every instance the oracle decides under fc, and on no other."""
+    flip = {"equivalent": "not-equivalent", "not-equivalent": "equivalent"}
+    decide = cli.decide_oim
+
+    def flipped(*args):
+        verdict = decide(*args)
+        verdict.outcome = flip.get(verdict.outcome, verdict.outcome)
+        return verdict
+
+    monkeypatch.setattr(cli, "decide_oim", flipped)
+    assert cli_main(["--seed", "7", "corpus", "--count", "5",
+                     "--depth", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    reports = [line for line in out
+               if line.startswith("disagreement on instance ")]
+    tally = dict(line.split(": ") for line in out
+                 if line.startswith(("fc:", "cn:")))
+    decided = 5 - int(tally.get("fc:unknown", 0))
+    assert decided > 0
+    assert len(reports) == decided
+    assert all(" (fc): engine=" in line for line in reports)
+    assert out[-1] == f"checked 5 instances, {decided} disagreements"
 
 
 def test_explore_markings_and_dot(fig2_path, tmp_path, capsys):
