@@ -21,15 +21,14 @@ marking's positions), and builds each marking's moves once, bucketed by
 label.  It is built once per net object and kept with it: the fc and cn
 deciders and both validators, called on one net in any order, play on
 the same ints and moves, each holding the graph's lock, so that calls
-from several threads take turns.  It keeps ints and moves only.  What
-one call makes lives in its `_Search` and goes with it: the `OIMCodec`
-with the decoded certificate objects, the canonical memo, the refutation
-memo and the limits.  `(place, index)` tokens, `GameTriple` and
-frozenset beta are the boundary format: a decided witness or refutation
-is decoded to them through the codec, and the validators encode them
-back and replay the same int game.  The frozenset functions
-`beta_update` and `deleted_condition_fc/cn` are wrappers over the mask
-forms.
+from several threads take turns.  What one call makes lives in its
+`_Search` and goes with it: the canonical memo, the refutation memo and
+the limits.  `(place, index)` tokens, `GameTriple` and frozenset beta
+are the boundary format: a decided witness or refutation is decoded to
+them through the graph, which keeps each marking's decoded form, and the
+validators encode them back, a marking decoded there with one lookup,
+and replay the same int game.  The frozenset functions `beta_update` and
+`deleted_condition_fc/cn` are wrappers over the mask forms.
 
 The game is invariant under place-preserving renaming of each side's
 token indices, so the search works on canonical triples
@@ -54,8 +53,8 @@ from typing import Iterable, Literal, Optional
 from .nets import Multiset, NetError, PTNet
 from .indexed import Token
 from .ordered import (
-    OIMCodec, OIMStep, OrderedIndexedMarking, decode_rows, encode_rows,
-    holding_graph, image, step_rows,
+    OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, holding_graph,
+    image, step_rows,
 )
 from .symmetry import least_relabel
 
@@ -246,11 +245,12 @@ def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> B
     freshly generated tokens."""
     left, right = tuple(sorted(untouched1)), tuple(sorted(untouched2))
     kept = [(a, b) for a, b in beta if a in untouched1 and b in untouched2]
+    at1, at2 = ({t: i for i, t in enumerate(xs)} for xs in (left, right))
     target1, _, plan, _, _ = step_rows(left, (0,) * len(left), 0,
                                        tuple(sorted(generated1)))
     target2, _, _, to, made = step_rows(right, (0,) * len(right), 0,
                                         tuple(sorted(generated2)))
-    rows = _next_beta(encode_rows(left, kept, right), plan, {}, to, made)
+    rows = _next_beta(encode_rows(at1, kept, at2), plan, {}, to, made)
     return decode_rows(target1, rows, target2, {})
 
 
@@ -271,13 +271,12 @@ class _Search:
     (left id, right id, beta), beta holding the mask of right tokens
     related to each left token; moves are the graph's.  Refutation nodes
     hold int triples and moves until `refutation` decodes them through
-    the call's codec.  The canonical memo `canon` is the search's own and
-    lasts as long as it."""
+    the graph.  The canonical memo `canon` is the search's own and lasts
+    as long as it."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
         self.graph = net.oim_graph
         self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
-        self.codec = OIMCodec(self.graph)
         self.holds = {"fc": _fc_holds, "cn": _cn_holds}.get(flavor)
         if self.holds is None:
             raise NetError(f"unknown flavor {flavor!r}")
@@ -405,13 +404,13 @@ class _Search:
 
     def triple(self, t: tuple) -> GameTriple:
         left, right, beta = t
-        codec = self.codec
-        return GameTriple(codec.oim(left), codec.oim(right),
-                          codec.relation(left, beta, right))
+        graph = self.graph
+        return GameTriple(graph.oim(left), graph.oim(right),
+                          graph.relation(left, beta, right))
 
     def refutation(self, root: Refutation) -> Refutation:
         """The refutation DAG below root, its triples and moves decoded."""
-        step = self.codec.step
+        step = self.graph.step
         new: dict[int, Refutation] = {}
         for node in root.nodes():
             left, right, _ = node.triple
@@ -428,12 +427,12 @@ class _Search:
     def encode(self, t: GameTriple) -> Optional[tuple]:
         """The int triple of t, or None if it mentions a foreign token or
         a relation holds an element that is not a pair of its tokens."""
-        codec = self.codec
-        left, right = codec.encode(t.left), codec.encode(t.right)
+        graph = self.graph
+        left, right = graph.encode(t.left), graph.encode(t.right)
         if left is None or right is None:
             return None
-        oims = self.graph.oims
-        beta = encode_rows(oims[left][0], t.beta, oims[right][0])
+        beta = encode_rows(graph.positions(left), t.beta,
+                           graph.positions(right))
         return None if beta is None else (left, right, beta)
 
 
@@ -528,9 +527,11 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
             and all(map(_well_typed, witness))):
         return False
     helper = _Search(net, flavor, Limits())
-    encoded = set(map(helper.encode, witness))
-    if None in encoded:
-        return False
+    encoded = set()
+    for triple in map(helper.encode, witness):
+        if triple is None:
+            return False
+        encoded.add(triple)
     canonical: set = set()
 
     def member(t: tuple) -> bool:
@@ -581,7 +582,7 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         return False
     if not all(_well_typed(node.triple) for node in nodes):
         return False
-    graph, step = helper.graph, helper.codec.step
+    graph, step = helper.graph, helper.graph.step
     # Each node's int triple, encoded once; a size-gate root needs none.
     encoded = {id(node): helper.encode(node.triple) for node in nodes
                if node is not ref or node.reason != "size-gate"}

@@ -20,13 +20,14 @@ images of its position map.
 Each net object builds one, on first use (`PTNet.oim_graph`), and every
 fc/cn search, canonical form, validator, `oim_successors` and
 `reachable_oim` call on that net plays on it, so a marking's moves are
-built once however many calls reach it.  The graph keeps the interned
-markings and their move lists only.  It does not keep what one call
-makes: `OIMCodec`, which decodes markings and moves to the public types
-and encodes them back, and the search's canonical memo live as long as
-their call.  Nor does it hold the net, only its kernel and transitions,
-so it is freed with the net by reference counting.  A net built anew,
-even an equal one, shares nothing with another.
+built once however many calls reach it.  It is also the net's one codec
+to and from the public types, and keeps each interned marking's decoded
+form, so a validator encodes a marking its decider decoded with one
+lookup.  Relations and steps are decoded anew, and the search's canonical
+memo lives as long as its call.  The graph does not hold the net, only
+its kernel and transitions, so it is freed with the net by reference
+counting.  A net built anew, even an equal one, shares nothing with
+another.
 """
 
 from __future__ import annotations
@@ -123,14 +124,12 @@ def step_rows(tokens: tuple, rows: tuple, removed: int,
     return tuple(target), new_rows, tuple(plan), to, made
 
 
-def encode_rows(tokens: tuple, pairs, within: tuple) -> Optional[tuple]:
-    """The rows of a relation from the sorted tuple tokens to the sorted
-    tuple within: rows[i] is the mask of the positions of within that
-    tokens[i] is related to.  None if an element of pairs is not a
-    2-tuple or names another token."""
-    at = {tok: i for i, tok in enumerate(tokens)}
-    to = at if within is tokens else {tok: j for j, tok in enumerate(within)}
-    rows = [0] * len(tokens)
+def encode_rows(at: dict, pairs, to: dict) -> Optional[tuple]:
+    """The rows of a relation between two markings, each given by its
+    table token -> position: rows[i] is the mask of the positions of `to`
+    that the token at position i of `at` is related to.  None if an
+    element of pairs is not a 2-tuple or names another token."""
+    rows = [0] * len(at)
     for pair in pairs:
         if type(pair) is not tuple or len(pair) != 2:
             return None
@@ -161,9 +160,6 @@ def decode_rows(tokens: tuple, rows: tuple, within: tuple,
     return frozenset(out)
 
 
-_MISSING = object()
-
-
 def _is_token(tok) -> bool:
     return (type(tok) is tuple and len(tok) == 2 and type(tok[0]) is str
             and type(tok[1]) is int and tok[1] >= 1)
@@ -185,10 +181,14 @@ class OIMGraph:
     move's memo of `image(x, to)`, a plain dict of ints.
     A marking's moves and each label's bucket of them are tuples.  As
     each move holds its `images` dict, the cyclic collector keeps
-    tracking the moves and every tuple that holds them.  The graph
-    grows with the calls that play on it; what a call decodes lives
-    in its `OIMCodec`.  A call holds `lock` while it plays
-    (`holding_graph`), which also guards the images a move stores."""
+    tracking the moves and every tuple that holds them.  The graph is
+    also its net's codec (`oim`, `relation`, `step`, `encode`): it keeps
+    the decoded form and the token -> position table of an interned
+    marking once made, the token pairs decoded relations share, and
+    `known`, each decoded or encoded marking object -> (it, id).  It
+    grows with the calls that play on it.  A call holds `lock` while it
+    plays (`holding_graph`), which also guards these tables and the images
+    a move stores."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
@@ -198,6 +198,10 @@ class OIMGraph:
         self.oims: list[tuple] = []  # id -> (tokens, rows)
         self.plain: list[bool] = []  # id -> every token has index 1
         self.moves: list = []  # id -> (moves, moves by label), or None
+        self.pairs: dict = {}  # token a -> token b -> (a, b)
+        self.decoded: dict[int, OrderedIndexedMarking] = {}
+        self.at: dict[int, dict] = {}  # id -> token -> position
+        self.known: dict = {}  # OrderedIndexedMarking -> (it, id)
 
     def intern(self, tokens: tuple, rows: tuple) -> int:
         key = (tokens, rows)
@@ -247,55 +251,52 @@ class OIMGraph:
                     found.append(move[4])
         return found
 
-
-class OIMCodec:
-    """The markings and moves of an `OIMGraph` as the public types, and
-    back, for one call.  Decoded markings and token pairs are shared, so
-    that equal parts of a certificate are one object; relations and steps
-    are decoded, and relations encoded, anew each time.  Encoding interns
-    the markings in the graph."""
-
-    def __init__(self, graph: OIMGraph):
-        self.graph = graph
-        self.pairs: dict = {}  # token pairs, shared by every decoded relation
-        self.decoded: dict[int, OrderedIndexedMarking] = {}
-        # OrderedIndexedMarking -> id, or None where a token is malformed
-        # or a pair is not a pair of its tokens
-        self.encoded: dict = {}
+    def positions(self, o: int) -> dict:
+        """Each token of marking o -> its position."""
+        at = self.at.get(o)
+        if at is None:
+            at = self.at[o] = {tok: i for i, tok in enumerate(self.oims[o][0])}
+        return at
 
     def relation(self, a: int, rows: tuple, b: int) -> frozenset:
         """The token pairs of rows from the tokens of marking a to those
         of marking b."""
-        oims = self.graph.oims
-        return decode_rows(oims[a][0], rows, oims[b][0], self.pairs)
+        return decode_rows(self.oims[a][0], rows, self.oims[b][0], self.pairs)
 
     def oim(self, o: int) -> OrderedIndexedMarking:
         x = self.decoded.get(o)
         if x is None:
-            tokens, rows = self.graph.oims[o]
+            tokens, rows = self.oims[o]
             x = self.decoded[o] = OrderedIndexedMarking(
                 frozenset(tokens), self.relation(o, rows, o))
+            self.known[x] = (x, o)
         return x
 
     def step(self, o: int, move: tuple) -> OIMStep:
         """The move of marking o as an `OIMStep`."""
-        return OIMStep(move[1], frozenset(pick(self.graph.oims[o][0],
-                                               move[2])), self.oim(move[4]))
+        return OIMStep(move[1], frozenset(pick(self.oims[o][0], move[2])),
+                       self.oim(move[4]))
 
     def encode(self, o: OrderedIndexedMarking) -> Optional[int]:
         """The id of o, or None if a token is not a (str place, int index
         >= 1) pair or an element of its order is not a pair of its
         tokens.  The tokens are checked before they are sorted, so that no
-        mix of types is compared."""
-        x = self.encoded.get(o, _MISSING)
-        if x is _MISSING:
-            x = None
-            if all(map(_is_token, o.tokens)):
-                tokens = tuple(sorted(o.tokens))
-                rows = encode_rows(tokens, o.order, tokens)
-                if rows is not None:
-                    x = self.graph.intern(tokens, rows)
-            self.encoded[o] = x
+        mix of types is compared, and a marking that fails enters no
+        table.  `known` answers only for the object it holds: an equal one
+        is checked, as a token (place, True) equals (place, 1)."""
+        hit = self.known.get(o)
+        if hit is not None and hit[0] is o:
+            return hit[1]
+        if not all(map(_is_token, o.tokens)):
+            return None
+        tokens = tuple(sorted(o.tokens))
+        at = {tok: i for i, tok in enumerate(tokens)}
+        rows = encode_rows(at, o.order, at)
+        if rows is None:
+            return None
+        x = self.intern(tokens, rows)
+        self.at.setdefault(x, at)
+        self.known.setdefault(o, (o, x))
         return x
 
 
@@ -314,38 +315,36 @@ def holding_graph(fn):
 @holding_graph
 def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     """All firings of the ordered token game from o, all victim choices."""
-    codec = OIMCodec(net.oim_graph)
-    start = codec.encode(o)
+    graph = net.oim_graph
+    start = graph.encode(o)
     if start is None:
         raise NetError(f"token not a (place, index >= 1) pair, or order "
                        f"mentions foreign token, in {o}")
-    return [codec.step(start, move)
-            for move in codec.graph.successors(start)[0]]
+    return [graph.step(start, move) for move in graph.successors(start)[0]]
 
 
 def _oim_walk(net: PTNet, k0: IndexedMarking, cap: int) -> tuple:
-    """(codec, ids of the ordered indexed markings reachable from
-    init_oim(k0), breadth first)."""
+    """The ids of the ordered indexed markings reachable from
+    init_oim(k0), breadth first."""
     if not is_closed(k0):
         raise NetError("initial indexed marking must be closed")
     net.kernel.explore((alpha(k0),), cap)
     graph = net.oim_graph
-    return OIMCodec(graph), graph.reached(graph.initial(alpha(k0)))
+    return graph.reached(graph.initial(alpha(k0)))
 
 
 @holding_graph
 def reachable_oim(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
     """All ordered indexed markings reachable from init_oim(k0).  Raises
     what exploring the marking of k0 under `cap` raises."""
-    codec, found = _oim_walk(net, k0, cap)
-    return frozenset(map(codec.oim, found))
+    return frozenset(map(net.oim_graph.oim, _oim_walk(net, k0, cap)))
 
 
 @holding_graph
 def oim_space(net: PTNet, k0: IndexedMarking, cap: int) -> dict:
     """Each ordered indexed marking reachable from init_oim(k0) -> its
     `oim_successors`, decoded from the moves of the walk that found it."""
-    codec, found = _oim_walk(net, k0, cap)
-    successors = codec.graph.successors
-    return {codec.oim(o): [codec.step(o, move) for move in successors(o)[0]]
-            for o in found}
+    graph = net.oim_graph
+    return {graph.oim(o): [graph.step(o, move)
+                           for move in graph.successors(o)[0]]
+            for o in _oim_walk(net, k0, cap)}

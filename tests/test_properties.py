@@ -12,7 +12,7 @@ from netbisim import (
     init_oim, im_successors, oim_successors, reachable, ps_init,
     ps_successors,
 )
-from netbisim.ordered import OIMCodec, OIMGraph, oim_check
+from netbisim.ordered import OIMGraph, oim_check
 from netbisim.randnets import CorpusConfig, random_instance
 
 from proc_checks import (
@@ -235,14 +235,13 @@ def check_mask_successors(net, m1, m2):
     decoded, are oim_successors, in content and order, and oim_successors
     is the definition."""
     graph = OIMGraph(net)
-    codec = OIMCodec(graph)
     left, right = graph.initial(m1), graph.initial(m2)
     todo, seen = [left, right], {left, right}
     while todo and len(seen) < 60:
         o = todo.pop()
         moves, _ = graph.successors(o)
-        decoded = [codec.step(o, move) for move in moves]
-        source = codec.oim(o)
+        decoded = [graph.step(o, move) for move in moves]
+        source = graph.oim(o)
         assert decoded == oim_successors(net, source)
         assert decoded == reference_oim_successors(net, source)
         for move in moves:

@@ -1,14 +1,17 @@
 """One ordered token game per net object (`PTNet.oim_graph`): the fc/cn
 deciders and validators called on one net, in any order, after a
 tampered certificate or from several threads, answer as they do each on
-a fresh copy; the explorers walk only from their start; and the graph is
-freed with its net."""
+a fresh copy; the graph's table of decoded and encoded markings answers
+only for the objects it holds and holds no malformed marking; the
+explorers walk only from their start; and the graph is freed with its
+net."""
 
 import gc
 import random
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -102,6 +105,136 @@ def test_call_order_on_one_net_changes_nothing(name, net, m1, m2, cap,
             got[call] = certified(shared, m1, m2, flavor,
                                   certificates[flavor])
     assert got == want
+
+
+def fresh(o: OrderedIndexedMarking) -> OrderedIndexedMarking:
+    """An equal marking made of new objects."""
+    return OrderedIndexedMarking(frozenset([*o.tokens]), frozenset([*o.order]))
+
+
+def rebuilt(t: GameTriple) -> GameTriple:
+    return GameTriple(fresh(t.left), fresh(t.right), frozenset([*t.beta]))
+
+
+def rebuilt_refutation(ref: Refutation) -> Refutation:
+    """An equal refutation DAG made of new objects."""
+    def step(s):
+        return OIMStep(s.tid, frozenset([*s.removed]), fresh(s.target))
+    new = {}
+    for node in ref.nodes():
+        new[id(node)] = Refutation(
+            rebuilt(node.triple), node.reason, node.side,
+            None if node.attacker is None else step(node.attacker),
+            tuple((step(r), new[id(sub)]) for r, sub in node.responses))
+    return new[id(ref)]
+
+
+def renamed(t: GameTriple, old, new) -> GameTriple:
+    """t with the left token old renamed new, in its left marking and
+    beta."""
+    def sub(tok):
+        return new if tok == old and tok is not new else tok
+    left = OrderedIndexedMarking(
+        frozenset(map(sub, t.left.tokens)),
+        frozenset((sub(a), sub(b)) for a, b in t.left.order))
+    return GameTriple(left, t.right,
+                      frozenset((sub(a), b) for a, b in t.beta))
+
+
+def dropped_pair(t: GameTriple, avoid: frozenset) -> GameTriple:
+    pair = min((a, b) for a, b in t.left.order
+               if a != b and a not in avoid and b not in avoid)
+    return replace(t, left=replace(t.left, order=t.left.order - {pair}))
+
+
+def reindexed(index):
+    """The change renaming the least left token not avoided to the same
+    place with index `index`."""
+    def change(t: GameTriple, avoid: frozenset) -> GameTriple:
+        tok = min(t.left.tokens - avoid)
+        return renamed(t, tok, (tok[0], index))
+    return change
+
+
+# One change to the left marking of a triple, to tokens not in `avoid`.
+# Index True equals index 1, so that marking equals the one it was made
+# from.
+CHANGES = {
+    "order-pair-dropped": dropped_pair,
+    "index-0": reindexed(0),
+    "undeclared-place": lambda t, avoid: renamed(
+        t, min(t.left.tokens - avoid), ("ghost", 1)),
+    "index-True": reindexed(True),
+}
+
+
+def assert_tables_sound(graph):
+    """Each marking the value table holds is well formed and is the
+    marking of its id, and no table holds more markings than the graph
+    has interned."""
+    assert len(graph.known) <= len(graph.oims)
+    assert len(graph.decoded) <= len(graph.oims)
+    assert len(graph.at) <= len(graph.oims)
+    for o, (same, x) in list(graph.known.items()):
+        assert same == o
+        for tok in (*o.tokens, *same.tokens):
+            assert type(tok) is tuple and len(tok) == 2
+            assert type(tok[0]) is str and type(tok[1]) is int and tok[1] >= 1
+        assert graph.oim(x) == o
+    for x, at in graph.at.items():
+        assert at == {tok: i for i, tok in enumerate(graph.oims[x][0])}
+
+
+@pytest.mark.parametrize("flavor", sorted(DECIDERS))
+def test_marking_table_answers_as_the_checked_encode(flavor):
+    """On a net whose graph decoded a witness and a refutation, the same
+    certificates rebuilt from new, equal objects validate, and with one
+    marking changed they fail: an order pair dropped, a token index set
+    to 0 or True, or a token moved to an undeclared place.  Validating
+    the changed ones first, on a net that decided nothing yet, leaves
+    the same answers and no malformed marking in any table."""
+    net, m_left, m_right = alarm_pair(3, 2)
+    root = initial_triple(m_left, m_left)
+    decide = DECIDERS[flavor]
+    witness = decide(net, m_left, m_left, 3).witness
+    ref = decide(net, m_left, m_right, 3).refutation
+    top = next(t for t in witness if t == root)
+    # The root's attack is a left move; a change to tokens it does not
+    # remove changes the marking it leads to.
+    assert ref.side == "left"
+    changed = [(witness - {top} | {change(top, frozenset())},
+                replace(ref, triple=change(ref.triple, ref.attacker.removed)))
+               for change in CHANGES.values()]
+
+    def answers(shared):
+        for bad_witness, bad_ref in changed:
+            assert not validate_witness(shared, bad_witness, root, flavor)
+            assert not validate_refutation(shared, bad_ref, flavor)
+        assert validate_witness(shared, frozenset(map(rebuilt, witness)),
+                                root, flavor)
+        assert validate_refutation(shared, rebuilt_refutation(ref), flavor)
+        assert_tables_sound(shared.oim_graph)
+
+    answers(net)
+    assert validate_witness(net, witness, root, flavor)
+    assert validate_refutation(net, ref, flavor)
+    shared = copy(net)
+    answers(shared)
+    assert decided(shared, m_left, m_left, 3, flavor)[0] == decided(
+        copy(net), m_left, m_left, 3, flavor)[0]
+    answers(shared)
+
+
+def test_witness_check_stops_at_the_first_triple_that_fails_to_encode():
+    """validate_witness returns False at a triple that does not encode,
+    before it encodes, and so interns, any triple after it: the graph
+    holds at most that triple's right marking."""
+    net, m0 = buffer(3)
+    root = initial_triple(m0, m0)
+    triples = list(decide_oim(copy(net), m0, m0, 3).witness)
+    bad = CHANGES["index-0"](root, frozenset())
+    assert not validate_witness(net, [bad, *triples], root, "fc")
+    assert len(net.oim_graph.oims) <= 1
 
 
 def test_explorers_walk_only_from_their_start():

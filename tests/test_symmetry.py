@@ -162,7 +162,7 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
         sides = [o for copy in copies for o in (copy.left, copy.right)]
         rng.shuffle(sides)
         for o in sides:
-            other.codec.encode(o)
+            other.graph.encode(o)
         copy = other.encode(copies[0])
         assert other.triple(other.canonical(copy)) == h
 
