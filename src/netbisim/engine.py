@@ -428,11 +428,11 @@ class _Search:
         """The int triple of t, or None if it mentions a foreign token or
         a relation holds an element that is not a pair of its tokens."""
         graph = self.graph
-        left, right = graph.encode(t.left), graph.encode(t.right)
-        if left is None or right is None:
+        left = graph.encode(t.left)
+        right = None if left is None else graph.encode(t.right)
+        if right is None:
             return None
-        beta = encode_rows(graph.positions(left), t.beta,
-                           graph.positions(right))
+        beta = encode_rows(graph.at_of(left), t.beta, graph.at_of(right))
         return None if beta is None else (left, right, beta)
 
 
@@ -522,7 +522,9 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     defender response leads out of the witness, as when a defender's
     first admissible response is refuted and a later one wins.  A triple
     whose token sets or relations are not frozensets fails it, as does a
-    witness that is not iterable."""
+    witness that is not iterable.  A marking object that the net's graph
+    decoded, as in a certificate decided on this net object, is trusted
+    and not checked again (`OIMGraph.encode`); any other is checked."""
     if not (isinstance(witness, Iterable) and _well_typed(root)
             and all(map(_well_typed, witness))):
         return False
@@ -572,7 +574,8 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     is rejected, and so is a node whose triple's token sets or relations
     are not frozensets, or whose responses are not (step, node) pairs.  It
     proves only that `ref.triple` loses: a caller checks that this is the
-    root it asked about."""
+    root it asked about.  Markings are encoded as in `validate_witness`,
+    a marking object the net's graph decoded without a check."""
     helper = _Search(net, flavor, Limits())
     if not isinstance(ref, Refutation):
         return False

@@ -185,8 +185,9 @@ class OIMGraph:
     also its net's codec (`oim`, `relation`, `step`, `encode`): it keeps
     the decoded form and the token -> position table of an interned
     marking once made, the token pairs decoded relations share, and
-    `known`, each decoded or encoded marking object -> (it, id).  It
-    grows with the calls that play on it.  A call holds `lock` while it
+    `known`, the `id()` of each object in `decoded` -> its id (`decoded`
+    keeps them alive, so no other object has that `id()`).  It grows
+    with the calls that play on it.  A call holds `lock` while it
     plays (`holding_graph`), which also guards these tables and the images
     a move stores."""
 
@@ -201,7 +202,7 @@ class OIMGraph:
         self.pairs: dict = {}  # token a -> token b -> (a, b)
         self.decoded: dict[int, OrderedIndexedMarking] = {}
         self.at: dict[int, dict] = {}  # id -> token -> position
-        self.known: dict = {}  # OrderedIndexedMarking -> (it, id)
+        self.known: dict[int, int] = {}  # id(decoded[o]) -> o
 
     def intern(self, tokens: tuple, rows: tuple) -> int:
         key = (tokens, rows)
@@ -251,7 +252,7 @@ class OIMGraph:
                     found.append(move[4])
         return found
 
-    def positions(self, o: int) -> dict:
+    def at_of(self, o: int) -> dict:
         """Each token of marking o -> its position."""
         at = self.at.get(o)
         if at is None:
@@ -269,7 +270,7 @@ class OIMGraph:
             tokens, rows = self.oims[o]
             x = self.decoded[o] = OrderedIndexedMarking(
                 frozenset(tokens), self.relation(o, rows, o))
-            self.known[x] = (x, o)
+            self.known[id(x)] = o
         return x
 
     def step(self, o: int, move: tuple) -> OIMStep:
@@ -281,23 +282,19 @@ class OIMGraph:
         """The id of o, or None if a token is not a (str place, int index
         >= 1) pair or an element of its order is not a pair of its
         tokens.  The tokens are checked before they are sorted, so that no
-        mix of types is compared, and a marking that fails enters no
-        table.  `known` answers only for the object it holds: an equal one
-        is checked, as a token (place, True) equals (place, 1)."""
-        hit = self.known.get(o)
-        if hit is not None and hit[0] is o:
-            return hit[1]
+        mix of types is compared.  A marking this graph decoded is
+        trusted and answered from `known`; any other object, even an
+        equal one, is checked, as a token (place, True) equals
+        (place, 1)."""
+        x = self.known.get(id(o))
+        if x is not None:
+            return x
         if not all(map(_is_token, o.tokens)):
             return None
         tokens = tuple(sorted(o.tokens))
         at = {tok: i for i, tok in enumerate(tokens)}
         rows = encode_rows(at, o.order, at)
-        if rows is None:
-            return None
-        x = self.intern(tokens, rows)
-        self.at.setdefault(x, at)
-        self.known.setdefault(o, (o, x))
-        return x
+        return None if rows is None else self.intern(tokens, rows)
 
 
 def holding_graph(fn):

@@ -1,10 +1,9 @@
 """One ordered token game per net object (`PTNet.oim_graph`): the fc/cn
 deciders and validators called on one net, in any order, after a
 tampered certificate or from several threads, answer as they do each on
-a fresh copy; the graph's table of decoded and encoded markings answers
-only for the objects it holds and holds no malformed marking; the
-explorers walk only from their start; and the graph is freed with its
-net."""
+a fresh copy; the graph answers from its table only for the marking
+objects it decoded and interns no malformed marking; the explorers walk
+only from their start; and the graph is freed with its net."""
 
 import gc
 import random
@@ -169,18 +168,19 @@ CHANGES = {
 
 
 def assert_tables_sound(graph):
-    """Each marking the value table holds is well formed and is the
-    marking of its id, and no table holds more markings than the graph
-    has interned."""
-    assert len(graph.known) <= len(graph.oims)
+    """Every interned marking is well formed, the table `known` maps each
+    decoded marking object, by identity, to the id it was decoded from,
+    whose marking a new equal object encodes to, and no table holds more
+    markings than the graph has interned."""
     assert len(graph.decoded) <= len(graph.oims)
     assert len(graph.at) <= len(graph.oims)
-    for o, (same, x) in list(graph.known.items()):
-        assert same == o
-        for tok in (*o.tokens, *same.tokens):
+    assert graph.known == {id(o): x for x, o in graph.decoded.items()}
+    for tokens, _ in graph.oims:
+        for tok in tokens:
             assert type(tok) is tuple and len(tok) == 2
             assert type(tok[0]) is str and type(tok[1]) is int and tok[1] >= 1
-        assert graph.oim(x) == o
+    for x, o in list(graph.decoded.items()):
+        assert graph.encode(fresh(o)) == x
     for x, at in graph.at.items():
         assert at == {tok: i for i, tok in enumerate(graph.oims[x][0])}
 
@@ -192,7 +192,7 @@ def test_marking_table_answers_as_the_checked_encode(flavor):
     marking changed they fail: an order pair dropped, a token index set
     to 0 or True, or a token moved to an undeclared place.  Validating
     the changed ones first, on a net that decided nothing yet, leaves
-    the same answers and no malformed marking in any table."""
+    the same answers and no malformed marking interned."""
     net, m_left, m_right = alarm_pair(3, 2)
     root = initial_triple(m_left, m_left)
     decide = DECIDERS[flavor]
@@ -227,14 +227,14 @@ def test_marking_table_answers_as_the_checked_encode(flavor):
 
 def test_witness_check_stops_at_the_first_triple_that_fails_to_encode():
     """validate_witness returns False at a triple that does not encode,
-    before it encodes, and so interns, any triple after it: the graph
-    holds at most that triple's right marking."""
+    before it encodes, and so interns, its right marking or any triple
+    after it: the graph interns nothing."""
     net, m0 = buffer(3)
     root = initial_triple(m0, m0)
     triples = list(decide_oim(copy(net), m0, m0, 3).witness)
     bad = CHANGES["index-0"](root, frozenset())
     assert not validate_witness(net, [bad, *triples], root, "fc")
-    assert len(net.oim_graph.oims) <= 1
+    assert net.oim_graph.oims == []
 
 
 def test_explorers_walk_only_from_their_start():
