@@ -31,16 +31,20 @@ and replay the same int game.  The frozenset functions `beta_update` and
 `deleted_condition_fc/cn` are wrappers over the mask forms.
 
 The game is invariant under place-preserving renaming of each side's
-token indices, so the search works on canonical triples
-(`_Search.canonical`, the search's memo of `symmetry.least_relabel`):
-every successor is renamed before it is looked up, pushed or stored, and
-the root is canonical as it is.  `stats["triples"]` counts canonical
-triples, a witness is a set of canonical triples closed up to renaming,
-and each refutation node holds a canonical triple, whose attacker move
-and responses name tokens in that node's frame.  The moves of a marking
-(`OIMGraph.successors`) stay literal: each is a 9-tuple whose position
-map carries beta rows to its target (`_next_beta`), as a renaming's
-carries them to the canonical frame.
+token indices, and under exchanging its two sides with beta transposed
+(both play on one net, and the inverse of an fc or cn bisimulation is
+one), so the search works on canonical triples (`_Search.canonical`,
+with the search's memo of `symmetry.least_relabel`): every successor is
+renamed, and its sides exchanged if need be, before it is looked up,
+pushed or stored.  The root is played as given.  `stats["triples"]`
+counts canonical triples, a witness is a set of canonical triples closed
+up to renaming and exchange, and each refutation node holds a canonical
+triple, whose attacker move and responses name tokens in that node's
+frame: its "left" and "right" are that triple's sides, which need not be
+the root's.  The moves of a marking (`OIMGraph.successors`) stay
+literal: each is a 9-tuple whose position map carries beta rows to its
+target (`_next_beta`), as a renaming's carries them to the canonical
+frame.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Literal, Optional
 
-from .nets import Multiset, NetError, PTNet
+from .nets import Multiset, NetError, PTNet, ResourceLimitReached
 from .indexed import Token
 from .ordered import (
     OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, holding_graph,
-    image, step_rows,
+    image, step_rows, transpose,
 )
 from .symmetry import least_relabel
 
@@ -137,15 +141,6 @@ class BisimVerdict:
 class Limits:
     max_triples: int = 2_000_000
     max_seconds: Optional[float] = None
-
-
-class ResourceLimitReached(Exception):
-    """The search hit a limit; `limit` names it: "max_triples" or
-    "max_seconds"."""
-
-    def __init__(self, limit: str):
-        super().__init__(limit)
-        self.limit = limit
 
 
 def _next_beta(beta: tuple, plan: tuple, images: dict, to: tuple,
@@ -272,11 +267,13 @@ class _Search:
     related to each left token; moves are the graph's.  Refutation nodes
     hold int triples and moves until `refutation` decodes them through
     the graph.  The canonical memo `canon` is the search's own and lasts
-    as long as it."""
+    as long as it, and so does `deadline`, the `time.monotonic()` value
+    past which `max_seconds` stops it, or None."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
         self.graph = net.oim_graph
         self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
+        self.transposes: dict[tuple, tuple] = {}  # (beta, width) -> converse
         self.holds = {"fc": _fc_holds, "cn": _cn_holds}.get(flavor)
         if self.holds is None:
             raise NetError(f"unknown flavor {flavor!r}")
@@ -285,27 +282,76 @@ class _Search:
         self.false_memo: dict[tuple, Refutation] = {}
         self.explored = 0
         self.t0 = time.monotonic()
+        self.deadline = (None if limits.max_seconds is None
+                         else self.t0 + limits.max_seconds)
 
     def root(self, m1: Multiset, m2: Multiset) -> tuple:
         """The initial triple: every token precedes every token of its side,
         and beta relates every left token to every right token.  Nothing
-        tells the tokens of a place apart, so it is its own canonical
-        triple."""
+        tells the tokens of a place apart, so no renaming changes it, but
+        its canonical triple is its exchange when m2's places come first:
+        the search plays it as given, so m1 stays on the left of the
+        root's refutation node."""
         left, right = self.graph.initial(m1), self.graph.initial(m2)
         return left, right, ((1 << m2.size) - 1,) * m1.size
 
     def canonical(self, triple: tuple) -> tuple:
-        """The image of an int triple under a place-preserving renaming of
-        each side's tokens to (place, 1..n) that the triples differing by
-        such a renaming share (`symmetry.least_relabel`).  A triple whose
-        tokens all have index 1 (no place holds two) is its own."""
-        plain = self.graph.plain
+        """The image of an int triple, or of its exchange (right, left,
+        beta transposed), under a place-preserving renaming of each side's
+        tokens to (place, 1..n) (`symmetry.least_relabel`).  The side whose
+        place tuple (the places of its sorted tokens, which no renaming
+        changes) is smaller goes left.  On equal tuples with at most one
+        token per place, `orient` keeps the smaller of the renamed triple
+        and its exchange; where a place holds two tokens the sides stay,
+        so only renamings share the image.  A triple whose tokens all have
+        index 1 needs no renaming; any other is renamed once per search
+        (`canon`), and its renaming stops at the search's time limit."""
+        graph = self.graph
+        plain = graph.plain
         if plain[triple[0]] and plain[triple[1]]:
-            return triple
+            return self.orient(triple)
         c = self.canon.get(triple)
         if c is None:
-            c = self.canon[triple] = least_relabel(self.graph, *triple)
+            places = graph.places
+            c = least_relabel(graph, *(
+                self.exchanged(triple) if places[triple[0]] > places[triple[1]]
+                else triple), self.deadline)
+            if plain[c[0]] and plain[c[1]]:
+                c = self.orient(c)
+            self.canon[triple] = c
         return c
+
+    def orient(self, triple: tuple) -> tuple:
+        """Of a triple whose tokens all have index 1 and its exchange, the
+        one whose left place tuple is smaller, and on equal place tuples
+        the one smaller by content: both sides' tokens and rows, then beta
+        rows.  Never by interned id, which differs between graphs."""
+        left, right, beta = triple
+        graph = self.graph
+        lp, rp = graph.places[left], graph.places[right]
+        if lp < rp:
+            return triple
+        if lp == rp:
+            a, b = graph.oims[left], graph.oims[right]
+            if a < b:
+                return triple
+            if a == b:
+                other = self.exchanged(triple)
+                return triple if beta <= other[2] else other
+        return self.exchanged(triple)
+
+    def exchanged(self, triple: tuple) -> tuple:
+        """(right, left, beta transposed): one row per right token, the
+        mask of the left tokens beta relates it to.  Betas repeat across
+        triples (1,843 distinct ones among par(6)'s 62,212 canonical
+        triples), so a search keeps each transpose it makes
+        (`transposes`)."""
+        left, right, beta = triple
+        key = (beta, len(self.graph.places[right]))
+        converse = self.transposes.get(key)
+        if converse is None:
+            converse = self.transposes[key] = transpose(*key)
+        return right, left, converse
 
     def _tick(self):
         self.explored += 1
@@ -512,11 +558,12 @@ def _well_typed(t) -> bool:
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
                      flavor: Flavor) -> bool:
     """Independent closure check, up to place-preserving renaming of token
-    indices: every triple of the witness satisfies both transfer directions
-    with canonical successors (`_Search.canonical`) that are triples of the
-    witness or canonical triples of its triples, and the root's canonical
-    triple is one of those.  So a witness closed without renaming (one
-    listing every renamed copy it reaches) passes too.  The triples are
+    indices and exchange of the two sides: every triple of the witness
+    satisfies both transfer directions with canonical successors
+    (`_Search.canonical`) that are triples of the witness or canonical
+    triples of its triples, and the root's canonical triple is one of
+    those.  So a witness closed without renaming or exchange (one listing
+    every renamed or exchanged copy it reaches) passes too.  The triples are
     canonicalised only once a successor is not found among them as they
     are.  For a witness of canonical triples that happens when a
     defender response leads out of the witness, as when a defender's
@@ -569,10 +616,13 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     """Replay a refutation: at every node the attacker move must exist and
     every admissible defender response must itself be refuted, by a node
     whose triple has the response's canonical successor as its canonical
-    triple (`_Search.canonical`).  Each distinct node is replayed once; a
-    refutation that leads back to one of its own nodes proves nothing and
-    is rejected, and so is a node whose triple's token sets or relations
-    are not frozensets, or whose responses are not (step, node) pairs.  It
+    triple (`_Search.canonical`), so it may hold the successor renamed,
+    or exchanged where the canonical form merges the two sides.  A node's
+    side names a side of its own triple.  Each distinct node is replayed
+    once; a refutation that leads back to one of its own nodes proves
+    nothing and is rejected, and so is a node whose triple's token sets or
+    relations are not frozensets, or whose responses are not (step, node)
+    pairs.  It
     proves only that `ref.triple` loses: a caller checks that this is the
     root it asked about.  Markings are encoded as in `validate_witness`,
     a marking object the net's graph decoded without a check."""
@@ -663,7 +713,8 @@ def format_refutation(ref: Refutation) -> str:
     """The refutation's reason and the attacker moves along its principal
     line, one per line.  Each line names the removed tokens in the
     canonical frame of its own node, the triple that move is played
-    from."""
+    from, and its "left" or "right" is a side of that triple: the
+    canonical form may have exchanged the sides since the root."""
     lines = [f"refuted: {ref.reason}"]
     for side, tid, removed in ref.principal_moves():
         rem = " ".join(_fmt_token(t) for t in sorted(removed))

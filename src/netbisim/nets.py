@@ -52,6 +52,15 @@ class BoundExceededError(NetError):
         self.cap = cap
 
 
+class ResourceLimitReached(Exception):
+    """The search hit a limit; `limit` names it: "max_triples" or
+    "max_seconds"."""
+
+    def __init__(self, limit: str):
+        super().__init__(limit)
+        self.limit = limit
+
+
 class Multiset:
     """Immutable finite multiset over place ids; zero-count entries are dropped."""
 

@@ -98,6 +98,19 @@ def image(x: int, to: tuple) -> int:
     return out
 
 
+def transpose(rows: tuple, width: int) -> tuple:
+    """The rows of the converse relation: for each of the `width` positions
+    the rows range over, the mask of the rows that hold it."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        b = 1 << i
+        while row:
+            c = row & -row
+            row ^= c
+            out[c.bit_length() - 1] |= b
+    return tuple(out)
+
+
 def step_rows(tokens: tuple, rows: tuple, removed: int,
               created: tuple) -> tuple[tuple, tuple, tuple, tuple, int]:
     """The order update on positions.  `rows[i]` is the up-set mask of
@@ -168,7 +181,9 @@ def _is_token(tok) -> bool:
 class OIMGraph:
     """The ordered token game of a net on ints.  Each distinct marking
     (tokens, rows), its sorted token tuple and the up-set mask of each of
-    its positions, is interned to an id in the order it is found.  A move
+    its positions, is interned to an id in the order it is found, with
+    whether its tokens all have index 1 (`plain`) and its place tuple, the
+    places of its tokens (`places`), which the canonical form reads.  A move
     is the tuple
 
         (label, tid, removed mask, deleted entries, target id,
@@ -198,6 +213,7 @@ class OIMGraph:
         self.ids: dict[tuple, int] = {}  # (tokens, rows) -> id
         self.oims: list[tuple] = []  # id -> (tokens, rows)
         self.plain: list[bool] = []  # id -> every token has index 1
+        self.places: list[tuple] = []  # id -> the places of its tokens
         self.moves: list = []  # id -> (moves, moves by label), or None
         self.pairs: dict = {}  # token a -> token b -> (a, b)
         self.decoded: dict[int, OrderedIndexedMarking] = {}
@@ -210,7 +226,9 @@ class OIMGraph:
         if o is None:
             o = self.ids[key] = len(self.oims)
             self.oims.append(key)
-            self.plain.append(all(i == 1 for _, i in tokens))
+            places, indices = tuple(zip(*tokens)) or ((), ())
+            self.plain.append(indices.count(1) == len(indices))
+            self.places.append(places)
             self.moves.append(None)
         return o
 

@@ -6,7 +6,10 @@ keeps every token on its place.  `least_relabel` maps a triple to one
 image under such a renaming, to tokens (place, 1..n), chosen from
 the triple's relations alone, so that triples that differ by a renaming
 share one image.  Soundness rests only on the image being a renaming of
-the triple; a weaker choice costs reduction, not correctness.
+the triple; a weaker choice costs reduction, not correctness.  The
+renaming keeps each side where it is: which side goes left, the other
+symmetry of the game, is chosen before it by the search
+(`engine._Search.canonical`), from what no renaming changes.
 
 The choice is a canonical labelling of a digraph (Ip & Dill, "Better
 verification through symmetry", 1996; McKay & Piperno, "Practical graph
@@ -27,11 +30,16 @@ position map, as a move is: an order of positions is a plan (new
 position j holds old position order[j]), `ordered.invert` turns it into
 a map and `ordered.image` sends masks through it.  The memo of canonical
 triples is the search's own (`engine._Search.canonical`) and goes with
-it.
+it, and so does the time limit that a canonical search checks as it
+goes.
 """
 
 from __future__ import annotations
 
+import time
+from typing import Optional
+
+from .nets import ResourceLimitReached
 from .ordered import OIMGraph, image, invert
 
 
@@ -77,14 +85,20 @@ def twins(u: int, v: int, out: list, inn: list) -> bool:
             and out[u] >> v & 1 == out[v] >> u & 1)
 
 
-def least_order(cells: list, out: list, inn: list) -> list:
+def least_order(cells: list, out: list, inn: list,
+                deadline: Optional[float] = None) -> list:
     """The code of a least-coded discrete refinement of the ordered cells:
     the rows of `out` renamed by its vertex order, in that order.  The
     first cell that is not a singleton splits: a cell of twins into
     singletons in vertex order, needing no refinement since the other
     vertices see all of it or none; any other by individualising one vertex
-    per twin class in turn, with refinement, as twins have image subtrees."""
-    best: list = []  # [code or None while it is the only leaf, order]
+    per twin class in turn, with refinement, as twins have image subtrees.
+    Given `deadline`, a `time.monotonic()` value, the search checks it
+    every 1,024 nodes and raises ResourceLimitReached("max_seconds") once
+    it has passed."""
+    # [code or None while it is the only leaf, order or None,
+    #  nodes counted while a deadline is set, deadline or None]
+    best: list = [None, None, 0, deadline]
     _visit(cells, cells, out, inn, best)
     return best[0] if best[0] is not None else _code(best[1], out)
 
@@ -96,6 +110,10 @@ def _code(order: list, out: list) -> list:
 
 def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
     """One node of `least_order`: recurses once per twin class."""
+    if best[3] is not None:
+        best[2] += 1
+        if not best[2] & 1023 and time.monotonic() > best[3]:
+            raise ResourceLimitReached("max_seconds")
     cells = refine(cells, out, inn, fresh)
     k = 0
     while k < len(cells):
@@ -123,17 +141,18 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
                    [b, cell ^ b], out, inn, best)
         return
     order = [c.bit_length() - 1 for c in cells]
-    if not best:
-        best[:] = None, order
+    if best[1] is None:
+        best[1] = order
         return
     if best[0] is None:
         best[0] = _code(best[1], out)
     c = _code(order, out)
     if c < best[0]:
-        best[:] = c, order
+        best[0], best[1] = c, order
 
 
-def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple) -> tuple:
+def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple,
+                  deadline: Optional[float] = None) -> tuple:
     """The triple renamed on both sides by `least_order` on the digraph of
     both orders and beta, whose vertices are the positions v of the n left
     tokens and v + n of the right ones: out[v] is v's up-row with v's beta
@@ -142,16 +161,16 @@ def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple) -> tuple:
     place, so in the least leaf position j < n still holds a left token
     and every place keeps its run: the code's rows are the renamed
     triple's, left up-rows below n and beta and right up-rows above it,
-    and the renamed tokens are the closed tokens of each side's places."""
-    ltokens, lrows = graph.oims[left]
-    rtokens, rrows = graph.oims[right]
+    and the renamed tokens are the closed tokens of each side's places.
+    `deadline` is `least_order`'s."""
+    lrows, rrows = graph.oims[left][1], graph.oims[right][1]
     n = len(lrows)
     out = [up | row << n for up, row in zip(lrows, beta)] + [
         up << n for up in rrows]
     inn = [0] * len(out)
     cells: list[int] = []
     names: list[tuple] = []  # (place, 1..) per place run of each side
-    for v, (p, _) in enumerate(ltokens + rtokens):
+    for v, p in enumerate(graph.places[left] + graph.places[right]):
         b = 1 << v
         row = out[v]
         while row:
@@ -164,7 +183,7 @@ def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple) -> tuple:
         else:
             cells.append(b)
             names.append((p, 1))
-    code = least_order(cells, out, inn)
+    code = least_order(cells, out, inn, deadline)
     low = (1 << n) - 1
     return (graph.intern(tuple(names[:n]), tuple([c & low for c in code[:n]])),
             graph.intern(tuple(names[n:]), tuple([c >> n for c in code[n:]])),

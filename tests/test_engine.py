@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -12,8 +13,8 @@ from netbisim import (
     OIMStep, OrderedIndexedMarking, PTNet, Refutation, Transition,
     beta_update, corpus, decide_interleaving, decide_oim, decide_oimc,
     deleted_condition_cn, deleted_condition_fc, format_refutation,
-    format_witness, init_oim, initial_indexed, oim_successors, parse_net,
-    validate_refutation, validate_witness,
+    format_witness, init_oim, initial_indexed, oim_successors, oracle_game,
+    parse_net, validate_refutation, validate_witness,
 )
 
 from netbisim.engine import _Search
@@ -222,6 +223,10 @@ def test_size_gate(fig1_net):
 
 
 def test_symmetry(fig1_net, parallel_choice_net):
+    """Exchanging the two markings keeps every verdict.  Each fc/cn
+    certificate of either order validates on the deciding net and on a
+    new copy of it, and a refutation refutes the root asked about, with
+    its markings in the order given."""
     pairs = [
         (fig1_net, Multiset.of("s1"), Multiset.of("s3")),
         (parallel_choice_net, Multiset.of("p1", "p2"), Multiset.of("q0")),
@@ -229,6 +234,57 @@ def test_symmetry(fig1_net, parallel_choice_net):
     for net, m1, m2 in pairs:
         for decide in (decide_oim, decide_oimc, decide_interleaving):
             assert decide(net, m1, m2, 4).outcome == decide(net, m2, m1, 4).outcome
+        for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
+            for a, b in ((m1, m2), (m2, m1)):
+                v = decide(net, a, b, 4)
+                assert validated(net, a, b, flavor, v)
+                assert validated_anew(net, a, b, flavor, v)
+                if v.refutation is not None:
+                    assert v.refutation.triple == initial_triple(a, b)
+
+
+def parallel_vs_interleaved(n):
+    """n independent actions a‖b‖... beside a one-token net that runs them
+    in every order: one place per set of actions done, and a transition per
+    action not yet done.  For n = 2, a‖b against a.b + b.a.  The two
+    markings have the same interleavings, but only the first has
+    concurrent events."""
+    labels = "abcd"[:n]
+    transitions = [Transition(f"t{x}", x, Multiset.of(f"p{x}"),
+                              Multiset.of(f"p{x}done")) for x in labels]
+    places = [p for x in labels for p in (f"p{x}", f"p{x}done")]
+
+    def q(done):
+        return "q" + ("".join(done) or "0")
+
+    for size in range(n + 1):
+        for done in itertools.combinations(labels, size):
+            places.append(q(done))
+            transitions += [
+                Transition(f"c{q(done)}{x}", x, Multiset.of(q(done)),
+                           Multiset.of(q(sorted(done + (x,)))))
+                for x in labels if x not in done]
+    m_par = Multiset.of(*(f"p{x}" for x in labels))
+    return PTNet.make(places, transitions), m_par, Multiset.of("q0")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parallel_against_interleaved_is_il_but_not_fc_or_cn(n):
+    """A known answer, in both argument orders: il-equivalent, neither
+    fc- nor cn-equivalent, the depth-4 oracle agrees, and every
+    certificate validates on the deciding net and on a new copy.  The two
+    sides hold tokens on different places, so the canonical form puts
+    whichever side's places come first on the left."""
+    net, m_par, m_seq = parallel_vs_interleaved(n)
+    for m1, m2 in ((m_par, m_seq), (m_seq, m_par)):
+        assert decide_interleaving(net, m1, m2, 1).outcome == "equivalent"
+        for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
+            v = decide(net, m1, m2, 1)
+            assert v.outcome == "not-equivalent"
+            assert oracle_game(net, m1, m2, flavor, 4).outcome == v.outcome
+            assert v.refutation.triple == initial_triple(m1, m2)
+            assert validated(net, m1, m2, flavor, v)
+            assert validated_anew(net, m1, m2, flavor, v)
 
 
 def test_bound_exceeded_propagates(fig2_net, fig2_m0):
@@ -408,8 +464,11 @@ def test_relation_that_is_not_a_frozenset_is_rejected(bad, where, fig1_net):
 
 def test_validators_reject_foreign_roots_and_wrong_successors(fig1_net):
     """A witness root that names a token on an undeclared place, and a
-    refutation whose sub-node replays but names a foreign token or is not
-    the response's successor, fail validation."""
+    refutation whose sub-node replays but names a foreign token or is
+    neither a renaming nor an exchange of the response's successor, fail
+    validation.  A sub-node that holds the successor with its sides
+    exchanged passes: exchanging the sides, with beta transposed, keeps
+    whether a triple wins."""
     m1, m2 = Multiset.of("s1"), Multiset.of("s3")
     root = initial_triple(m1, m2)
     witness = decide_oim(fig1_net, m1, m2, 4).witness
@@ -421,15 +480,21 @@ def test_validators_reject_foreign_roots_and_wrong_successors(fig1_net):
     assert validate_refutation(fig1_net, ref, "cn")
     (resp, sub), = ref.responses
     assert sub.reason == "size-gate"
+    # t1 and t4 lead to s2 against nothing; the empty side's places come
+    # first, so the node holds the successor exchanged
     t = sub.triple
-    for bad in (
-        replace(t, beta=frozenset({(("s2", 1), ("ghost", 1))})),
-        GameTriple(t.right, t.left, frozenset()),
+    s2, s3 = ("s2", 1), ("s3", 1)
+    assert t.left.tokens == frozenset() and t.right.tokens == {s2}
+    lone = OrderedIndexedMarking(frozenset({s3}), frozenset({(s3, s3)}))
+    for bad, accepted in (
+        (replace(t, beta=frozenset({(("ghost", 1), s2)})), False),
+        (GameTriple(t.left, lone, frozenset()), False),
+        (GameTriple(t.right, t.left, frozenset()), True),
     ):
         gated = Refutation(bad, "size-gate")
         assert validate_refutation(fig1_net, gated, "cn")
-        assert not validate_refutation(
-            fig1_net, replace(ref, responses=((resp, gated),)), "cn")
+        swapped = replace(ref, responses=((resp, gated),))
+        assert validate_refutation(fig1_net, swapped, "cn") == accepted
 
 
 # Elements of a relation that are not a pair of tokens, built from two
@@ -569,12 +634,14 @@ def test_principal_moves_on_deep_refutations():
 
 def test_deep_search_needs_no_recursion_limit(monkeypatch):
     """The search keeps its own stack: a 3,000-triple-deep game decides
-    without touching the interpreter's recursion limit."""
+    without touching the interpreter's recursion limit.  On ring(6000)
+    the triple of r_i and r_{i+3000} is the exchange of that of r_{i+3000}
+    and r_i, so the game has 3,000 canonical triples, in one line."""
     def refuse(limit):
         raise AssertionError(f"recursion limit raised to {limit}")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    net, m1, m2 = ring(3000)
+    net, m1, m2 = ring(6000)
     for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
         v = decide(net, m1, m2, 1)
         assert v.outcome == "equivalent"
@@ -588,9 +655,10 @@ def test_deep_search_needs_no_recursion_limit(monkeypatch):
 def test_search_leaves_few_tracked_objects():
     """The game keeps its moves in containers the cyclic collector stops
     walking once they survive a collection: after `_Search.run` on
-    ring(2000) fc and one collection, at most 6.5 objects per triple stay
-    tracked.  A move memo that is a dict subclass, or moves and label
-    buckets held in lists, leave 8."""
+    ring(2000) fc and one collection, at most 6.5 objects per interned
+    marking stay tracked.  A move memo that is a dict subclass, or moves
+    and label buckets held in lists, leave 8.  The search plays 1,000
+    canonical triples, each with its exchange, over all 2,000 markings."""
     net, m1, m2 = ring(2000)
     search = _Search(net, "fc", Limits())
     root = search.root(m1, m2)
@@ -599,8 +667,9 @@ def test_search_leaves_few_tracked_objects():
     won, winning = search.run(root)
     gc.collect()
     tracked = len(gc.get_objects()) - before
-    assert won and len(winning) == search.explored == 2000
-    assert tracked / search.explored <= 6.5
+    assert won and len(winning) == search.explored == 1000
+    assert len(net.oim_graph.oims) == 2000
+    assert tracked / len(net.oim_graph.oims) <= 6.5
 
 
 def test_cyclic_refutation_rejected():
@@ -721,15 +790,20 @@ def certificate_instance(name, fig1_net, parallel_choice_net):
     return net, m0, m0, 1
 
 
+def validated(net, m1, m2, flavor, verdict) -> bool:
+    """Whether the verdict's certificate for (m1, m2) validates on net."""
+    if verdict.witness is not None:
+        return validate_witness(net, verdict.witness, initial_triple(m1, m2),
+                                flavor)
+    return validate_refutation(net, verdict.refutation, flavor)
+
+
 def validated_anew(net, m1, m2, flavor, verdict) -> bool:
     """Whether the verdict's certificate validates on a new copy of net,
     whose graph decoded none of its markings, so that each is checked
     and encoded as a certificate from elsewhere is."""
-    copy = PTNet.make(net.places, net.transitions, net.labels)
-    if verdict.witness is not None:
-        return validate_witness(copy, verdict.witness, initial_triple(m1, m2),
-                                flavor)
-    return validate_refutation(copy, verdict.refutation, flavor)
+    return validated(PTNet.make(net.places, net.transitions, net.labels),
+                     m1, m2, flavor, verdict)
 
 
 def pinned_certificate(name, flavor, fig1_net, parallel_choice_net):
@@ -770,8 +844,8 @@ def test_corpus_certificates_pinned():
     assert corpus_digest() == CORPUS_DIGEST
 
 
-# The same for the game reduced by symmetry: canonical triples, so no more
-# triples than unreduced.
+# The same for the game reduced by symmetry: canonical triples, up to
+# renaming and exchange of the two sides, so no more triples than unreduced.
 REDUCED_CERTIFICATES = {
     ("buf2", "cn"): (7, "d45f48ea6c9e9c87a3a08a444dd966e16df763fa2d9618f160f00a8ab3bcd157"),
     ("buf2", "fc"): (7, "d45f48ea6c9e9c87a3a08a444dd966e16df763fa2d9618f160f00a8ab3bcd157"),
@@ -780,7 +854,7 @@ REDUCED_CERTIFICATES = {
     ("buf4", "cn"): (31, "b26e5aa619cafab46fe57d8e301983a68246f0035dc01d030731badc5c46ce68"),
     ("buf4", "fc"): (31, "b26e5aa619cafab46fe57d8e301983a68246f0035dc01d030731badc5c46ce68"),
     ("fig1", "cn"): (2, "4898d678972634bab489d1e43bd78797d3b03ddf5439c1cd727cd38be32824b7"),
-    ("fig1", "fc"): (2, "f8f039b5172f41b918a413ae3c4b8d95f91533a31486ccc54e9c677decdc1ffe"),
+    ("fig1", "fc"): (2, "3cb201653d130198fab4715cde09c37c9efdad7f5d99a7fbac5a981be8d39cef"),
     ("pair2_1", "cn"): (6, "e037fda2555b3c608add9f66b0c1004ff0e5566d7d962e0ff28a1fa500d4cb4e"),
     ("pair2_1", "fc"): (6, "e037fda2555b3c608add9f66b0c1004ff0e5566d7d962e0ff28a1fa500d4cb4e"),
     ("pair2_2", "cn"): (6, "ef240d1c7b154d4bd2ccca97de292ce6f373c4c73b6e1352e36832cd9f7f141b"),
@@ -793,16 +867,16 @@ REDUCED_CERTIFICATES = {
     ("pair3_3", "fc"): (11, "6a904fd0a1a7ad0ff279f8294c13b1317a9c423f82a8c3d8babc0e0cebc23023"),
     ("pair4_3", "cn"): (20, "bdc553ddbaed332d505cd07db5172af26ba8e96378b34f0a0dc450bc228fbaca"),
     ("pair4_3", "fc"): (20, "bdc553ddbaed332d505cd07db5172af26ba8e96378b34f0a0dc450bc228fbaca"),
-    ("par2", "cn"): (15, "a8814f3887335edf084bf2443102fb90ef7a4da897bfa7792291eeaa95fda9d9"),
-    ("par2", "fc"): (15, "a8814f3887335edf084bf2443102fb90ef7a4da897bfa7792291eeaa95fda9d9"),
-    ("par3", "cn"): (103, "de53e006a92869a645a25217a50d5709699808c441e904d9ffe646ff06ad3a28"),
-    ("par3", "fc"): (103, "de53e006a92869a645a25217a50d5709699808c441e904d9ffe646ff06ad3a28"),
-    ("par4", "cn"): (903, "706788aa043f142e522d49439a09f1ef0fadba9a7934d469430e2bb01ffe1910"),
-    ("par4", "fc"): (903, "706788aa043f142e522d49439a09f1ef0fadba9a7934d469430e2bb01ffe1910"),
+    ("par2", "cn"): (12, "63febf9304c942b16d7fd01a82738f1a4ac1d9fac06b97fd7e69a985da8dc69e"),
+    ("par2", "fc"): (12, "63febf9304c942b16d7fd01a82738f1a4ac1d9fac06b97fd7e69a985da8dc69e"),
+    ("par3", "cn"): (67, "cd77de3655d2df10c2cf6941f7c0d36b45f7609989816278dce7c1512a876bab"),
+    ("par3", "fc"): (67, "cd77de3655d2df10c2cf6941f7c0d36b45f7609989816278dce7c1512a876bab"),
+    ("par4", "cn"): (510, "832a2d3c872b3eae026e0617031440a810ac6f522e1c92e2d416326a50836228"),
+    ("par4", "fc"): (510, "832a2d3c872b3eae026e0617031440a810ac6f522e1c92e2d416326a50836228"),
     ("parallel_choice", "cn"): (1, "f1ee60553ad7da7adb521e8c852126f579799d67f85c9298b5a412e3581941e2"),
     ("parallel_choice", "fc"): (2, "3c8f6a9ae0f8183b0673429586bef374927215c98e26f70837b87f9d5f0ba4a0"),
 }
-REDUCED_CORPUS_DIGEST = "1569d002a565bfe4b892cb6a12d471146b0eeefdf5ee254d4ccaef8bcde397a5"
+REDUCED_CORPUS_DIGEST = "01e9293a71fe4627adf560a337373f2bb9ba585c9f475746488a85b86881b1c0"
 
 
 @pytest.mark.parametrize("name,flavor", sorted(REDUCED_CERTIFICATES))

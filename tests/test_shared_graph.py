@@ -21,8 +21,7 @@ from netbisim import (
 )
 from netbisim.randnets import mutation_corpus
 
-from test_engine import alarm_pair, buffer, digest, initial_triple
-from test_symmetry import certified
+from test_engine import alarm_pair, buffer, digest, initial_triple, validated
 
 DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
 
@@ -87,7 +86,7 @@ def test_call_order_on_one_net_changes_nothing(name, net, m1, m2, cap,
     for flavor in DECIDERS:
         want["decide", flavor], v = decided(copy(net), m1, m2, cap, flavor)
         certificates[flavor] = v
-        want["validate", flavor] = certified(copy(net), m1, m2, flavor, v)
+        want["validate", flavor] = validated(copy(net), m1, m2, flavor, v)
         assert want["validate", flavor]
     shared = copy(net)
     if tampered:
@@ -101,7 +100,7 @@ def test_call_order_on_one_net_changes_nothing(name, net, m1, m2, cap,
         if kind == "decide":
             got[call], _ = decided(shared, m1, m2, cap, flavor)
         else:
-            got[call] = certified(shared, m1, m2, flavor,
+            got[call] = validated(shared, m1, m2, flavor,
                                   certificates[flavor])
     assert got == want
 
@@ -256,7 +255,7 @@ def test_graph_is_freed_with_its_net():
     net, m0 = buffer(3)
     verdicts = [decide(net, m0, m0, 3) for decide in DECIDERS.values()]
     for flavor, v in zip(DECIDERS, verdicts):
-        assert certified(net, m0, m0, flavor, v)
+        assert validated(net, m0, m0, flavor, v)
     pair, left, right = alarm_pair(2, 1)
     refuted = decide_oim(pair, left, right, 2)
     assert validate_refutation(pair, refuted.refutation, "fc")
@@ -300,7 +299,7 @@ def test_threads_on_one_net_answer_as_alone():
                 for n, a, b, cap in shared:
                     for flavor in DECIDERS:
                         key, v = decided(n, a, b, cap, flavor)
-                        got.append((key, certified(n, a, b, flavor, v)))
+                        got.append((key, validated(n, a, b, flavor, v)))
                 out.append(got)
         except Exception as exc:  # reported by the main thread
             failures.append(exc)

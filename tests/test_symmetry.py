@@ -1,6 +1,7 @@
 """Symmetry reduction of the fc/cn game: canonical triples are renamings of
-their triples that do not depend on token indices or interning order, and the
-reduced game decides as the unreduced one, with valid certificates."""
+their triples or of their exchanges that do not depend on token indices,
+interning order or which side is left, and the reduced game decides as the
+unreduced one, with valid certificates."""
 
 import itertools
 import random
@@ -11,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from netbisim import (
     CorpusConfig, GameTriple, Limits, Multiset, OrderedIndexedMarking,
     PTNet, Transition, decide_interleaving, decide_oim, decide_oimc,
-    validate_refutation, validate_witness,
+    validate_witness,
 )
 from netbisim import symmetry
-from netbisim.engine import _Search
+from netbisim.engine import ResourceLimitReached, _Search
 from netbisim.indexed import is_closed
 from netbisim.randnets import mutation_corpus, mutation_instance
 
-from test_engine import buffer, initial_triple
+from test_engine import buffer, initial_triple, validated
 
 DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
 
@@ -48,8 +49,31 @@ def play(seed):
         triple = rng.choice(nexts)
         triples.append(triple)
     del search.canonical
-    assert search.canonical(triples[0]) == triples[0]  # the root
+    root = triples[0]
+    assert search.canonical(root) in (root, exchanged(search, root))
     return net, search, triples
+
+
+def exchanged(search, t: tuple) -> tuple:
+    """The int triple t with its sides exchanged and beta transposed."""
+    left, right, beta = t
+    n = len(search.graph.oims[right][0])
+    return right, left, tuple(sum(1 << i for i, row in enumerate(beta)
+                                  if row >> j & 1) for j in range(n))
+
+
+def exchanged_triple(t: GameTriple) -> GameTriple:
+    return GameTriple(t.right, t.left, frozenset((b, a) for a, b in t.beta))
+
+
+def merged_with_exchange(t: GameTriple) -> bool:
+    """Whether the canonical form is also that of t's exchange: the sides'
+    place tuples differ, or each place holds at most one token a side."""
+    def places(o):
+        return sorted(p for p, _ in o.tokens)
+
+    lp, rp = places(t.left), places(t.right)
+    return lp != rp or len(set(lp)) == len(lp)
 
 
 def renamed(t: GameTriple, rng) -> GameTriple:
@@ -142,7 +166,9 @@ def arbitrary(seed):
 def test_canonical_is_an_invariant_renaming(seed, triples_of):
     """Renamed copies of a triple, also encoded in another graph whose
     markings were interned in another order, have one canonical triple: a
-    closed renaming of the triple, and its own canonical triple."""
+    closed renaming of the triple or of its exchange, and its own canonical
+    triple.  Where the sides' place tuples differ or no place holds two
+    tokens, the exchanged copies have it too."""
     net, search, triples = triples_of(seed)
     rng = random.Random(seed)
     for t in triples:
@@ -150,10 +176,17 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
         g, h = search.triple(t), search.triple(c)
         assert search.canonical(c) == c
         assert is_closed(h.left.tokens) and is_closed(h.right.tokens)
-        assert isomorphic(g, h)
+        assert isomorphic(g, h) or isomorphic(exchanged_triple(g), h)
+        assert search.triple(exchanged(search, t)) == exchanged_triple(g)
+        merged = merged_with_exchange(g)
+        if merged:
+            assert search.canonical(exchanged(search, t)) == c
         for _ in range(2):
             copy = search.encode(renamed(g, rng))
             assert search.canonical(copy) == c
+            if merged:
+                copy = search.encode(renamed(exchanged_triple(g), rng))
+                assert search.canonical(copy) == c
         # a copy of the net has a graph of its own, in which the markings
         # of renamed copies were interned first, in random order
         other = _Search(PTNet.make(net.places, net.transitions, net.labels),
@@ -165,6 +198,9 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
             other.graph.encode(o)
         copy = other.encode(copies[0])
         assert other.triple(other.canonical(copy)) == h
+        if merged:
+            copy = other.encode(exchanged_triple(copies[1]))
+            assert other.triple(other.canonical(copy)) == h
 
 
 def test_canonical_tries_every_vertex_of_a_tied_cell():
@@ -240,6 +276,36 @@ def test_the_twins_of_a_tried_vertex_are_not_tried(monkeypatch):
     assert symmetry.least_relabel(graph, lo, ro, beta) == (lo, ro, beta)
 
 
+def test_time_limit_holds_inside_one_canonical_search(monkeypatch):
+    """Fourteen unordered tokens a side, related by beta in cycles of 2, 3,
+    4 and 5 pairs: refinement ties them all, and one canonical search takes
+    19,446 nodes.  A search whose time limit has passed stops it at node
+    1,024, its first check, with ResourceLimitReached("max_seconds"); one
+    without a limit, as the validators make, runs it to the end."""
+    net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
+                                        Multiset.of("p"))])
+    graph = net.oim_graph
+    o = graph.intern(tuple(("p", i) for i in range(1, 15)),
+                     tuple(1 << i for i in range(14)))
+    beta = [0] * 14
+    start = 0
+    for length in (2, 3, 4, 5):
+        for i in range(length):
+            beta[start + i] = (1 << start + i) | (
+                1 << start + (i + 1) % length)
+        start += length
+    triple = (o, o, tuple(beta))
+    calls = counted_visits(monkeypatch)
+    with pytest.raises(ResourceLimitReached) as stop:
+        _Search(net, "fc", Limits(max_seconds=0.0)).canonical(triple)
+    assert stop.value.limit == "max_seconds"
+    assert calls == [1024]
+    calls[0] = 0
+    c = _Search(net, "fc", Limits()).canonical(triple)
+    assert calls == [19_446]
+    assert c == symmetry.least_relabel(graph, *triple)
+
+
 def decide_both(net, m1, m2, cap, flavor, monkeypatch):
     """(reduced verdict, unreduced verdict)."""
     reduced = DECIDERS[flavor](net, m1, m2, cap)
@@ -247,13 +313,6 @@ def decide_both(net, m1, m2, cap, flavor, monkeypatch):
         m.setattr(_Search, "canonical", lambda self, triple: triple)
         unreduced = DECIDERS[flavor](net, m1, m2, cap)
     return reduced, unreduced
-
-
-def certified(net, m1, m2, flavor, verdict) -> bool:
-    if verdict.witness is not None:
-        return validate_witness(net, verdict.witness, initial_triple(m1, m2),
-                                flavor)
-    return validate_refutation(net, verdict.refutation, flavor)
 
 
 @pytest.mark.parametrize("flavor", ["fc", "cn"])
@@ -275,8 +334,8 @@ def test_witness_independent_of_bit_order(flavor, monkeypatch):
     m1, m2 = Multiset({"p0": 2}), Multiset({"p0'": 2})
     reduced, unreduced = decide_both(net, m1, m2, 2, flavor, monkeypatch)
     assert reduced.outcome == unreduced.outcome == "equivalent"
-    assert certified(net, m1, m2, flavor, reduced)
-    assert certified(net, m1, m2, flavor, unreduced)
+    assert validated(net, m1, m2, flavor, reduced)
+    assert validated(net, m1, m2, flavor, unreduced)
 
 
 @pytest.mark.parametrize("flavor", ["fc", "cn"])
@@ -300,8 +359,8 @@ def test_mutation_tier_agrees_with_unreduced_game(monkeypatch):
             reduced, unreduced = decide_both(net, m1, m2, config.bound,
                                              flavor, monkeypatch)
             assert reduced.outcome == unreduced.outcome
-            assert certified(net, m1, m2, flavor, reduced)
-            assert certified(net, m1, m2, flavor, unreduced)
+            assert validated(net, m1, m2, flavor, reduced)
+            assert validated(net, m1, m2, flavor, unreduced)
             if mutation == "copy":
                 assert reduced.outcome == "equivalent"
         if mutation == "copy":
