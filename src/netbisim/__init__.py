@@ -14,11 +14,6 @@ from .ordered import (
     OIMStep, OrderedIndexedMarking, init_oim, oim_space, oim_successors,
     reachable_oim,
 )
-from .processes import (
-    CausalNet, Extension, InvalidDeltaError, Process, ProcessSequence,
-    empty_process, event_leq, event_order, process_extensions, ps_init,
-    ps_step, ps_successors, step_assignments,
-)
 from .engine import (
     BisimVerdict, GameTriple, Limits, Refutation, beta_update,
     decide_interleaving, decide_oim, decide_oimc, deleted_condition_cn,
@@ -27,8 +22,7 @@ from .engine import (
 )
 from .oracle import oracle_game
 from .netio import (
-    NetDocument, ParseError, export_causal_net_dot, export_im_dot,
-    export_oim_dot,
+    NetDocument, ParseError, export_im_dot, export_oim_dot,
     export_reachability_dot, format_net, parse_net,
 )
 from .randnets import CorpusConfig, corpus, random_instance
@@ -42,16 +36,12 @@ __all__ = [
     "im_successors", "reachable_im",
     "OIMStep", "OrderedIndexedMarking", "init_oim", "oim_space",
     "oim_successors", "reachable_oim",
-    "CausalNet", "Extension", "InvalidDeltaError", "Process",
-    "ProcessSequence", "empty_process", "event_leq", "event_order",
-    "process_extensions", "ps_init", "ps_step", "ps_successors",
-    "step_assignments",
     "BisimVerdict", "GameTriple", "Limits", "Refutation", "beta_update",
     "decide_interleaving", "decide_oim", "decide_oimc",
     "deleted_condition_cn", "deleted_condition_fc", "format_refutation",
     "format_witness", "validate_refutation", "validate_witness",
     "oracle_game",
-    "NetDocument", "ParseError", "export_causal_net_dot", "export_oim_dot",
+    "NetDocument", "ParseError", "export_oim_dot",
     "export_im_dot", "export_reachability_dot", "format_net", "parse_net",
     "CorpusConfig", "corpus", "random_instance",
 ]

@@ -132,7 +132,9 @@ class Refutation:
 @dataclass
 class BisimVerdict:
     outcome: str  # "equivalent" | "not-equivalent" | "unknown"
-    witness: Optional[frozenset] = None  # frozenset[GameTriple] when equivalent
+    # frozenset[GameTriple] when the game decides equivalence; the oracle
+    # ships none
+    witness: Optional[frozenset] = None
     refutation: Optional[Refutation] = None
     stats: dict = field(default_factory=dict)
 
@@ -357,10 +359,7 @@ class _Search:
         self.explored += 1
         if self.explored > self.limits.max_triples:
             raise ResourceLimitReached("max_triples")
-        if (
-            self.limits.max_seconds is not None
-            and time.monotonic() - self.t0 > self.limits.max_seconds
-        ):
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitReached("max_seconds")
 
     def gate(self, triple: tuple) -> Optional[Refutation]:

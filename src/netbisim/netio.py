@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .nets import Multiset, PTNet, Transition
 from .ordered import OrderedIndexedMarking
-from .processes import CausalNet
 
 _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -258,15 +257,3 @@ def export_oim_dot(oims, steps) -> str:
     """oims: iterable of OrderedIndexedMarking; steps: (oim, OIMStep)."""
     return _export_steps_dot("oim", oims, steps, _oim_label)
 
-
-def export_causal_net_dot(cn: CausalNet) -> str:
-    """Conditions as circles, events as boxes."""
-    lines = ["digraph causal {"]
-    for b in cn.conditions:
-        lines.append(f"  {_q(b)} [shape=circle, label={_q(b)}];")
-    for e, label in cn.events:
-        lines.append(f"  {_q(e)} [shape=box, label={_q(label)}];")
-    for src, dst in sorted(cn.flow):
-        lines.append(f"  {_q(src)} -> {_q(dst)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

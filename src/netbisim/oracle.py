@@ -19,10 +19,26 @@ the interpreter's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 from .nets import Multiset, NetError, PTNet
-from .processes import _preset_choices
 from .engine import BisimVerdict
+
+# The value of a state is the outcome of the game played from it.
+WIN, LOSE, UNKNOWN = "equivalent", "not-equivalent", "unknown"
+
+
+def _preset_choices(groups: dict[str, list], need: Multiset):
+    """Every way to pick need(p) of the conditions groups[p] for each place
+    p, as one frozenset; none when some place has too few."""
+    pools = []
+    for place, n in need.items():
+        avail = groups.get(place, [])
+        if len(avail) < n:
+            return
+        pools.append(combinations(avail, n))
+    for choice in product(*pools):
+        yield frozenset(b for group in choice for b in group)
 
 
 def _groups(conds: tuple, consumed: frozenset) -> dict[str, list[int]]:
@@ -254,7 +270,7 @@ class _Oracle:
         self.net = net
         self.responses = responses
         self.key = key
-        # key -> (True, winning keys) | (False, None)
+        # key -> WIN | LOSE
         self.definitive: dict = {}
         # key -> the greatest depth at which it was found unknown
         self.unknown_at: dict = {}
@@ -266,41 +282,38 @@ class _Oracle:
         if key in self.definitive:
             return self.definitive[key]
         if key in self.unknown_at and depth <= self.unknown_at[key]:
-            return (None, None)
+            return UNKNOWN
         attacks = list(_attacks(self.net, s))
         if not attacks:
-            result = self.definitive[key] = (True, frozenset([key]))
-            return result
+            self.definitive[key] = WIN
+            return WIN
         if depth == 0:
             self.unknown_at[key] = 0  # not stored yet, or it returned above
-            return (None, None)
-        frames.append((key, depth, self._play(s, key, attacks)))
+            return UNKNOWN
+        frames.append((key, depth, self._play(s, attacks)))
         return None
 
-    def _play(self, s, key, attacks):
+    def _play(self, s, attacks):
         """Play s: yield each successor state whose value is needed and
         receive that value.  Returns the value of s."""
-        all_true = True
-        winning = {key}
+        value = WIN
         for attack in attacks:
-            move_val, move_win = False, None
+            move = LOSE
             for succ in self.responses(self.net, s, *attack):
-                v, w = yield succ
-                if v is True:
-                    move_val, move_win = True, w
+                v = yield succ
+                if v == WIN:
+                    move = WIN
                     break
-                if v is None:
-                    move_val = None
-            if move_val is False:
-                return (False, None)
-            if move_val is None:
-                all_true = False
-            else:
-                winning |= move_win
-        return (True, frozenset(winning)) if all_true else (None, None)
+                if v == UNKNOWN:
+                    move = UNKNOWN
+            if move == LOSE:
+                return LOSE
+            if move == UNKNOWN:
+                value = UNKNOWN
+        return value
 
     def value(self, s, depth: int):
-        """(True, winning key set) | (False, None) | (None, None)."""
+        """WIN | LOSE | UNKNOWN."""
         frames: list = []  # (key, depth, its play)
         answer = self._enter(s, depth, frames)
         while frames:
@@ -310,7 +323,7 @@ class _Oracle:
             except StopIteration as done:
                 frames.pop()
                 answer = done.value
-                if answer[0] is None:
+                if answer == UNKNOWN:
                     # Any entry for key was made by a deeper frame, at a
                     # smaller depth.
                     self.unknown_at[key] = depth
@@ -342,15 +355,15 @@ def oracle_game(net: PTNet, m1: Multiset, m2: Multiset, flavor: str,
     net.check_marking(m2)
     inits, *game = _GAMES[flavor]
     oracle = _Oracle(net, *game)
-    outcome, witness = "not-equivalent", None
+    outcome = LOSE
     for s in inits(m1, m2):
-        v, w = oracle.value(s, depth)
-        if v is True:
-            outcome, witness = "equivalent", w
+        v = oracle.value(s, depth)
+        if v == WIN:
+            outcome = WIN
             break
-        if v is None:
-            outcome = "unknown"
+        if v == UNKNOWN:
+            outcome = UNKNOWN
     stats = {"states": len(oracle.definitive) + len(oracle.unknown_at)}
-    if outcome == "unknown":
+    if outcome == UNKNOWN:
         stats["limit"] = "depth"
-    return BisimVerdict(outcome, witness=witness, stats=stats)
+    return BisimVerdict(outcome, stats=stats)

@@ -1,9 +1,10 @@
 """Shared checkers for the process-sequence theorems, used by both the
 property tests and the acceptance suite."""
 
-from netbisim import event_order, oim_successors, process_extensions, ps_successors
+from netbisim import oim_successors
 from netbisim.oracle import _attacks, _extend, _fc_inits, _places
-from netbisim.processes import _nat
+
+from processes import _nat, event_order, process_extensions, ps_successors
 
 
 def check_coherence(ps):

@@ -1,4 +1,6 @@
-"""Causal nets, processes (foldings) and process sequences.
+"""Causal nets, processes (foldings) and process sequences: the paper's
+bridge between processes and ordered indexed markings, kept as a test-side
+reference that `step_rows` and the token preorders are checked against.
 
 A process is a causal net C plus a folding of its conditions/events onto
 the places/transitions of a P/T net.  A process sequence additionally
@@ -10,24 +12,16 @@ pins down exactly one ordered indexed marking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
-from .nets import Multiset, NetError, PTNet
-from .indexed import IndexedMarking, Token, alpha, boxplus, is_closed
-from .ordered import OrderedIndexedMarking, init_oim
+from netbisim.nets import Multiset, NetError, PTNet
+from netbisim.indexed import IndexedMarking, Token, alpha, boxplus, is_closed
+from netbisim.oracle import _preset_choices
+from netbisim.ordered import OrderedIndexedMarking, init_oim
 
 
 class InvalidDeltaError(NetError):
     """delta is not a place-respecting bijection onto the expected tokens."""
-
-
-@dataclass(frozen=True)
-class CausalNet:
-    """Flow-relation view of a process, used by the DOT exporter."""
-
-    conditions: tuple[str, ...]
-    events: tuple[tuple[str, str], ...]  # (event-id, label)
-    flow: frozenset  # frozenset[tuple[str, str]]
 
 
 class Process:
@@ -88,17 +82,6 @@ class Process:
     def fold(self, conditions) -> Multiset:
         return Multiset.of(*(self.cond_place[b] for b in conditions))
 
-    def causal_net(self) -> CausalNet:
-        flow = set()
-        for e, pre in self.event_pre.items():
-            flow.update((b, e) for b in pre)
-        for e, post in self.event_post.items():
-            flow.update((e, b) for b in post)
-        events = tuple((e, self.net.transition(self.event_trans[e]).label)
-                       for e in self.event_seq)
-        return CausalNet(tuple(sorted(self.cond_place, key=_nat)), events,
-                         frozenset(flow))
-
 
 def _nat(ident: str) -> tuple[str, int]:
     return (ident[0], int(ident[1:]))
@@ -131,19 +114,6 @@ def process_extensions(net: PTNet, p: Process) -> list[Extension]:
         by_place.setdefault(p.cond_place[b], []).append(b)
     return [_extend(p, t.tid, preset) for t in net.transitions
             for preset in _preset_choices(by_place, t.pre)]
-
-
-def _preset_choices(groups: dict[str, list], need: Multiset):
-    """Every way to pick need(p) of the conditions groups[p] for each place
-    p, as one frozenset; none when some place has too few."""
-    pools = []
-    for place, n in need.items():
-        avail = groups.get(place, [])
-        if len(avail) < n:
-            return
-        pools.append(combinations(avail, n))
-    for choice in product(*pools):
-        yield frozenset(b for group in choice for b in group)
 
 
 def _extend(p: Process, tid: str, preset: frozenset) -> Extension:

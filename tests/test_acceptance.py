@@ -21,12 +21,13 @@ import pytest
 from netbisim import (
     Multiset, NetSystem, boxminus, boxplus, decide_interleaving, decide_oim,
     decide_oimc, initial_indexed, init_oim, oim_successors, oracle_game,
-    ps_init, ps_successors, reachable, reachable_im, reachable_oim,
-    validate_refutation, validate_witness,
+    reachable, reachable_im, reachable_oim, validate_refutation,
+    validate_witness,
 )
 from netbisim.cli import cli_main
 from netbisim.randnets import CorpusConfig, random_instance
 
+from processes import ps_init, ps_successors
 from proc_checks import check_coherence, check_one_step_correspondence
 from test_engine import initial_triple
 

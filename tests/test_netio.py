@@ -8,12 +8,8 @@ from netbisim import (
     format_net, random_instance, reachable, reachable_oim,
 )
 from netbisim.netio import NetDocument, ParseError
-from netbisim.netio import (
-    export_causal_net_dot, export_oim_dot, export_reachability_dot,
-)
+from netbisim.netio import export_oim_dot, export_reachability_dot
 from netbisim.ordered import oim_successors
-from netbisim.processes import ps_init
-from test_processes import step_by
 
 FIG2_TEXT = """\
 # fork/join example
@@ -149,15 +145,6 @@ def test_oim_dot_node_count(fig2_net, fig2_m0):
     dot = export_oim_dot(oims, steps)
     assert dot.count("[label=") == len(oims) + len(steps)
     assert sum(1 for line in dot.splitlines() if "->" in line) == len(steps)
-
-
-def test_causal_net_dot_fig1(fig1_net):
-    ps = ps_init(fig1_net, initial_indexed(Multiset.of("s1")))
-    ps = step_by(ps, "t1", {("s1", 1)})
-    dot = export_causal_net_dot(ps.process.causal_net())
-    assert dot.count("shape=circle") == 2
-    assert dot.count("shape=box") == 1
-    assert dot.count("->") == 2
 
 
 @settings(max_examples=50, deadline=None)

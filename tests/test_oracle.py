@@ -17,8 +17,7 @@ from netbisim.randnets import mutation_corpus
 def test_fig1_fc_depth2(fig1_net):
     v = oracle_game(fig1_net, Multiset.of("s1"), Multiset.of("s3"), "fc", 2)
     assert v.outcome == "equivalent"
-    # the witness is exactly the empty-processes triple and the one-event triple
-    assert len(v.witness) == 2
+    assert v.witness is None  # the oracle checks verdicts; it ships no witness
 
 
 def test_fig1_cn_depth2(fig1_net):
@@ -142,8 +141,7 @@ def test_par_golden(n, depth, flavor, outcome, states):
 @pytest.mark.parametrize("flavor", ["fc", "cn"])
 def test_fig2_golden(fig2_net, fig2_m0, flavor):
     v = oracle_game(fig2_net, fig2_m0, fig2_m0, flavor, 6)
-    assert (v.outcome, v.stats["states"], len(v.witness)) == (
-        "equivalent", 16, 16)
+    assert (v.outcome, v.stats["states"]) == ("equivalent", 16)
 
 
 def permutation_pairings(left, right):

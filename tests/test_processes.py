@@ -1,10 +1,11 @@
 import pytest
 
-from netbisim import (
-    Multiset, initial_indexed, empty_process, event_leq, event_order,
+from netbisim import Multiset, initial_indexed
+
+from processes import (
+    InvalidDeltaError, _nat, empty_process, event_leq, event_order,
     process_extensions, ps_init, ps_step, ps_successors, step_assignments,
 )
-from netbisim.processes import InvalidDeltaError, _nat
 
 
 def step_by(ps, tid, deleted, assignment_pick=None):
@@ -131,12 +132,3 @@ def test_ps_successors_cover_all_assignments(fig2_net, fig2_m0):
     # t2 has 3 preset choices with 1 assignment each
     assert sum(1 for ext, _, _ in succs if ext.tid == "t1") == 2
     assert sum(1 for ext, _, _ in succs if ext.tid == "t2") == 3
-
-
-def test_causal_net_shape(fig1_net):
-    ps = ps_init(fig1_net, initial_indexed(Multiset.of("s1")))
-    ps = step_by(ps, "t1", {("s1", 1)})
-    cn = ps.process.causal_net()
-    assert len(cn.conditions) == 2
-    assert len(cn.events) == 1
-    assert len(cn.flow) == 2

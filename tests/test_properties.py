@@ -9,12 +9,12 @@ from netbisim import (
     Transition, alpha,
     beta_update, boxminus, boxplus, decide_interleaving, decide_oim,
     decide_oimc, deleted_condition_cn, enabled, fire, initial_indexed,
-    init_oim, im_successors, oim_successors, reachable, ps_init,
-    ps_successors,
+    init_oim, im_successors, oim_successors, reachable,
 )
 from netbisim.ordered import OIMGraph, oim_check
 from netbisim.randnets import CorpusConfig, random_instance
 
+from processes import ps_init, ps_successors
 from proc_checks import (
     check_coherence, check_minimality, check_one_step_correspondence,
     check_preset_not_eq_pi,
