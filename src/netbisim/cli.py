@@ -103,7 +103,11 @@ def _build_parser() -> _Parser:
 
 def _load(path: str, *marking_names: str):
     with open(path, encoding="utf-8") as fh:
-        doc = parse_net(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # bad input, not an internal error
+            raise NetError(f"{path}: {exc}") from None
+    doc = parse_net(text)
     markings = []
     for name in marking_names:
         if name not in doc.markings:

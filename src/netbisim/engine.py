@@ -390,6 +390,13 @@ class _Search:
         # pushed before it, so refuting a triple withdraws exactly the
         # entries from its own onwards.
         assumed: dict[tuple, None] = {root: None}
+        # Where m2's places come first, the root's canonical triple is its
+        # exchange (`root`), whose markings are the root's swapped: a
+        # successor equal to it is assumed like the root, and is not added
+        # to the witness.
+        places = self.graph.places
+        swapped = ((root[1], root[0]) if places[root[0]] > places[root[1]]
+                   else None)
         false_memo = self.false_memo
         successors, successor = self.graph.successors, self.successor
         self._tick()
@@ -431,6 +438,9 @@ class _Search:
                         assumed.popitem()
                     break
                 answer = True if nxt in assumed else false_memo.get(nxt)
+                if (swapped and answer is None and nxt[:2] == swapped
+                        and nxt == self.canonical(root)):
+                    answer = True
                 if answer is None:
                     self._tick()
                     answer = self.gate(nxt)

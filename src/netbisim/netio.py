@@ -1,6 +1,6 @@
 """Text format for nets and markings, plus DOT exporters.
 
-Grammar (one directive per line, `#` starts a comment):
+Grammar (one directive per line):
 
     net <name>
     places <id> <id> ...
@@ -8,6 +8,9 @@ Grammar (one directive per line, `#` starts a comment):
     marking <name> : <term> [+ <term>]*
 
 where <term> ::= [<nat> *] <place> and ids match [A-Za-z_][A-Za-z0-9_]*.
+`#` starts a comment.  Spaces and tabs separate tokens; `:`, `+`, `*` and
+`->` need no space around them, and any other run of characters is one
+token.  A count <nat> is ASCII digits; `0` alone is the empty multiset.
 
 There is no label directive: a parsed net's labels are those its
 transitions carry, so format_net drops a declared label that no transition
@@ -22,7 +25,18 @@ from dataclasses import dataclass, field
 from .nets import Multiset, PTNet, Transition
 from .ordered import OrderedIndexedMarking
 
-_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# A token, as above.  Each pattern matches wherever it starts: an empty
+# group marks where a token, `:` or `+` was expected and not found.
+_TOK = r"([^ \t:+*-]*(?:-(?!>)[^ \t:+*-]*)*)"
+_WORD = re.compile(r"[ \t]*" + _TOK)
+# A line's first three tokens and the `:` after them (a marking's follows
+# its name, where the third token is empty).
+_HEAD = re.compile(_WORD.pattern * 3 + r"[ \t]*(:?)")
+# A term's count, place and `+`; any whitespace, not only spaces and tabs,
+# may surround a count's `*` and a lone `0`.
+_TERM = re.compile(r"[ \t]*(?:([0-9]+)\s*\*\s*)?" + _TOK + r"[ \t]*(\+?)")
+# A lone `0`, or `->` where a term list is empty, or its first term.
+_FIRST_TERM = re.compile(r"(\s*0\s*(?:->|\Z))|(\s*->)|" + _TERM.pattern)
 
 
 class ParseError(ValueError):
@@ -45,74 +59,51 @@ class NetDocument:
             raise KeyError(f"no marking named {name!r}") from None
 
 
-class _Line:
-    def __init__(self, text: str, number: int):
-        self.text = text
-        self.number = number
-        self.pos = 0
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(self.number, self.pos + 1, msg)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def token(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t:+*" or self.text.startswith("->", self.pos):
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a token")
-        return self.text[start:self.pos]
-
-    def expect(self, lit: str):
-        self.skip_ws()
-        if not self.text.startswith(lit, self.pos):
-            raise self.error(f"expected {lit!r}")
-        self.pos += len(lit)
-
-
-def _parse_ident(line: _Line, what: str) -> str:
-    tok = line.token()
-    if not _ID.match(tok):
-        raise line.error(f"bad {what} {tok!r}")
+def _token(m: re.Match, g: int, number: int, what: str = "") -> str:
+    """Group g of m, a token; an identifier if `what` names one."""
+    tok = m.group(g)
+    if not tok:
+        raise ParseError(number, m.start(g) + 1, "expected a token")
+    if what and not (tok.isascii() and tok.isidentifier()):
+        raise ParseError(number, m.end(g) + 1, f"bad {what} {tok!r}")
     return tok
 
 
-def _parse_terms(line: _Line, places: set[str]) -> Multiset:
-    """`0` alone or a +-separated list of [nat*]place terms."""
-    if re.match(r"\s*0\s*(->|\Z)", line.text[line.pos:]):
-        line.expect("0")
-        return Multiset()
+def _terms(s: str, pos: int, number: int, places: set[str],
+           tid: str | None = None) -> tuple[Multiset, int]:
+    """`0` alone or a +-separated list of [nat*]place terms at pos, and the
+    offset past the `0` or past the list and the spaces after it.  tid
+    names the transition whose preset the list is: that may not be empty,
+    and an empty one that starts with `->` is reported at pos."""
+    m = _FIRST_TERM.match(s, pos)
+    zero, arrow = m.group(1, 2)
     acc: dict[str, int] = {}
-    while True:
-        line.skip_ws()
-        m = re.match(r"(\d+)\s*\*\s*", line.text[line.pos:])
-        count = 1
-        if m:
-            count = int(m.group(1))
-            line.pos += m.end()
-        place = _parse_ident(line, "place")
-        if place not in places:
-            raise line.error(f"undeclared place {place!r}")
-        acc[place] = acc.get(place, 0) + count
-        if line.peek() != "+":
-            break
-        line.expect("+")
-    return Multiset(acc)
+    if zero:
+        end = _WORD.match(s, pos).start(1) + 1
+        if s[end - 1] != "0":
+            raise ParseError(number, end, "expected '0'")
+    elif arrow and tid is not None:
+        end = pos
+    else:
+        m, g = (_TERM.match(s, pos), 1) if arrow else (m, 3)
+        while True:
+            count, place, plus = m.group(g, g + 1, g + 2)
+            if place not in places:  # declared places are identifiers
+                _token(m, g + 1, number, "place")
+                raise ParseError(number, m.end(g + 1) + 1,
+                                 f"undeclared place {place!r}")
+            n = int(count) if count else 1
+            if n:
+                acc[place] = acc.get(place, 0) + n
+            if not plus:
+                break
+            m, g = _TERM.match(s, m.end()), 1
+        end = m.end()
+    if tid is not None and not acc:
+        raise ParseError(number, end + 1,
+                         f"transition {tid!r} has an empty preset")
+    return Multiset._sorted(
+        dict(sorted(acc.items())) if len(acc) > 1 else acc), end
 
 
 def parse_net(text: str) -> NetDocument:
@@ -124,47 +115,56 @@ def parse_net(text: str) -> NetDocument:
     markings: dict[str, Multiset] = {}
 
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        if not stripped.strip():
+        s = raw.partition("#")[0]
+        if not s.strip():
             continue
-        line = _Line(stripped, number)
-        keyword = line.token()
-        if keyword == "net":
-            if name is not None:
-                raise line.error("duplicate net directive")
-            name = _parse_ident(line, "net name")
-        elif keyword == "places":
-            while not line.at_end():
-                p = _parse_ident(line, "place")
-                if p in place_set:
-                    raise line.error(f"duplicate place {p!r}")
-                places.append(p)
-                place_set.add(p)
-        elif keyword == "trans":
-            tid = _parse_ident(line, "transition id")
+        m = _HEAD.match(s)
+        keyword = m.group(1)
+        if keyword == "trans":
+            tid = _token(m, 2, number, "transition id")
             if tid in tids:
-                raise line.error(f"duplicate transition id {tid!r}")
-            label = _parse_ident(line, "label")
-            line.expect(":")
-            if line.text[line.pos:].lstrip().startswith("->"):
-                raise line.error(f"transition {tid!r} has an empty preset")
-            pre = _parse_terms(line, place_set)
-            if not pre:
-                raise line.error(f"transition {tid!r} has an empty preset")
-            line.expect("->")
-            post = _parse_terms(line, place_set)
+                raise ParseError(number, m.end(2) + 1,
+                                 f"duplicate transition id {tid!r}")
+            label = _token(m, 3, number, "label")
+            if not m.group(4):
+                raise ParseError(number, m.start(4) + 1, "expected ':'")
+            pre, pos = _terms(s, m.end(), number, place_set, tid)
+            if not s.startswith("->", pos):
+                raise ParseError(number, pos + 1, "expected '->'")
+            post, pos = _terms(s, pos + 2, number, place_set)
             transitions.append(Transition(tid, label, pre, post))
             tids.add(tid)
+        elif keyword == "places":
+            for m in _WORD.finditer(s, m.end(1)):
+                if m.start(1) == len(s):
+                    break
+                p = _token(m, 1, number, "place")
+                if p in place_set:
+                    raise ParseError(number, m.end(1) + 1,
+                                     f"duplicate place {p!r}")
+                places.append(p)
+                place_set.add(p)
+            pos = m.end()
         elif keyword == "marking":
-            mname = _parse_ident(line, "marking name")
+            mname = _token(m, 2, number, "marking name")
             if mname in markings:
-                raise line.error(f"duplicate marking {mname!r}")
-            line.expect(":")
-            markings[mname] = _parse_terms(line, place_set)
+                raise ParseError(number, m.end(2) + 1,
+                                 f"duplicate marking {mname!r}")
+            if m.group(3) or not m.group(4):
+                raise ParseError(number, m.start(3) + 1, "expected ':'")
+            markings[mname], pos = _terms(s, m.end(), number, place_set)
+        elif keyword == "net":
+            if name is not None:
+                raise ParseError(number, m.end(1) + 1,
+                                 "duplicate net directive")
+            name, pos = _token(m, 2, number, "net name"), m.end(2)
         else:
-            raise line.error(f"unknown directive {keyword!r}")
-        if not line.at_end():
-            raise line.error("trailing input")
+            _token(m, 1, number)
+            raise ParseError(number, m.end(1) + 1,
+                             f"unknown directive {keyword!r}")
+        pos = _WORD.match(s, pos).start(1)  # the next token
+        if pos < len(s):
+            raise ParseError(number, pos + 1, "trailing input")
 
     if name is None:
         raise ParseError(1, 1, "missing net directive")

@@ -165,6 +165,17 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "line 1, column 7: trailing input" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_bad_input(tmp_path, capsys):
+    """A net file that is not UTF-8 is reported in one line, exit 3, with
+    no traceback."""
+    path = tmp_path / "bad.pn"
+    path.write_bytes(b"net n\nplaces \xff\n")
+    assert cli_main(["bound", "--cap", "2", str(path), "m"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position "
+        "13: invalid start byte\n")
+
+
 def test_bound_prints_least_bound(fig2_path, capsys):
     assert cli_main(["bound", "--cap", "8", fig2_path, "m0"]) == 0
     assert capsys.readouterr().out.strip() == "5"

@@ -11,6 +11,8 @@ from netbisim.netio import NetDocument, ParseError
 from netbisim.netio import export_oim_dot, export_reachability_dot
 from netbisim.ordered import oim_successors
 
+import reference_netio
+
 FIG2_TEXT = """\
 # fork/join example
 net fig2
@@ -160,3 +162,105 @@ def test_format_parse_round_trip(seed):
     assert back.net.transitions == net.transitions
     assert back.markings == doc.markings
     assert back.net.labels == {t.label for t in net.transitions}
+
+
+def _outcome(parse, text):
+    """parse(text), or the type, line, column and message of what it
+    raised."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return (type(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None), str(exc))
+
+
+def _assert_parses_like_reference(text):
+    assert _outcome(parse_net, text) == _outcome(reference_netio.parse_net,
+                                                 text)
+
+
+HEADER = "net n\nplaces s1 s2 s3\n"
+
+# Lines around the scanner's edges: abutting punctuation, tabs, comments,
+# blank lines, zero counts, a lone `-`, long `+` lists, and their errors.
+LINES = [
+    "trans t a : s1->s2", "trans t a:s1->s2", "trans t a : 2 * s2 -> s1",
+    "trans t a :2*s2->0", "trans t\ta\t:\ts1\t->\t2 *s3",
+    "trans t a : s1 -> s2 # comment", "# comment only", "", " \t ",
+    "marking m : 0", "marking m : 0*s1", "marking m : 05*s1",
+    "marking m : 0 * s1 + 2*s2", "marking m : 0 + s1", "marking m : 0 0",
+    "marking m:s1+s2", "marking m : s1 +", "marking m : + s1",
+    "marking m : s1 ++ s2", "marking m : 2*", "marking m : 2 *",
+    "marking m : * s1", "marking m : 2*3*s1", "marking m : 2**s1",
+    "marking m : 2 s1", "marking m : s9", "marking m s1", "marking m s1 : s2",
+    "marking m", "marking", "marking m : s1 s2", "marking m : s1 -> s2",
+    "trans t a : 0 -> s1", "trans t a : -> s1", "trans t a :-> s1",
+    "trans t a : 0*s1 -> s2", "trans t a : s1 -> 0", "trans t a : s1 -> 0 0",
+    "trans t a : s1 -> -> s1", "trans t a : s1 s2 -> s1", "trans t a : s1",
+    "trans t a b : s1 -> s2", "trans t a", "trans t", "trans", "trans 1 a",
+    "trans t 1 : s1 -> s1", "trans t-1 a : s1 -> s2", "trans t a- : s1 -> s2",
+    "trans t a : s1 - -> s2", "trans t a : s1 -- s2", "places a-b",
+    "places s4 -", "places a->b", "places s4: s5", "places s4 s4",
+    "places", "places 4s", "net n", "net", "net: x", "net x y", "-", ":",
+    "+", "*", "->", "0", "2*s1", "marking m : 2\x1f*\x1fs1",
+    "marking m : \x1f0", "marking m : 0\x1f", "trans t a :\x1f-> s1",
+    "marking m : " + " + ".join(
+        ["s1", "2*s2", "s3 ", "0*s1", "\t3 * s2"] * 60),
+]
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_hand_picked_lines_parse_like_reference(line):
+    _assert_parses_like_reference(HEADER + line + "\n")
+    _assert_parses_like_reference(line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LINES), max_size=6),
+       st.sampled_from(["\n", "\r\n", "\n\n"]))
+def test_hand_picked_documents_parse_like_reference(lines, sep):
+    _assert_parses_like_reference(sep.join([HEADER.rstrip("\n"), *lines]))
+
+
+EDIT_CHARS = st.one_of(st.sampled_from(list(" \t:+*-><0123456789#\nsp_")),
+                       st.characters(max_codepoint=127))
+
+
+@st.composite
+def _edited_documents(draw):
+    """A formatted random net with up to three one-character insertions,
+    deletions or replacements."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    net, m1, m2 = random_instance(random.Random(seed))
+    text = format_net(NetDocument(f"n{seed}", net, {"m1": m1, "m2": m2}))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if edit == "delete" else draw(EDIT_CHARS)
+        text = text[:i] + new + text[i + (edit != "insert"):]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_documents())
+def test_edited_documents_parse_like_reference(text):
+    """The scanner gives the reference's document, or raises ParseError at
+    its line and column with its message, on ASCII text."""
+    _assert_parses_like_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=40))
+def test_ascii_lines_parse_like_reference(line):
+    _assert_parses_like_reference(HEADER + line)
+
+
+def test_counts_are_ascii_digits():
+    """A non-ASCII decimal digit is not a count but a token, and so a bad
+    place; the reference read `٣*s1` as 3 tokens on s1."""
+    text = "net n\nplaces s1\nmarking m : \u0663*s1\n"
+    with pytest.raises(ParseError) as exc:
+        parse_net(text)
+    assert (exc.value.line, exc.value.col) == (3, 14)
+    assert str(exc.value).endswith("bad place '\u0663'")
+    assert reference_netio.parse_net(text).markings["m"] == Multiset({"s1": 3})
