@@ -55,7 +55,7 @@ from functools import cache
 from typing import Iterable, Literal, Optional
 
 from .nets import Multiset, NetError, PTNet, ResourceLimitReached
-from .indexed import Token
+from .indexed import Token, token_text, tokens_text
 from .ordered import (
     OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, holding_graph,
     image, step_rows, transpose,
@@ -682,35 +682,22 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     return all(replays(node) for node in nodes)
 
 
-def _fmt_token(tok: Token) -> str:
-    return f"({tok[0]},{tok[1]})"
-
-
 def _fmt_oim(o: OrderedIndexedMarking) -> str:
-    toks = " ".join(_fmt_token(t) for t in sorted(o.tokens))
-    pairs = " ".join(
-        f"{_fmt_token(a)}<={_fmt_token(b)}" for a, b in sorted(o.order)
-    )
-    return f"tokens {{{toks}}} order {{{pairs}}}"
+    pairs = " ".join(f"{token_text(a)}<={token_text(b)}"
+                     for a, b in sorted(o.order))
+    return f"tokens {{{tokens_text(o.tokens)}}} order {{{pairs}}}"
 
 
 def _fmt_beta(beta: Beta) -> str:
-    return " ".join(f"{_fmt_token(a)}~{_fmt_token(b)}" for a, b in sorted(beta))
-
-
-def format_triple(t: GameTriple, oim_text=_fmt_oim, beta_text=_fmt_beta) -> str:
-    return (
-        f"left  {oim_text(t.left)}\n"
-        f"right {oim_text(t.right)}\n"
-        f"beta  {{{beta_text(t.beta)}}}"
-    )
+    return " ".join(f"{token_text(a)}~{token_text(b)}" for a, b in sorted(beta))
 
 
 def format_witness(witness: frozenset) -> str:
     """Deterministic text listing of a witness relation.  Each distinct
     marking and beta is formatted once."""
     oim_text, beta_text = cache(_fmt_oim), cache(_fmt_beta)
-    blocks = sorted(format_triple(t, oim_text, beta_text) for t in witness)
+    blocks = sorted(f"left  {oim_text(t.left)}\nright {oim_text(t.right)}\n"
+                    f"beta  {{{beta_text(t.beta)}}}" for t in witness)
     out = [f"triples {len(blocks)}"]
     for i, b in enumerate(blocks):
         out.append(f"-- triple {i} --")
@@ -726,6 +713,5 @@ def format_refutation(ref: Refutation) -> str:
     canonical form may have exchanged the sides since the root."""
     lines = [f"refuted: {ref.reason}"]
     for side, tid, removed in ref.principal_moves():
-        rem = " ".join(_fmt_token(t) for t in sorted(removed))
-        lines.append(f"{side} fires {tid} removing {{{rem}}}")
+        lines.append(f"{side} fires {tid} removing {{{tokens_text(removed)}}}")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,16 @@ Token = tuple[str, int]
 IndexedMarking = frozenset  # frozenset[Token]
 
 
+def token_text(tok: Token) -> str:
+    """A token as text: (place,index)."""
+    return f"({tok[0]},{tok[1]})"
+
+
+def tokens_text(tokens) -> str:
+    """The tokens, sorted, as `token_text` separated by spaces."""
+    return " ".join(map(token_text, sorted(tokens)))
+
+
 class InsufficientTokensError(NetError):
     def __init__(self, place: str):
         super().__init__(f"not enough tokens on place {place!r} to delete")
@@ -27,18 +37,20 @@ class InsufficientTokensError(NetError):
 
 def alpha(k: IndexedMarking) -> Multiset:
     """Project an indexed marking back to a plain marking."""
-    acc: dict[str, int] = {}
-    for place, _ in k:
-        acc[place] = acc.get(place, 0) + 1
-    return Multiset(acc)
+    return Multiset.of(*(p for p, _ in k))
 
 
 def is_closed(k: IndexedMarking) -> bool:
     """True iff every place's indices are exactly 1..n, with no holes."""
-    per_place: dict[str, set[int]] = {}
-    for place, i in k:
-        per_place.setdefault(place, set()).add(i)
-    return all(idx == set(range(1, len(idx) + 1)) for idx in per_place.values())
+    return k == initial_indexed(alpha(k))
+
+
+def closed_alpha(k0: IndexedMarking) -> Multiset:
+    """alpha(k0) of an initial indexed marking; NetError if k0 is not
+    closed."""
+    if not is_closed(k0):
+        raise NetError("initial indexed marking must be closed")
+    return alpha(k0)
 
 
 def initial_indexed(m: Multiset) -> IndexedMarking:
@@ -146,9 +158,7 @@ def im_successors(net: PTNet, k: IndexedMarking) -> list[IMStep]:
 def reachable_im(net: PTNet, k0: IndexedMarking, cap: int) -> frozenset:
     """The finite set IM(N(k0)) of reachable indexed markings.  Raises what
     exploring the marking of k0 under `cap` raises."""
-    if not is_closed(k0):
-        raise NetError("initial indexed marking must be closed")
-    net.kernel.explore((alpha(k0),), cap)
+    net.kernel.explore((closed_alpha(k0),), cap)
     kernel, transitions = net.kernel, net.transitions
     found = [tuple(sorted(k0))]
     seen = set(found)

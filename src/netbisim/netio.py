@@ -8,8 +8,9 @@ Grammar (one directive per line):
     marking <name> : <term> [+ <term>]*
 
 where <term> ::= [<nat> *] <place> and ids match [A-Za-z_][A-Za-z0-9_]*.
-`#` starts a comment.  Spaces and tabs separate tokens; `:`, `+`, `*` and
-`->` need no space around them, and any other run of characters is one
+`#` starts a comment.  Only spaces and tabs separate tokens, also around a
+count's `*` and a lone `0`; `:`, `+`, `*` and `->` need no space around
+them, and any other run of characters, other whitespace included, is one
 token.  A count <nat> is ASCII digits; `0` alone is the empty multiset.
 
 There is no label directive: a parsed net's labels are those its
@@ -22,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .indexed import token_text, tokens_text
 from .nets import Multiset, PTNet, Transition
 from .ordered import OrderedIndexedMarking
 
@@ -32,11 +34,12 @@ _WORD = re.compile(r"[ \t]*" + _TOK)
 # A line's first three tokens and the `:` after them (a marking's follows
 # its name, where the third token is empty).
 _HEAD = re.compile(_WORD.pattern * 3 + r"[ \t]*(:?)")
-# A term's count, place and `+`; any whitespace, not only spaces and tabs,
-# may surround a count's `*` and a lone `0`.
-_TERM = re.compile(r"[ \t]*(?:([0-9]+)\s*\*\s*)?" + _TOK + r"[ \t]*(\+?)")
+# A term's count, place and `+`.
+_TERM = re.compile(
+    r"[ \t]*(?:([0-9]+)[ \t]*\*[ \t]*)?" + _TOK + r"[ \t]*(\+?)")
 # A lone `0`, or `->` where a term list is empty, or its first term.
-_FIRST_TERM = re.compile(r"(\s*0\s*(?:->|\Z))|(\s*->)|" + _TERM.pattern)
+_FIRST_TERM = re.compile(
+    r"([ \t]*0[ \t]*(?:->|\Z))|([ \t]*->)|" + _TERM.pattern)
 
 
 class ParseError(ValueError):
@@ -79,9 +82,7 @@ def _terms(s: str, pos: int, number: int, places: set[str],
     zero, arrow = m.group(1, 2)
     acc: dict[str, int] = {}
     if zero:
-        end = _WORD.match(s, pos).start(1) + 1
-        if s[end - 1] != "0":
-            raise ParseError(number, end, "expected '0'")
+        end = s.index("0", pos) + 1
     elif arrow and tid is not None:
         end = pos
     else:
@@ -171,22 +172,14 @@ def parse_net(text: str) -> NetDocument:
     return NetDocument(name, PTNet.make(places, transitions), markings)
 
 
-def _fmt_terms(m: Multiset) -> str:
-    if not m:
-        return "0"
-    return " + ".join(p if n == 1 else f"{n}*{p}" for p, n in m.items())
-
-
 def format_net(doc: NetDocument) -> str:
     lines = [f"net {doc.name}"]
     if doc.net.places:
         lines.append("places " + " ".join(doc.net.places))
     for t in doc.net.transitions:
-        lines.append(
-            f"trans {t.tid} {t.label} : {_fmt_terms(t.pre)} -> {_fmt_terms(t.post)}"
-        )
+        lines.append(f"trans {t.tid} {t.label} : {t.pre!r} -> {t.post!r}")
     for mname, m in doc.markings.items():
-        lines.append(f"marking {mname} : {_fmt_terms(m)}")
+        lines.append(f"marking {mname} : {m!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -211,10 +204,6 @@ def export_reachability_dot(markings, edges) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokens_label(k) -> str:
-    return " ".join(f"({p},{i})" for p, i in sorted(k))
-
-
 def _hasse(order: frozenset, tokens: frozenset) -> list:
     strict = {(a, b) for a, b in order if a != b and (b, a) not in order}
     covers = [
@@ -225,9 +214,9 @@ def _hasse(order: frozenset, tokens: frozenset) -> list:
 
 
 def _oim_label(o: OrderedIndexedMarking) -> str:
-    toks = _tokens_label(o.tokens)
+    toks = tokens_text(o.tokens)
     hasse = _hasse(o.order, o.tokens)
-    rel = " ".join(f"({a[0]},{a[1]})<({b[0]},{b[1]})" for a, b in hasse)
+    rel = " ".join(f"{token_text(a)}<{token_text(b)}" for a, b in hasse)
     return f"{toks}\\n{rel}" if rel else toks
 
 
@@ -239,7 +228,7 @@ def _export_steps_dot(name: str, states, steps, label) -> str:
         lines.append(f"  n{i} [label={_q(label(x))}];")
     rendered = sorted(
         (index[x], index[step.target],
-         f"{step.tid} -{{{_tokens_label(step.removed)}}}")
+         f"{step.tid} -{{{tokens_text(step.removed)}}}")
         for x, step in steps
     )
     for src, dst, lbl in rendered:
@@ -250,7 +239,7 @@ def _export_steps_dot(name: str, states, steps, label) -> str:
 
 def export_im_dot(ims, steps) -> str:
     """ims: iterable of IndexedMarking; steps: (im, IMStep)."""
-    return _export_steps_dot("im", ims, steps, _tokens_label)
+    return _export_steps_dot("im", ims, steps, tokens_text)
 
 
 def export_oim_dot(oims, steps) -> str:

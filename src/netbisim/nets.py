@@ -192,7 +192,7 @@ class PTNet:
             by_id[t.tid] = t
             if t.label not in self.labels:
                 raise NetError(f"label {t.label!r} of {t.tid!r} not declared")
-            for p in set(t.pre) | set(t.post):
+            for p, _ in t.pre._key + t.post._key:
                 if p not in place_set:
                     raise NetError(f"place {p!r} of {t.tid!r} not declared")
         object.__setattr__(self, "_by_id", by_id)

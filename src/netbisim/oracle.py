@@ -50,11 +50,11 @@ def _groups(conds: tuple, consumed: frozenset) -> dict[str, list[int]]:
     return groups
 
 
-def _moves(net: PTNet, groups: dict[str, list[int]]):
-    """(tid, preset) pairs: every transition, every preset choice."""
-    for t in net.transitions:
+def _moves(transitions, groups: dict[str, list[int]]):
+    """(transition, preset) pairs: each transition, every preset choice."""
+    for t in transitions:
         for preset in _preset_choices(groups, t.pre):
-            yield t.tid, preset
+            yield t, preset
 
 
 def _places(m: Multiset) -> list[str]:
@@ -133,11 +133,11 @@ def _extend(s: GameState, side: int, attack: tuple, answer: tuple) -> GameState:
 
 
 def _attacks(net: PTNet, s: GameState):
-    """(side, tid, preset) for every attacker option."""
+    """(side, transition, preset) for every attacker option."""
     for side, conds, consumed in ((1, s.conds1, s.consumed1),
                                   (2, s.conds2, s.consumed2)):
-        for tid, preset in _moves(net, _groups(conds, consumed)):
-            yield side, tid, preset
+        for t, preset in _moves(net.transitions, _groups(conds, consumed)):
+            yield side, t, preset
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +152,17 @@ def _fc_inits(m1: Multiset, m2: Multiset) -> list[GameState]:
     return [GameState(c1, frozenset(), c2, frozenset(), (), ())]
 
 
-def _fc_responses(net: PTNet, s: GameState, side, tid, preset):
+def _fc_responses(net: PTNet, s: GameState, side, t, preset):
     """Successor states for every admissible defender answer."""
     sides = ((s.conds1, s.consumed1), (s.conds2, s.consumed2))
     (conds, _), (dconds, dconsumed) = sides if side == 1 else sides[::-1]
-    label = net.transition(tid).label
     anc_new = _cond_ancestors(conds, preset, s.anc)
-    attack = (tid, preset, _places(net.transition(tid).post))
-    for dtid, dpreset in _moves(net, _groups(dconds, dconsumed)):
-        dt = net.transition(dtid)
-        if dt.label != label:
-            continue
+    attack = (t.tid, preset, _places(t.post))
+    same = (dt for dt in net.transitions if dt.label == t.label)
+    for dt, dpreset in _moves(same, _groups(dconds, dconsumed)):
         if _cond_ancestors(dconds, dpreset, s.anc) != anc_new:
             continue  # f' would not be an order isomorphism
-        yield _extend(s, side, attack, (dtid, dpreset, _places(dt.post)))
+        yield _extend(s, side, attack, (dt.tid, dpreset, _places(dt.post)))
 
 
 def _fc_key(s: GameState):
@@ -222,20 +219,19 @@ def _cn_inits(m1: Multiset, m2: Multiset) -> list[GameState]:
     ]
 
 
-def _cn_responses(net: PTNet, s: GameState, side, tid, preset):
+def _cn_responses(net: PTNet, s: GameState, side, t, preset):
     """The defender keeps the causal net: same preset, a same-label
     transition consuming the other folding of the preset, and a choice of
     place pairing for the fresh conditions."""
-    t_att = net.transition(tid)
     dconds = s.conds2 if side == 1 else s.conds1
     dpre = Multiset.of(*(dconds[i][1] for i in preset))
-    att_post = _places(t_att.post)
-    for t in net.transitions:
-        if t.label != t_att.label or t.pre != dpre:
+    att_post = _places(t.post)
+    for dt in net.transitions:
+        if dt.label != t.label or dt.pre != dpre:
             continue
-        for pairing in _pairings(att_post, _places(t.post)):
-            yield _extend(s, side, (tid, preset, [pa for pa, _ in pairing]),
-                          (t.tid, preset, [pd for _, pd in pairing]))
+        for pairing in _pairings(att_post, _places(dt.post)):
+            yield _extend(s, side, (t.tid, preset, [pa for pa, _ in pairing]),
+                          (dt.tid, preset, [pd for _, pd in pairing]))
 
 
 def _cn_key(s: GameState):

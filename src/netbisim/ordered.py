@@ -39,7 +39,7 @@ from functools import wraps
 from typing import Optional
 
 from .nets import Multiset, NetError, PTNet
-from .indexed import IndexedMarking, alpha, firings, is_closed, pick
+from .indexed import IndexedMarking, closed_alpha, firings, pick
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def oim_check(o: OrderedIndexedMarking) -> None:
 
 def init_oim(k0: IndexedMarking) -> OrderedIndexedMarking:
     """The initial ordered indexed marking (k0, k0 x k0)."""
-    if not is_closed(k0):
-        raise NetError("initial indexed marking must be closed")
+    closed_alpha(k0)
     return OrderedIndexedMarking(k0, frozenset((a, b) for a in k0 for b in k0))
 
 
@@ -341,11 +340,10 @@ def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
 def _oim_walk(net: PTNet, k0: IndexedMarking, cap: int) -> tuple:
     """The ids of the ordered indexed markings reachable from
     init_oim(k0), breadth first."""
-    if not is_closed(k0):
-        raise NetError("initial indexed marking must be closed")
-    net.kernel.explore((alpha(k0),), cap)
+    m = closed_alpha(k0)
+    net.kernel.explore((m,), cap)
     graph = net.oim_graph
-    return graph.reached(graph.initial(alpha(k0)))
+    return graph.reached(graph.initial(m))
 
 
 @holding_graph

@@ -40,7 +40,7 @@ import time
 from typing import Optional
 
 from .nets import ResourceLimitReached
-from .ordered import OIMGraph, image, invert
+from .ordered import OIMGraph, image, invert, transpose
 
 
 def refine(cells: list, out: list, inn: list, fresh: list) -> list:
@@ -167,23 +167,16 @@ def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple,
     n = len(lrows)
     out = [up | row << n for up, row in zip(lrows, beta)] + [
         up << n for up in rrows]
-    inn = [0] * len(out)
     cells: list[int] = []
     names: list[tuple] = []  # (place, 1..) per place run of each side
     for v, p in enumerate(graph.places[left] + graph.places[right]):
-        b = 1 << v
-        row = out[v]
-        while row:
-            c = row & -row
-            row ^= c
-            inn[c.bit_length() - 1] |= b
         if v != n and names and names[-1][0] == p:
-            cells[-1] |= b
+            cells[-1] |= 1 << v
             names.append((p, names[-1][1] + 1))
         else:
-            cells.append(b)
+            cells.append(1 << v)
             names.append((p, 1))
-    code = least_order(cells, out, inn, deadline)
+    code = least_order(cells, out, transpose(out, len(out)), deadline)
     low = (1 << n) - 1
     return (graph.intern(tuple(names[:n]), tuple([c & low for c in code[:n]])),
             graph.intern(tuple(names[n:]), tuple([c >> n for c in code[n:]])),

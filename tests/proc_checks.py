@@ -72,7 +72,7 @@ def check_oracle_moves(p):
     )
     for side in (1, 2):
         attacks = sorted(
-            (tid, sorted(preset)) for sd, tid, preset in _attacks(net, s)
+            (t.tid, sorted(preset)) for sd, t, preset in _attacks(net, s)
             if sd == side
         )
         assert attacks == moves

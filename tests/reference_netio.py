@@ -3,8 +3,10 @@ to compiled patterns, kept unchanged as a test-side reference: the
 differential test in `test_netio` checks that both give equal documents
 or raise `ParseError` at the same line and column with the same message.
 
-One difference is intended: here a count may use any Unicode decimal
-digit (`\\d`), there only ASCII digits.
+Two differences are intended.  Here a count may use any Unicode decimal
+digit (`\\d`), there only ASCII digits.  Here any whitespace may surround
+a count's `*`, a lone `0` and an empty preset's `->`, there only spaces and
+tabs separate tokens, so other whitespace is part of a token.
 """
 
 from __future__ import annotations

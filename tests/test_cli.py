@@ -293,6 +293,34 @@ def test_corpus_reports_disagreements(monkeypatch, capsys):
     assert out[-1] == f"checked 5 instances, {decided} disagreements"
 
 
+def test_corpus_never_counts_an_oracle_unknown(monkeypatch, capsys):
+    """An engine whose verdicts are all flipped disagrees with the oracle on
+    every instance the oracle decides, and on none that it leaves unknown:
+    those are tallied, not compared."""
+    flip = {"equivalent": "not-equivalent", "not-equivalent": "equivalent"}
+
+    def flipped(decide):
+        def call(*args):
+            verdict = decide(*args)
+            verdict.outcome = flip[verdict.outcome]
+            return verdict
+        return call
+
+    for name in ("decide_oim", "decide_oimc"):
+        monkeypatch.setattr(cli, name, flipped(getattr(cli, name)))
+    assert cli_main(["--seed", "42", "corpus", "--count", "20",
+                     "--depth", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    tally = {key: int(n) for key, n in (line.split(": ") for line in out
+                                         if line.startswith(("fc:", "cn:")))}
+    unknown = tally["fc:unknown"] + tally["cn:unknown"]
+    assert tally["fc:unknown"] > 0 and tally["cn:unknown"] > 0
+    decided = 2 * 20 - unknown
+    assert sum(line.startswith("disagreement on instance ")
+               for line in out) == decided
+    assert out[-1] == f"checked 20 instances, {decided} disagreements"
+
+
 def test_explore_markings_and_dot(fig2_path, tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert cli_main(["explore", "--what", "markings", "--cap", "8",

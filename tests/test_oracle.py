@@ -178,16 +178,20 @@ def test_engine_agrees_with_oracle_on_the_mutation_tier():
     cn; an oracle `unknown` is tallied, never counted as agreement.  The
     tier separates il from fc 18 times (il equivalent, engine fc
     not-equivalent), and the oracle decides fc on each of them, so an
-    fc condition that accepts too much shows here."""
+    fc condition that accepts too much shows here.  The oracle's states,
+    summed per flavor, pin what it explores."""
     config = CorpusConfig(bound=3)
     tally: Counter = Counter()  # (flavor, oracle outcome) -> instances
+    states: Counter = Counter()  # flavor -> oracle states, summed
     disagreements = []
     separations = []  # (instance, oracle fc outcome)
     for i, (_, net, m1, m2) in enumerate(mutation_corpus(7, 300, config)):
         engine, oracle = {}, {}
         for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
-            oracle[flavor] = oracle_game(net, m1, m2, flavor, 4).outcome
+            verdict = oracle_game(net, m1, m2, flavor, 4)
+            oracle[flavor] = verdict.outcome
             tally[flavor, oracle[flavor]] += 1
+            states[flavor] += verdict.stats["states"]
             engine[flavor] = decide(net, m1, m2, config.bound).outcome
             assert engine[flavor] != "unknown"
             if oracle[flavor] not in ("unknown", engine[flavor]):
@@ -202,5 +206,6 @@ def test_engine_agrees_with_oracle_on_the_mutation_tier():
         ("cn", "equivalent"): 152, ("cn", "not-equivalent"): 119,
         ("cn", "unknown"): 29,
     }
+    assert states == {"fc": 33393, "cn": 991}
     assert len(separations) == 18
     assert all(outcome == "not-equivalent" for _, outcome in separations)
