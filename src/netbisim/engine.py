@@ -21,9 +21,13 @@ marking's positions), and builds each marking's moves once, bucketed by
 label.  It is built once per net object and kept with it: the fc and cn
 deciders and both validators, called on one net in any order, play on
 the same ints and moves, each holding the graph's lock, so that calls
-from several threads take turns.  What one call makes lives in its
-`_Search` and goes with it: the canonical memo, the refutation memo and
-the limits.  `(place, index)` tokens, `GameTriple` and frozenset beta
+from several threads take turns.  The graph also keeps the fc/cn
+searches' canonical memo (`OIMGraph.canon`), which every decision on the
+net reads and fills, so cn after fc renames no triple twice; each
+validator hands its `_Search` a memo of its own, so a certificate check
+recomputes every canonical form and reads nothing a decider computed.
+The refutation memo and the limits are each call's own and go with its
+`_Search`.  `(place, index)` tokens, `GameTriple` and frozenset beta
 are the boundary format: a decided witness or refutation is decoded to
 them through the graph, which keeps each marking's decoded form, and the
 validators encode them back, a marking decoded there with one lookup,
@@ -34,7 +38,7 @@ The game is invariant under place-preserving renaming of each side's
 token indices, and under exchanging its two sides with beta transposed
 (both play on one net, and the inverse of an fc or cn bisimulation is
 one), so the search works on canonical triples (`_Search.canonical`,
-with the search's memo of `symmetry.least_relabel`): every successor is
+with the memo of `symmetry.least_relabel` it was handed): every successor is
 renamed, and its sides exchanged if need be, before it is looked up,
 pushed or stored.  The root is played as given.  `stats["triples"]`
 counts canonical triples, a witness is a set of canonical triples closed
@@ -268,13 +272,17 @@ class _Search:
     (left id, right id, beta), beta holding the mask of right tokens
     related to each left token; moves are the graph's.  Refutation nodes
     hold int triples and moves until `refutation` decodes them through
-    the graph.  The canonical memo `canon` is the search's own and lasts
-    as long as it, and so does `deadline`, the `time.monotonic()` value
-    past which `max_seconds` stops it, or None."""
+    the graph.  `canon`, int triple -> canonical triple, is the memo its
+    caller hands it: a decider hands it the graph's (`OIMGraph.canon`),
+    shared by every fc/cn search on the net, a validator a new one, kept
+    for its call only.  `deadline` is the search's own, the
+    `time.monotonic()` value past which `max_seconds` stops it, or
+    None."""
 
-    def __init__(self, net: PTNet, flavor: Flavor, limits: Limits):
+    def __init__(self, net: PTNet, flavor: Flavor, limits: Limits,
+                 canon: dict):
         self.graph = net.oim_graph
-        self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
+        self.canon = canon  # triple -> canonical triple
         self.transposes: dict[tuple, tuple] = {}  # (beta, width) -> converse
         self.holds = {"fc": _fc_holds, "cn": _cn_holds}.get(flavor)
         if self.holds is None:
@@ -306,8 +314,10 @@ class _Search:
         token per place, `orient` keeps the smaller of the renamed triple
         and its exchange; where a place holds two tokens the sides stay,
         so only renamings share the image.  A triple whose tokens all have
-        index 1 needs no renaming; any other is renamed once per search
-        (`canon`), and its renaming stops at the search's time limit."""
+        index 1 needs no renaming; any other is renamed once per memo
+        (`canon`: the net's for the deciders, the call's own for a
+        validator), and its renaming stops at the search's time limit,
+        which then stores nothing, so every entry is a complete renaming."""
         graph = self.graph
         plain = graph.plain
         if plain[triple[0]] and plain[triple[1]]:
@@ -496,7 +506,7 @@ def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
                  flavor: Flavor, limits: Optional[Limits]) -> BisimVerdict:
     # The bound check: m2 is explored only if m1's search did not reach it.
     net.kernel.explore((m1, m2), cap)
-    search = _Search(net, flavor, limits or Limits())
+    search = _Search(net, flavor, limits or Limits(), net.oim_graph.canon)
     try:
         won, payload = search.run(search.root(m1, m2))
     except ResourceLimitReached as exc:
@@ -584,7 +594,7 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     if not (isinstance(witness, Iterable) and _well_typed(root)
             and all(map(_well_typed, witness))):
         return False
-    helper = _Search(net, flavor, Limits())
+    helper = _Search(net, flavor, Limits(), {})
     encoded = set()
     for triple in map(helper.encode, witness):
         if triple is None:
@@ -635,7 +645,7 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     proves only that `ref.triple` loses: a caller checks that this is the
     root it asked about.  Markings are encoded as in `validate_witness`,
     a marking object the net's graph decoded without a check."""
-    helper = _Search(net, flavor, Limits())
+    helper = _Search(net, flavor, Limits(), {})
     if not isinstance(ref, Refutation):
         return False
     try:

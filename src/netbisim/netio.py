@@ -220,12 +220,16 @@ def _oim_label(o: OrderedIndexedMarking) -> str:
     return f"{toks}\\n{rel}" if rel else toks
 
 
-def _export_steps_dot(name: str, states, steps, label) -> str:
-    """Nodes numbered in the order of their labels; one edge per step."""
-    index = {x: i for i, x in enumerate(sorted(states, key=label))}
+def _export_steps_dot(name: str, states, steps, label, key) -> str:
+    """Nodes numbered in the order of (label, key), so that states sharing
+    a label still number the same whatever order they come in; one edge
+    per step."""
+    labels = {x: label(x) for x in states}
+    index = {x: i for i, x in enumerate(
+        sorted(labels, key=lambda x: (labels[x], key(x))))}
     lines = [f"digraph {name} {{"]
     for x, i in index.items():
-        lines.append(f"  n{i} [label={_q(label(x))}];")
+        lines.append(f"  n{i} [label={_q(labels[x])}];")
     rendered = sorted(
         (index[x], index[step.target],
          f"{step.tid} -{{{tokens_text(step.removed)}}}")
@@ -239,10 +243,14 @@ def _export_steps_dot(name: str, states, steps, label) -> str:
 
 def export_im_dot(ims, steps) -> str:
     """ims: iterable of IndexedMarking; steps: (im, IMStep)."""
-    return _export_steps_dot("im", ims, steps, tokens_text)
+    return _export_steps_dot("im", ims, steps, tokens_text, sorted)
 
 
 def export_oim_dot(oims, steps) -> str:
-    """oims: iterable of OrderedIndexedMarking; steps: (oim, OIMStep)."""
-    return _export_steps_dot("oim", oims, steps, _oim_label)
+    """oims: iterable of OrderedIndexedMarking; steps: (oim, OIMStep).
+    The Hasse label drops classes of mutually ordered tokens, so distinct
+    markings can share one; their sorted tokens, then their sorted
+    order, tell them apart."""
+    return _export_steps_dot("oim", oims, steps, _oim_label, lambda o: (
+        sorted(o.tokens), sorted(o.order)))
 

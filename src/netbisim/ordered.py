@@ -23,11 +23,13 @@ fc/cn search, canonical form, validator, `oim_successors` and
 built once however many calls reach it.  It is also the net's one codec
 to and from the public types, and keeps each interned marking's decoded
 form, so a validator encodes a marking its decider decoded with one
-lookup.  Relations and steps are decoded anew, and the search's canonical
-memo lives as long as its call.  The graph does not hold the net, only
-its kernel and transitions, so it is freed with the net by reference
-counting.  A net built anew, even an equal one, shares nothing with
-another.
+lookup.  Relations and steps are decoded anew.  The graph also owns the
+fc/cn searches' canonical memo (`canon`), so that a triple one decision
+on the net renamed is not renamed again by the next; the validators
+keep a memo of their own per call and read nothing of it.  The graph
+does not hold the net, only its kernel and transitions, so it is freed
+with the net by reference counting.  A net built anew, even an equal
+one, shares nothing with another.
 """
 
 from __future__ import annotations
@@ -200,10 +202,13 @@ class OIMGraph:
     the decoded form and the token -> position table of an interned
     marking once made, the token pairs decoded relations share, and
     `known`, the `id()` of each object in `decoded` -> its id (`decoded`
-    keeps them alive, so no other object has that `id()`).  It grows
-    with the calls that play on it.  A call holds `lock` while it
-    plays (`holding_graph`), which also guards these tables and the images
-    a move stores."""
+    keeps them alive, so no other object has that `id()`).  `canon` maps
+    an int triple to its canonical triple (`engine._Search.canonical`),
+    filled and read by every fc/cn decision on the net; a validator's
+    search keeps its own and never reads it.  The graph grows with the
+    calls that play on it.  A call holds `lock` while it plays
+    (`holding_graph`), which also guards these tables and the images a
+    move stores."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
@@ -218,6 +223,7 @@ class OIMGraph:
         self.decoded: dict[int, OrderedIndexedMarking] = {}
         self.at: dict[int, dict] = {}  # id -> token -> position
         self.known: dict[int, int] = {}  # id(decoded[o]) -> o
+        self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
 
     def intern(self, tokens: tuple, rows: tuple) -> int:
         key = (tokens, rows)

@@ -29,9 +29,10 @@ the left side's size, and sets of them are int masks.  A renaming is a
 position map, as a move is: an order of positions is a plan (new
 position j holds old position order[j]), `ordered.invert` turns it into
 a map and `ordered.image` sends masks through it.  The memo of canonical
-triples is the search's own (`engine._Search.canonical`) and goes with
-it, and so does the time limit that a canonical search checks as it
-goes.
+triples (`engine._Search.canonical`) is the graph's (`OIMGraph.canon`),
+shared by the fc/cn searches on one net, except in a validator, which
+keeps one of its own per call.  The time limit that a canonical search
+checks as it goes is its search's; a search it stops stores nothing.
 """
 
 from __future__ import annotations

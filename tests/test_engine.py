@@ -676,7 +676,7 @@ def test_search_leaves_few_tracked_objects():
     and label buckets held in lists, leave 8.  The search plays 1,000
     canonical triples, each with its exchange, over all 2,000 markings."""
     net, m1, m2 = ring(2000)
-    search = _Search(net, "fc", Limits())
+    search = _Search(net, "fc", Limits(), {})
     root = search.root(m1, m2)
     gc.collect()
     before = len(gc.get_objects())

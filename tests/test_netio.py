@@ -12,6 +12,7 @@ from netbisim.netio import export_oim_dot, export_reachability_dot
 from netbisim.ordered import oim_successors
 
 import reference_netio
+from test_oracle import par
 
 FIG2_TEXT = """\
 # fork/join example
@@ -147,6 +148,25 @@ def test_oim_dot_node_count(fig2_net, fig2_m0):
     dot = export_oim_dot(oims, steps)
     assert dot.count("[label=") == len(oims) + len(steps)
     assert sum(1 for line in dot.splitlines() if "->" in line) == len(steps)
+
+
+def test_oim_dot_numbers_nodes_sharing_a_label_by_content():
+    """par(2) at cap 4 has distinct markings with one Hasse label (the
+    initial full order and the unordered pair of the same tokens), so
+    node numbers must not follow the order the states come in: the same
+    states and steps in two orders give one text."""
+    net, m0 = par(2)
+    oims = reachable_oim(net, initial_indexed(m0), 4)
+    labels = {line.split("[label=")[1]
+              for line in export_oim_dot(oims, []).splitlines()
+              if "[label=" in line}
+    assert len(labels) < len(oims)
+    ordered = sorted(oims, key=lambda o: (sorted(o.tokens), sorted(o.order)))
+    texts = set()
+    for states in (ordered, ordered[::-1]):
+        steps = [(o, s) for o in states for s in oim_successors(net, o)]
+        texts.add(export_oim_dot(states, steps))
+    assert len(texts) == 1
 
 
 @settings(max_examples=50, deadline=None)

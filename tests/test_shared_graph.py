@@ -6,19 +6,23 @@ objects it decoded and interns no malformed marking; the explorers walk
 only from their start; and the graph is freed with its net."""
 
 import gc
+import math
 import random
 import sys
 import threading
+import types
 import weakref
 from dataclasses import replace
 
 import pytest
 
 from netbisim import (
-    CorpusConfig, GameTriple, Multiset, OIMStep, OrderedIndexedMarking,
-    PTNet, Refutation, decide_oim, decide_oimc, initial_indexed, oim_space,
-    reachable_oim, validate_refutation, validate_witness,
+    CorpusConfig, GameTriple, Limits, Multiset, OIMStep,
+    OrderedIndexedMarking, PTNet, Refutation, Transition, decide_oim,
+    decide_oimc, engine, initial_indexed, oim_space, reachable_oim, symmetry,
+    validate_refutation, validate_witness,
 )
+from netbisim.engine import _Search
 from netbisim.randnets import mutation_corpus
 
 from test_engine import alarm_pair, buffer, digest, initial_triple, validated
@@ -60,7 +64,8 @@ def tamper(net: PTNet, m1: Multiset, m2: Multiset, flavor: str):
     an undeclared place and the second token of each place, so that the
     net's graph interns a marking holding these before the calls under
     test play on it.  The refutation's attack is not a move, so it
-    fails."""
+    fails.  Returns whether the witness validates: it can, where no
+    marking of its triples has a move."""
     root = initial_triple(m1, m2)
     tokens = frozenset([("ghost", 1)] + [(p, 2) for p in net.places])
     left = OrderedIndexedMarking(tokens, frozenset(
@@ -70,7 +75,7 @@ def tamper(net: PTNet, m1: Multiset, m2: Multiset, flavor: str):
     bogus = OIMStep("no-such-move", frozenset(), left)
     assert not validate_refutation(
         net, Refutation(foreign, "move", "left", bogus), flavor)
-    validate_witness(net, frozenset([foreign, root]), root, flavor)
+    return validate_witness(net, frozenset([foreign, root]), root, flavor)
 
 
 @pytest.mark.parametrize("tampered", [False, True])
@@ -103,6 +108,109 @@ def test_call_order_on_one_net_changes_nothing(name, net, m1, m2, cap,
             got[call] = validated(shared, m1, m2, flavor,
                                   certificates[flavor])
     assert got == want
+
+
+def counted_renamings(monkeypatch) -> list:
+    """[the number of `symmetry.least_relabel` calls the searches made
+    since]."""
+    calls = [0]
+    relabel = engine.least_relabel
+
+    def counting(*args):
+        calls[0] += 1
+        return relabel(*args)
+
+    monkeypatch.setattr(engine, "least_relabel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,net,m1,m2,cap", [
+    i for i in INSTANCES if i[0] in ("buf4", "pair3_2")],
+    ids=["buf4", "pair3_2"])
+def test_validators_read_nothing_from_the_graphs_memo(name, net, m1, m2,
+                                                     cap, monkeypatch):
+    """fc then cn decide on one net, and cn renames no triple, as fc
+    renamed them all into the net's memo.  With every value of that memo
+    overwritten by a wrong canonical triple (the empty markings'), the
+    genuine certificates still validate there and the tampered ones of
+    `tamper` still fail; each validator renames as many triples as on a
+    fresh copy of the net, which for a witness is as many as its decider
+    renames there."""
+    renamings = counted_renamings(monkeypatch)
+    fresh = {}
+    for flavor, decide in DECIDERS.items():
+        renamings[0] = 0
+        v = decide(copy(net), m1, m2, cap)
+        searched = renamings[0]
+        renamings[0] = 0
+        assert validated(copy(net), m1, m2, flavor, v)
+        fresh[flavor] = searched, renamings[0]
+        if v.witness is not None:
+            assert renamings[0] == searched
+    shared = copy(net)
+    verdicts = {}
+    for flavor, decide in DECIDERS.items():
+        renamings[0] = 0
+        verdicts[flavor] = decide(shared, m1, m2, cap)
+        assert renamings[0] == (fresh["fc"][0] if flavor == "fc" else 0)
+    graph = shared.oim_graph
+    assert len(graph.canon) == fresh["fc"][0]
+    empty = graph.intern((), ())
+    for triple in graph.canon:
+        graph.canon[triple] = (empty, empty, ())
+    for flavor, v in verdicts.items():
+        renamings[0] = 0
+        assert validated(shared, m1, m2, flavor, v)
+        assert renamings[0] == fresh[flavor][1]
+        assert not tamper(shared, m1, m2, flavor)
+
+
+def assert_memo_whole(net: PTNet, renamed: int):
+    """The net's memo holds one entry per renaming that returned, each the
+    canonical triple a search with a memo of its own computes."""
+    canon = net.oim_graph.canon
+    assert len(canon) == renamed
+    check = _Search(net, "fc", Limits(), {})
+    for triple, c in canon.items():
+        assert check.canonical(triple) == c
+
+
+def test_stopped_searches_leave_the_memo_whole(monkeypatch):
+    """A decision stopped by `max_seconds` inside a canonical search (a
+    six-token loop, one of whose renamings takes 1,237 nodes, under a
+    clock past the deadline inside `symmetry`), and one stopped by
+    `max_triples` on buf(4), add no entry for the triple they were
+    renaming or any incomplete one; a later decision without limits on
+    the same net answers as on a fresh copy."""
+    loop = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
+                                         Multiset.of("p"))])
+    six = Multiset({"p": 6})
+    buf, m0 = buffer(4)
+    args = []
+    relabel = engine.least_relabel
+
+    def recording(*a):
+        args.append(a[1:4])
+        return relabel(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "least_relabel", recording)
+        m.setattr(symmetry, "time", types.SimpleNamespace(
+            monotonic=lambda: math.inf))
+        v = decide_oim(loop, six, six, 6, Limits(max_seconds=3600.0))
+    assert (v.outcome, v.stats["limit"]) == ("unknown", "max_seconds")
+    assert_memo_whole(loop, len(args) - 1)
+    search = _Search(loop, "fc", Limits(), {})
+    for triple in (args[-1], search.exchanged(args[-1])):
+        assert triple not in loop.oim_graph.canon
+    renamings = counted_renamings(monkeypatch)
+    v = decide_oim(buf, m0, m0, 4, Limits(max_triples=10))
+    assert (v.outcome, v.stats["limit"]) == ("unknown", "max_triples")
+    assert_memo_whole(buf, renamings[0])
+    for net, m, cap in ((loop, six, 6), (buf, m0, 4)):
+        for flavor in DECIDERS:
+            assert decided(net, m, m, cap, flavor)[0] == decided(
+                copy(net), m, m, cap, flavor)[0]
 
 
 def fresh(o: OrderedIndexedMarking) -> OrderedIndexedMarking:

@@ -29,7 +29,7 @@ def play(seed):
     mutation instance: the triples as the moves produce them, unrenamed."""
     rng = random.Random(seed)
     _, net, m1, m2 = mutation_instance(rng, CorpusConfig(bound=3))
-    search = _Search(net, "fc", Limits())
+    search = _Search(net, "fc", Limits(), {})
     search.canonical = lambda triple: triple  # successor stays literal
     triple = search.root(m1, m2)
     triples = [triple]
@@ -157,7 +157,7 @@ def arbitrary(seed):
     left, right = oim(), oim()
     beta = frozenset((a, b) for a in left.tokens for b in right.tokens
                      if rng.random() < 0.5)
-    search = _Search(net, "fc", Limits())
+    search = _Search(net, "fc", Limits(), {})
     return net, search, [search.encode(GameTriple(left, right, beta))]
 
 
@@ -190,7 +190,7 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
         # a copy of the net has a graph of its own, in which the markings
         # of renamed copies were interned first, in random order
         other = _Search(PTNet.make(net.places, net.transitions, net.labels),
-                        "fc", Limits())
+                        "fc", Limits(), {})
         copies = [renamed(g, rng) for _ in range(3)]
         sides = [o for copy in copies for o in (copy.left, copy.right)]
         rng.shuffle(sides)
@@ -222,7 +222,7 @@ def test_canonical_tries_every_vertex_of_a_tied_cell():
         cycle([1, 2], [1, 2]) | cycle([3, 4, 5], [3, 4, 5])))
     net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
                                         Multiset.of("p"))])
-    search = _Search(net, "fc", Limits())
+    search = _Search(net, "fc", Limits(), {})
     c = search.canonical(search.encode(g))
     assert isomorphic(g, search.triple(c))
     rng = random.Random(1)
@@ -280,8 +280,9 @@ def test_time_limit_holds_inside_one_canonical_search(monkeypatch):
     """Fourteen unordered tokens a side, related by beta in cycles of 2, 3,
     4 and 5 pairs: refinement ties them all, and one canonical search takes
     19,446 nodes.  A search whose time limit has passed stops it at node
-    1,024, its first check, with ResourceLimitReached("max_seconds"); one
-    without a limit, as the validators make, runs it to the end."""
+    1,024, its first check, with ResourceLimitReached("max_seconds"), and
+    leaves the net's memo it was handed empty; one without a limit, as
+    the validators make, runs it to the end."""
     net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
                                         Multiset.of("p"))])
     graph = net.oim_graph
@@ -297,11 +298,13 @@ def test_time_limit_holds_inside_one_canonical_search(monkeypatch):
     triple = (o, o, tuple(beta))
     calls = counted_visits(monkeypatch)
     with pytest.raises(ResourceLimitReached) as stop:
-        _Search(net, "fc", Limits(max_seconds=0.0)).canonical(triple)
+        _Search(net, "fc", Limits(max_seconds=0.0),
+                graph.canon).canonical(triple)
     assert stop.value.limit == "max_seconds"
     assert calls == [1024]
+    assert graph.canon == {}
     calls[0] = 0
-    c = _Search(net, "fc", Limits()).canonical(triple)
+    c = _Search(net, "fc", Limits(), {}).canonical(triple)
     assert calls == [19_446]
     assert c == symmetry.least_relabel(graph, *triple)
 
