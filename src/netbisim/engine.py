@@ -299,9 +299,9 @@ class _Search:
         """The initial triple: every token precedes every token of its side,
         and beta relates every left token to every right token.  Nothing
         tells the tokens of a place apart, so no renaming changes it, but
-        its canonical triple is its exchange when m2's places come first:
-        the search plays it as given, so m1 stays on the left of the
-        root's refutation node."""
+        its canonical triple is its exchange when m2's places come first.
+        The search plays it as given, so m1 stays on the left of the root's
+        refutation node, and `run` assumes that exchange like the root."""
         left, right = self.graph.initial(m1), self.graph.initial(m2)
         return left, right, ((1 << m2.size) - 1,) * m1.size
 
@@ -400,19 +400,18 @@ class _Search:
         # pushed before it, so refuting a triple withdraws exactly the
         # entries from its own onwards.
         assumed: dict[tuple, None] = {root: None}
-        # Where m2's places come first, the root's canonical triple is its
-        # exchange (`root`), whose markings are the root's swapped: a
-        # successor equal to it is assumed like the root, and is not added
-        # to the witness.
-        places = self.graph.places
-        swapped = ((root[1], root[0]) if places[root[0]] > places[root[1]]
-                   else None)
         false_memo = self.false_memo
         successors, successor = self.graph.successors, self.successor
         self._tick()
         answer = self.gate(root)
         if answer is not None:
             return False, answer
+        # The root as its canonical successors meet it: its exchange where
+        # m2's places come first (`root`), else itself.  A successor equal
+        # to it is assumed like the root, and is not added to the witness.
+        places = self.graph.places
+        start = (self.canonical(root) if places[root[0]] > places[root[1]]
+                 else root)
         # (triple, len(assumed) before its push, attack index, response
         # index, the refuted responses to that attack so far).  `answer`
         # is the value of the top frame's response: True if it wins, else
@@ -447,10 +446,8 @@ class _Search:
                     while len(assumed) > mark:
                         assumed.popitem()
                     break
-                answer = True if nxt in assumed else false_memo.get(nxt)
-                if (swapped and answer is None and nxt[:2] == swapped
-                        and nxt == self.canonical(root)):
-                    answer = True
+                answer = (True if nxt in assumed or nxt == start
+                          else false_memo.get(nxt))
                 if answer is None:
                     self._tick()
                     answer = self.gate(nxt)

@@ -12,8 +12,8 @@ feed, not with the size of the net.  `reachable`, the bound check of the
 deciders and of `reachable_im` / `reachable_oim`, `decide_interleaving`,
 the game's `indexed.firings` and the CLI all run on the kernel;
 `Multiset` markings are its boundary format.  The ordered token game of
-the fc/cn deciders is built on the kernel, also once per net object
-(`PTNet.oim_graph`).
+the fc/cn deciders is built on the kernel, one per net object on every
+supported Python (`PTNet.oim_graph`, not a lock-free `cached_property`).
 """
 
 from __future__ import annotations
@@ -202,13 +202,19 @@ class PTNet:
         """The net compiled to ints, built on first use."""
         return Kernel(self)
 
-    @cached_property
+    @property
     def oim_graph(self) -> "OIMGraph":
         """The ordered token game of the net on ints (`ordered.OIMGraph`),
         built on first use and shared by every fc/cn call on this net
-        object; an equal net built anew has its own."""
-        from .ordered import OIMGraph
-        return OIMGraph(self)
+        object; an equal net built anew has its own.  Threads first using
+        the net together all get the first graph stored, so each plays on
+        the graph whose lock it holds; a `cached_property` keeps the last
+        one stored, as it takes no lock since Python 3.12."""
+        graph = self.__dict__.get("_oim_graph")
+        if graph is None:
+            from .ordered import OIMGraph
+            graph = self.__dict__.setdefault("_oim_graph", OIMGraph(self))
+        return graph
 
     @classmethod
     def make(

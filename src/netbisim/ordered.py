@@ -17,8 +17,9 @@ reaches the target only through `image`; a canonical renaming in
 token game of one net on ints: it interns each marking once and builds
 its moves once, each a tuple of ints and tuples with a dict memo of the
 images of its position map.
-Each net object builds one, on first use (`PTNet.oim_graph`), and every
-fc/cn search, canonical form, validator, `oim_successors` and
+Each net object has one, built on first use (`PTNet.oim_graph`) and the
+same for threads that first use it together, on every supported Python.
+Every fc/cn search, canonical form, validator, `oim_successors` and
 `reachable_oim` call on that net plays on it, so a marking's moves are
 built once however many calls reach it.  It is also the net's one codec
 to and from the public types, and keeps each interned marking's decoded
@@ -264,17 +265,6 @@ class OIMGraph:
             entry = self.moves[o] = (tuple(moves), by_label)
         return entry
 
-    def reached(self, start: int) -> list[int]:
-        """The ids of the markings reachable from start, breadth first."""
-        found = [start]
-        seen = {start}
-        for o in found:
-            for move in self.successors(o)[0]:
-                if move[4] not in seen:
-                    seen.add(move[4])
-                    found.append(move[4])
-        return found
-
     def at_of(self, o: int) -> dict:
         """Each token of marking o -> its position."""
         at = self.at.get(o)
@@ -321,10 +311,10 @@ class OIMGraph:
 
 
 def holding_graph(fn):
-    """fn(net, ...) run holding the lock of the net's `OIMGraph`.  The
-    calls on a net share its graph, and interning a marking or storing an
-    image in a move's memo is a read-modify-write, so calls from several
-    threads take turns."""
+    """fn(net, ...) run holding the lock of the net's `OIMGraph`, the one
+    graph of the net object (`PTNet.oim_graph`).  Interning a marking or
+    storing an image in a move's memo is a read-modify-write, so calls
+    from several threads take turns."""
     @wraps(fn)
     def call(net: PTNet, *args, **kwargs):
         with net.oim_graph.lock:
@@ -343,13 +333,20 @@ def oim_successors(net: PTNet, o: OrderedIndexedMarking) -> list[OIMStep]:
     return [graph.step(start, move) for move in graph.successors(start)[0]]
 
 
-def _oim_walk(net: PTNet, k0: IndexedMarking, cap: int) -> tuple:
+def _oim_walk(net: PTNet, k0: IndexedMarking, cap: int) -> list[int]:
     """The ids of the ordered indexed markings reachable from
     init_oim(k0), breadth first."""
     m = closed_alpha(k0)
     net.kernel.explore((m,), cap)
     graph = net.oim_graph
-    return graph.reached(graph.initial(m))
+    found = [graph.initial(m)]
+    seen = set(found)
+    for o in found:
+        for move in graph.successors(o)[0]:
+            if move[4] not in seen:
+                seen.add(move[4])
+                found.append(move[4])
+    return found
 
 
 @holding_graph

@@ -652,20 +652,34 @@ def test_deep_search_needs_no_recursion_limit(monkeypatch):
                for tokens, rows in net.oim_graph.oims for row in rows)
 
 
+def loops(n):
+    """Places p and q, each with an `a`-loop that takes and gives back n
+    tokens, so that every firing leads back to the initial triple."""
+    net = PTNet.make(["p", "q"], [
+        Transition(f"t{p}", "a", Multiset({p: n}), Multiset({p: n}))
+        for p in "pq"])
+    return net, Multiset({"p": n}), Multiset({"q": n})
+
+
 def test_reversed_root_explores_the_same_triples():
     """On ring(2000) the root of (r1000, r0) has the exchange of the root of
     (r0, r1000) as its canonical triple: the search assumes it like the
     root, so both orders play 1,000 triples, and each witness, which holds
-    its own root, validates."""
-    net, m1, m2 = ring(2000)
-    for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
-        for a, b in ((m1, m2), (m2, m1)):
-            v = decide(net, a, b, 1)
-            assert v.outcome == "equivalent"
-            assert v.stats["triples"] == len(v.witness) == 1000
-            assert initial_triple(a, b) in v.witness
-            assert validate_witness(net, v.witness, initial_triple(a, b),
-                                    flavor)
+    its own root, validates.  So does a root that is not plain: that of
+    (2q, 2p) on `loops(2)`, whose one move leads back to it, and those of
+    (mR, mL) on the alarm pairs of k slots whose alarm needs k + 1 full
+    ones and never fires (2^(k+1) - 1 triples, the root never met again)."""
+    cases = [(*ring(2000), 1, 1000), (*loops(2), 2, 1)] + [
+        (*alarm_pair(k, k + 1), k, 2 ** (k + 1) - 1) for k in (2, 3, 4)]
+    for net, m1, m2, cap, triples in cases:
+        for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
+            for a, b in ((m1, m2), (m2, m1)):
+                v = decide(net, a, b, cap)
+                assert v.outcome == "equivalent"
+                assert v.stats["triples"] == len(v.witness) == triples
+                assert initial_triple(a, b) in v.witness
+                assert validate_witness(net, v.witness, initial_triple(a, b),
+                                        flavor)
 
 
 def test_search_leaves_few_tracked_objects():

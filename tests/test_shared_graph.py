@@ -5,11 +5,13 @@ a fresh copy; the graph answers from its table only for the marking
 objects it decoded and interns no malformed marking; the explorers walk
 only from their start; and the graph is freed with its net."""
 
+import functools
 import gc
 import math
 import random
 import sys
 import threading
+import time
 import types
 import weakref
 from dataclasses import replace
@@ -19,8 +21,8 @@ import pytest
 from netbisim import (
     CorpusConfig, GameTriple, Limits, Multiset, OIMStep,
     OrderedIndexedMarking, PTNet, Refutation, Transition, decide_oim,
-    decide_oimc, engine, initial_indexed, oim_space, reachable_oim, symmetry,
-    validate_refutation, validate_witness,
+    decide_oimc, engine, initial_indexed, oim_space, ordered, reachable_oim,
+    symmetry, validate_refutation, validate_witness,
 )
 from netbisim.engine import _Search
 from netbisim.randnets import mutation_corpus
@@ -426,3 +428,64 @@ def test_threads_on_one_net_answer_as_alone():
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert results == [[want] * len(rounds)] * workers
+
+
+def unlocked_get(self, instance, owner=None):
+    """`functools.cached_property.__get__` as of Python 3.12: no lock, so
+    threads that miss the cache together each compute and store."""
+    if instance is None:
+        return self
+    cache = instance.__dict__
+    val = cache.get(self.attrname, cache)
+    if val is cache:
+        val = cache[self.attrname] = self.func(instance)
+    return val
+
+
+def test_threads_racing_first_use_play_on_one_graph(monkeypatch):
+    """Four threads first use a fresh buf(3) at once, under the lock-free
+    `cached_property` of Python 3.12+ and with a graph taking 5 ms to
+    build: every search plays on the one graph the net keeps, so none
+    plays on a graph whose lock another holds, and each finds the 15
+    triples of the game."""
+    monkeypatch.setattr(functools.cached_property, "__get__", unlocked_get)
+    build = ordered.OIMGraph.__init__
+
+    def slow(self, net):
+        time.sleep(0.005)
+        build(self, net)
+
+    monkeypatch.setattr(ordered.OIMGraph, "__init__", slow)
+    init = _Search.__init__
+    played = []
+
+    def recording(self, net, *args):
+        init(self, net, *args)
+        played.append((net, self.graph))
+
+    monkeypatch.setattr(_Search, "__init__", recording)
+    workers = 4
+    nets = [buffer(3) for _ in range(3)]
+    start = threading.Barrier(workers, timeout=60)
+    verdicts, failures = [], []
+
+    def work(i):
+        try:
+            for net, m0 in nets:
+                start.wait()
+                v = (decide_oim, decide_oimc)[i % 2](net, m0, m0, 3)
+                verdicts.append((v.outcome, v.stats["triples"]))
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert verdicts == [("equivalent", 15)] * workers * len(nets)
+    assert len(played) == len(verdicts)
+    assert all(graph is net.oim_graph for net, graph in played)
