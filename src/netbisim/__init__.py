@@ -14,11 +14,13 @@ from .ordered import (
     OIMStep, OrderedIndexedMarking, init_oim, oim_space, oim_successors,
     reachable_oim,
 )
+from .certificates import (
+    BisimVerdict, GameTriple, Refutation, format_refutation, format_witness,
+)
 from .engine import (
-    BisimVerdict, GameTriple, Limits, Refutation, beta_update,
-    decide_interleaving, decide_oim, decide_oimc, deleted_condition_cn,
-    deleted_condition_fc, format_refutation, format_witness,
-    validate_refutation, validate_witness,
+    Limits, beta_update, decide_interleaving, decide_oim, decide_oimc,
+    deleted_condition_cn, deleted_condition_fc, validate_refutation,
+    validate_witness,
 )
 from .oracle import oracle_game
 from .netio import (

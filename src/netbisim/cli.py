@@ -8,7 +8,6 @@ stderr), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import traceback
 from collections import Counter
@@ -16,16 +15,14 @@ from collections import Counter
 from .nets import NetError, NetSystem, reachable
 from .indexed import im_space, initial_indexed, reachable_im
 from .ordered import oim_space, reachable_oim
-from .engine import (
-    Limits, decide_interleaving, decide_oim, decide_oimc, format_refutation,
-    format_witness,
-)
+from .certificates import format_refutation, format_witness
+from .engine import Limits, decide_interleaving, decide_oim, decide_oimc
 from .netio import (
     ParseError, export_im_dot, export_oim_dot, export_reachability_dot,
     parse_net,
 )
 from .oracle import oracle_game
-from .randnets import CorpusConfig, random_instance
+from . import randnets
 
 EXIT_EQUIV = 0
 EXIT_NOT_EQUIV = 1
@@ -198,12 +195,11 @@ def _cmd_bound(args) -> int:
 def _cmd_corpus(args) -> int:
     if args.count < 0:
         raise NetError("count must be >= 0")
-    rng = random.Random(args.seed)
-    config = CorpusConfig()
+    config = randnets.CorpusConfig()
     tally: Counter[str] = Counter()  # "flavor:oracle outcome" -> instances
     disagreements = 0
-    for i in range(args.count):
-        net, m1, m2 = random_instance(rng, config)
+    for i, (net, m1, m2) in enumerate(
+            randnets.corpus(args.seed, args.count, config)):
         for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
             oracle = oracle_game(net, m1, m2, flavor, args.depth)
             tally[f"{flavor}:{oracle.outcome}"] += 1

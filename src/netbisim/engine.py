@@ -2,145 +2,49 @@
 (= causal-net) bisimilarity, plus an interleaving baseline.
 
 The decision is an on-the-fly coinductive game over triples
-(oim1, oim2, beta), searched depth first on an explicit stack of frames,
-tuples of a triple and the indices of its current attack and response
-(no generator per level).  Triples on the stack are assumed winning.  A
-refuted triple is memoized permanently as a refutation node, and every
-triple found winning since it was pushed is withdrawn, as only those can
-rest on its assumption; the search then resumes the frame below.  When the
-stack empties the winning set is self-supporting (a bisimulation), and
-refutations share the node of every triple they cite.
+(oim1, oim2, beta), searched depth first on an explicit stack of frames
+(`_Search.run`).  Triples on the stack are assumed winning.  A refuted
+triple is memoized permanently as a refutation node, which every
+refutation citing it shares, and the triples found winning since it was
+pushed are withdrawn.  When the stack empties the winning set is
+self-supporting (a bisimulation).
 
 The game runs on ints (`_Search`), over the markings of the net's
-`ordered.OIMGraph` (`PTNet.oim_graph`): a marking is its sorted token
-tuple, each token is its position there, a token set is a mask of
-positions, and the preorder of a marking and beta are rows of masks, one
-per token.  The graph interns each distinct ordered indexed marking to an
-id, so a triple is (left id, right id, beta rows, over the right
-marking's positions), and builds each marking's moves once, bucketed by
-label.  It is built once per net object and kept with it: the fc and cn
-deciders and both validators, called on one net in any order, play on
-the same ints and moves, each holding the graph's lock, so that calls
-from several threads take turns.  The graph also keeps the fc/cn
-searches' canonical memo (`OIMGraph.canon`), which every decision on the
-net reads and fills, so cn after fc renames no triple twice; each
-validator hands its `_Search` a memo of its own, so a certificate check
-recomputes every canonical form and reads nothing a decider computed.
-The refutation memo and the limits are each call's own and go with its
-`_Search`.  `(place, index)` tokens, `GameTriple` and frozenset beta
-are the boundary format: a decided witness or refutation is decoded to
-them through the graph, which keeps each marking's decoded form, and the
-validators encode them back, a marking decoded there with one lookup,
-and replay the same int game.  The frozenset functions `beta_update` and
-`deleted_condition_fc/cn` are wrappers over the mask forms.
+`ordered.OIMGraph`, where a token is its position in its marking and a
+token set a mask of positions.  The validators encode a certificate
+(`certificates`) back to ints and replay the same game.  The frozenset
+functions `beta_update` and `deleted_condition_fc/cn` are wrappers over
+the mask forms.
 
 The game is invariant under place-preserving renaming of each side's
 token indices, and under exchanging its two sides with beta transposed
 (both play on one net, and the inverse of an fc or cn bisimulation is
-one), so the search works on canonical triples (`_Search.canonical`,
-with the memo of `symmetry.least_relabel` it was handed): every successor is
-renamed, and its sides exchanged if need be, before it is looked up,
-pushed or stored.  The root is played as given.  `stats["triples"]`
-counts canonical triples, a witness is a set of canonical triples closed
-up to renaming and exchange, and each refutation node holds a canonical
-triple, whose attacker move and responses name tokens in that node's
-frame: its "left" and "right" are that triple's sides, which need not be
-the root's.  The moves of a marking (`OIMGraph.successors`) stay
-literal: each is a 9-tuple whose position map carries beta rows to its
-target (`_next_beta`), as a renaming's carries them to the canonical
-frame.
+one), so every successor is renamed, and its sides exchanged if need
+be, before it is looked up, pushed or stored (`_Search.canonical`).  The
+root is played as given; `stats["triples"]` counts canonical triples,
+and the certificates hold them.  A move (`OIMGraph.successors`) carries
+beta rows to its target through its position map (`_next_beta`), as a
+renaming carries them to the canonical frame.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
 from .nets import Multiset, NetError, PTNet, ResourceLimitReached
-from .indexed import Token, token_text, tokens_text
 from .ordered import (
-    OIMStep, OrderedIndexedMarking, decode_rows, encode_rows, holding_graph,
-    image, step_rows, transpose,
+    decode_rows, encode_rows, holding_graph, image, step_rows, transpose,
+)
+# format_* only so that perfbench can call and trace `engine.format_*`.
+from .certificates import (
+    Beta, BisimVerdict, GameTriple, Refutation, _well_typed, encode_triple,
+    format_refutation, format_witness,
 )
 from .symmetry import least_relabel
 
-Beta = frozenset  # frozenset[tuple[Token, Token]]
 Flavor = Literal["fc", "cn"]
-
-
-@dataclass(frozen=True)
-class GameTriple:
-    left: OrderedIndexedMarking
-    right: OrderedIndexedMarking
-    beta: Beta
-
-
-@dataclass
-class Refutation:
-    """Why a triple loses: an attacker move all of whose admissible
-    defender responses lead to losing triples (possibly none exist)."""
-
-    triple: GameTriple
-    reason: str  # "size-gate" | "move"
-    side: Optional[str] = None  # "left" | "right"
-    attacker: Optional[OIMStep] = None
-    responses: tuple = ()  # tuple[(OIMStep, Refutation)]
-
-    def nodes(self) -> list[Refutation]:
-        """The distinct nodes below this one, itself included, each after
-        the nodes its responses lead to.  Raises ValueError on a cycle,
-        and TypeError on a response that is not a (step, node) pair."""
-        done: dict[int, Refutation] = {}  # id(node) -> node, children first
-        open_ids = {id(self)}
-        stack = [(self, iter(self.responses))]
-        while stack:
-            node, rest = stack[-1]
-            for _, sub in rest:
-                if not isinstance(sub, Refutation):
-                    raise TypeError(f"a response leads to {sub!r}")
-                if id(sub) in open_ids:
-                    raise ValueError("refutation leads back to itself")
-                if id(sub) not in done:
-                    open_ids.add(id(sub))
-                    stack.append((sub, iter(sub.responses)))
-                    break
-            else:
-                stack.pop()
-                open_ids.discard(id(node))
-                done[id(node)] = node
-        return list(done.values())
-
-    def principal_moves(self) -> list[tuple[str, str, frozenset]]:
-        """The attacker moves along a deepest defender line; of equally deep
-        lines, the first response's.  Each node's line length is computed
-        once, so the cost is linear in the number of nodes."""
-        length: dict[int, int] = {}  # id(node) -> moves on its deepest line
-        for node in self.nodes():
-            length[id(node)] = 0 if node.attacker is None else 1 + max(
-                (length[id(sub)] for _, sub in node.responses), default=0
-            )
-        out = []
-        node = self
-        while node is not None and node.attacker is not None:
-            out.append((node.side, node.attacker.tid, node.attacker.removed))
-            node = max(
-                (sub for _, sub in node.responses),
-                key=lambda r: length[id(r)],
-                default=None,
-            )
-        return out
-
-
-@dataclass
-class BisimVerdict:
-    outcome: str  # "equivalent" | "not-equivalent" | "unknown"
-    # frozenset[GameTriple] when the game decides equivalence; the oracle
-    # ships none
-    witness: Optional[frozenset] = None
-    refutation: Optional[Refutation] = None
-    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -270,14 +174,13 @@ def deleted_condition_cn(removed1, removed2, beta: Beta) -> bool:
 class _Search:
     """One call's game on the ints of the net's `OIMGraph`.  A triple is
     (left id, right id, beta), beta holding the mask of right tokens
-    related to each left token; moves are the graph's.  Refutation nodes
-    hold int triples and moves until `refutation` decodes them through
-    the graph.  `canon`, int triple -> canonical triple, is the memo its
-    caller hands it: a decider hands it the graph's (`OIMGraph.canon`),
-    shared by every fc/cn search on the net, a validator a new one, kept
-    for its call only.  `deadline` is the search's own, the
-    `time.monotonic()` value past which `max_seconds` stops it, or
-    None."""
+    related to each left token; moves are the graph's, and refutation
+    nodes hold int triples and moves.  `canon`, int triple -> canonical
+    triple, is the memo its caller hands it: a decider the graph's
+    (`OIMGraph.canon`), so that cn after fc on one net renames no triple
+    twice; a validator a new one, so that a certificate check reads
+    nothing a decider computed.  `deadline` is the `time.monotonic()`
+    value past which `max_seconds` stops the search, or None."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits,
                  canon: dict):
@@ -297,11 +200,9 @@ class _Search:
 
     def root(self, m1: Multiset, m2: Multiset) -> tuple:
         """The initial triple: every token precedes every token of its side,
-        and beta relates every left token to every right token.  Nothing
-        tells the tokens of a place apart, so no renaming changes it, but
-        its canonical triple is its exchange when m2's places come first.
-        The search plays it as given, so m1 stays on the left of the root's
-        refutation node, and `run` assumes that exchange like the root."""
+        and beta relates every left token to every right token.  The search
+        plays it as given, so m1 stays on the left of the root's refutation
+        node."""
         left, right = self.graph.initial(m1), self.graph.initial(m2)
         return left, right, ((1 << m2.size) - 1,) * m1.size
 
@@ -314,10 +215,9 @@ class _Search:
         token per place, `orient` keeps the smaller of the renamed triple
         and its exchange; where a place holds two tokens the sides stay,
         so only renamings share the image.  A triple whose tokens all have
-        index 1 needs no renaming; any other is renamed once per memo
-        (`canon`: the net's for the deciders, the call's own for a
-        validator), and its renaming stops at the search's time limit,
-        which then stores nothing, so every entry is a complete renaming."""
+        index 1 needs no renaming; any other is renamed once per `canon`,
+        and its renaming stops at the search's time limit, which then
+        stores nothing, so every entry is a complete renaming."""
         graph = self.graph
         plain = graph.plain
         if plain[triple[0]] and plain[triple[1]]:
@@ -406,9 +306,10 @@ class _Search:
         answer = self.gate(root)
         if answer is not None:
             return False, answer
-        # The root as its canonical successors meet it: its exchange where
-        # m2's places come first (`root`), else itself.  A successor equal
-        # to it is assumed like the root, and is not added to the witness.
+        # The root as its canonical successors meet it, renamed by nothing
+        # (no token of a place differs from another) but exchanged where
+        # m2's places come first.  A successor equal to it is assumed like
+        # the root, and is not added to the witness.
         places = self.graph.places
         start = (self.canonical(root) if places[root[0]] > places[root[1]]
                  else root)
@@ -464,39 +365,6 @@ class _Search:
             return True, list(assumed)
         return False, false_memo[root]
 
-    def triple(self, t: tuple) -> GameTriple:
-        left, right, beta = t
-        graph = self.graph
-        return GameTriple(graph.oim(left), graph.oim(right),
-                          graph.relation(left, beta, right))
-
-    def refutation(self, root: Refutation) -> Refutation:
-        """The refutation DAG below root, its triples and moves decoded."""
-        step = self.graph.step
-        new: dict[int, Refutation] = {}
-        for node in root.nodes():
-            left, right, _ = node.triple
-            attacker, defender = ((left, right) if node.side == "left"
-                                  else (right, left))
-            new[id(node)] = Refutation(
-                self.triple(node.triple), node.reason, node.side,
-                None if node.attacker is None
-                else step(attacker, node.attacker),
-                tuple((step(defender, resp), new[id(sub)])
-                      for resp, sub in node.responses))
-        return new[id(root)]
-
-    def encode(self, t: GameTriple) -> Optional[tuple]:
-        """The int triple of t, or None if it mentions a foreign token or
-        a relation holds an element that is not a pair of its tokens."""
-        graph = self.graph
-        left = graph.encode(t.left)
-        right = None if left is None else graph.encode(t.right)
-        if right is None:
-            return None
-        beta = encode_rows(graph.at_of(left), t.beta, graph.at_of(right))
-        return None if beta is None else (left, right, beta)
-
 
 @holding_graph
 def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
@@ -509,11 +377,8 @@ def _decide_game(net: PTNet, m1: Multiset, m2: Multiset, cap: int,
     except ResourceLimitReached as exc:
         return BisimVerdict("unknown",
                             stats={**_stats(search), "limit": exc.limit})
-    if won:
-        witness = frozenset(map(search.triple, payload))
-        return BisimVerdict("equivalent", witness=witness, stats=_stats(search))
-    return BisimVerdict("not-equivalent", refutation=search.refutation(payload),
-                        stats=_stats(search))
+    return BisimVerdict.from_game("equivalent" if won else "not-equivalent",
+                                  search.graph, payload, _stats(search))
 
 
 def _stats(search: _Search) -> dict:
@@ -561,15 +426,6 @@ def decide_interleaving(net: PTNet, m1: Multiset, m2: Multiset,
                                "seconds": time.monotonic() - t0})
 
 
-def _well_typed(t) -> bool:
-    """Whether t is a GameTriple of OrderedIndexedMarkings whose token sets
-    and relations are frozensets, so that it can be hashed and encoded."""
-    return (isinstance(t, GameTriple) and isinstance(t.beta, frozenset)
-            and all(isinstance(o, OrderedIndexedMarking) and isinstance(
-                o.tokens, frozenset) and isinstance(o.order, frozenset)
-                for o in (t.left, t.right)))
-
-
 @holding_graph
 def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
                      flavor: Flavor) -> bool:
@@ -578,22 +434,19 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     satisfies both transfer directions with canonical successors
     (`_Search.canonical`) that are triples of the witness or canonical
     triples of its triples, and the root's canonical triple is one of
-    those.  So a witness closed without renaming or exchange (one listing
-    every renamed or exchanged copy it reaches) passes too.  The triples are
-    canonicalised only once a successor is not found among them as they
-    are.  For a witness of canonical triples that happens when a
-    defender response leads out of the witness, as when a defender's
-    first admissible response is refuted and a later one wins.  A triple
-    whose token sets or relations are not frozensets fails it, as does a
-    witness that is not iterable.  A marking object that the net's graph
-    decoded, as in a certificate decided on this net object, is trusted
-    and not checked again (`OIMGraph.encode`); any other is checked."""
+    those, so a witness listing every renamed or exchanged copy it reaches
+    passes too.  The triples are canonicalised only once a successor is
+    not found among them as they are, as when a defender's first
+    admissible response is refuted and a later one wins.  A triple whose
+    token sets or relations are not frozensets fails it, as does a
+    witness that is not iterable."""
     if not (isinstance(witness, Iterable) and _well_typed(root)
             and all(map(_well_typed, witness))):
         return False
     helper = _Search(net, flavor, Limits(), {})
+    graph = helper.graph
     encoded = set()
-    for triple in map(helper.encode, witness):
+    for triple in (encode_triple(graph, t) for t in witness):
         if triple is None:
             return False
         encoded.add(triple)
@@ -605,13 +458,13 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
         return t in canonical
 
     if root not in witness:
-        start = helper.encode(root)
+        start = encode_triple(graph, root)
         if start is None:
             return False
         start = helper.canonical(start)
         if not (start in encoded or member(start)):
             return False
-    successors, successor = helper.graph.successors, helper.successor
+    successors, successor = graph.successors, helper.successor
     for triple in encoded:
         if helper.gate(triple) is not None:
             return False
@@ -635,13 +488,10 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     triple (`_Search.canonical`), so it may hold the successor renamed,
     or exchanged where the canonical form merges the two sides.  A node's
     side names a side of its own triple.  Each distinct node is replayed
-    once; a refutation that leads back to one of its own nodes proves
-    nothing and is rejected, and so is a node whose triple's token sets or
-    relations are not frozensets, or whose responses are not (step, node)
-    pairs.  It
-    proves only that `ref.triple` loses: a caller checks that this is the
-    root it asked about.  Markings are encoded as in `validate_witness`,
-    a marking object the net's graph decoded without a check."""
+    once.  A refutation that leads back to one of its nodes is rejected,
+    as is a node whose triple is not well typed or whose responses are
+    not (step, node) pairs.  It proves only that `ref.triple` loses: a
+    caller checks that this is the root it asked about."""
     helper = _Search(net, flavor, Limits(), {})
     if not isinstance(ref, Refutation):
         return False
@@ -653,7 +503,7 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         return False
     graph, step = helper.graph, helper.graph.step
     # Each node's int triple, encoded once; a size-gate root needs none.
-    encoded = {id(node): helper.encode(node.triple) for node in nodes
+    encoded = {id(node): encode_triple(graph, node.triple) for node in nodes
                if node is not ref or node.reason != "size-gate"}
 
     def replays(node: Refutation) -> bool:
@@ -687,38 +537,3 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         return True
 
     return all(replays(node) for node in nodes)
-
-
-def _fmt_oim(o: OrderedIndexedMarking) -> str:
-    pairs = " ".join(f"{token_text(a)}<={token_text(b)}"
-                     for a, b in sorted(o.order))
-    return f"tokens {{{tokens_text(o.tokens)}}} order {{{pairs}}}"
-
-
-def _fmt_beta(beta: Beta) -> str:
-    return " ".join(f"{token_text(a)}~{token_text(b)}" for a, b in sorted(beta))
-
-
-def format_witness(witness: frozenset) -> str:
-    """Deterministic text listing of a witness relation.  Each distinct
-    marking and beta is formatted once."""
-    oim_text, beta_text = cache(_fmt_oim), cache(_fmt_beta)
-    blocks = sorted(f"left  {oim_text(t.left)}\nright {oim_text(t.right)}\n"
-                    f"beta  {{{beta_text(t.beta)}}}" for t in witness)
-    out = [f"triples {len(blocks)}"]
-    for i, b in enumerate(blocks):
-        out.append(f"-- triple {i} --")
-        out.append(b)
-    return "\n".join(out) + "\n"
-
-
-def format_refutation(ref: Refutation) -> str:
-    """The refutation's reason and the attacker moves along its principal
-    line, one per line.  Each line names the removed tokens in the
-    canonical frame of its own node, the triple that move is played
-    from, and its "left" or "right" is a side of that triple: the
-    canonical form may have exchanged the sides since the root."""
-    lines = [f"refuted: {ref.reason}"]
-    for side, tid, removed in ref.principal_moves():
-        lines.append(f"{side} fires {tid} removing {{{tokens_text(removed)}}}")
-    return "\n".join(lines) + "\n"

@@ -1,26 +1,20 @@
 """Multisets, P/T nets, markings and the collective token game.
 
 Each net is compiled, on first use (`PTNet.kernel`), into a `Kernel` over
-ints: places are numbered in name order, a marking is the sorted tuple of
-the place numbers of its tokens, and each transition holds its preset as
-(place, weight) pairs and its removed and added places as sorted tuples.
-One enabledness test (`Kernel.enabled`) visits only the transitions that
+ints, where a marking is the sorted tuple of its tokens' places.  One
+enabledness test (`Kernel.enabled`) visits only the transitions that
 consume from a marked place, and one breadth-first search
 (`Kernel.explore`) lists every reachable marking with its successors.
 So the cost of a state grows with its tokens and the transitions they
-feed, not with the size of the net.  `reachable`, the bound check of the
-deciders and of `reachable_im` / `reachable_oim`, `decide_interleaving`,
-the game's `indexed.firings` and the CLI all run on the kernel;
-`Multiset` markings are its boundary format.  The ordered token game of
-the fc/cn deciders is built on the kernel, one per net object on every
-supported Python (`PTNet.oim_graph`, not a lock-free `cached_property`).
+feed, not with the size of the net.  Every explorer, bound check and
+decider runs on the kernel, with `Multiset` markings as its boundary
+format, and so does the fc/cn game (`PTNet.oim_graph`).
 """
 
 from __future__ import annotations
 
 from collections import abc, deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -197,19 +191,22 @@ class PTNet:
                     raise NetError(f"place {p!r} of {t.tid!r} not declared")
         object.__setattr__(self, "_by_id", by_id)
 
-    @cached_property
+    @property
     def kernel(self) -> "Kernel":
-        """The net compiled to ints, built on first use."""
-        return Kernel(self)
+        """The net compiled to ints, built on first use; like `oim_graph`,
+        the first one stored."""
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            kernel = self.__dict__.setdefault("_kernel", Kernel(self))
+        return kernel
 
     @property
     def oim_graph(self) -> "OIMGraph":
         """The ordered token game of the net on ints (`ordered.OIMGraph`),
-        built on first use and shared by every fc/cn call on this net
-        object; an equal net built anew has its own.  Threads first using
-        the net together all get the first graph stored, so each plays on
-        the graph whose lock it holds; a `cached_property` keeps the last
-        one stored, as it takes no lock since Python 3.12."""
+        built on first use.  Threads first using the net together all get
+        the first one stored, so each plays on the graph whose lock it
+        holds; a `functools.cached_property` keeps the last one stored, as
+        it takes no lock since Python 3.12."""
         graph = self.__dict__.get("_oim_graph")
         if graph is None:
             from .ordered import OIMGraph

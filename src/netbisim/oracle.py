@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .nets import Multiset, NetError, PTNet
-from .engine import BisimVerdict
+from .certificates import BisimVerdict
 
 # The value of a state is the outcome of the game played from it.
 WIN, LOSE, UNKNOWN = "equivalent", "not-equivalent", "unknown"

@@ -14,23 +14,11 @@ No numbering reaches past one marking: a move maps the positions of its
 source to those of its target by one position map (`invert`), and a mask
 reaches the target only through `image`; a canonical renaming in
 `symmetry` is a position map of the same kind.  `OIMGraph` is the ordered
-token game of one net on ints: it interns each marking once and builds
-its moves once, each a tuple of ints and tuples with a dict memo of the
-images of its position map.
-Each net object has one, built on first use (`PTNet.oim_graph`) and the
-same for threads that first use it together, on every supported Python.
-Every fc/cn search, canonical form, validator, `oim_successors` and
-`reachable_oim` call on that net plays on it, so a marking's moves are
-built once however many calls reach it.  It is also the net's one codec
-to and from the public types, and keeps each interned marking's decoded
-form, so a validator encodes a marking its decider decoded with one
-lookup.  Relations and steps are decoded anew.  The graph also owns the
-fc/cn searches' canonical memo (`canon`), so that a triple one decision
-on the net renamed is not renamed again by the next; the validators
-keep a memo of their own per call and read nothing of it.  The graph
-does not hold the net, only its kernel and transitions, so it is freed
-with the net by reference counting.  A net built anew, even an equal
-one, shares nothing with another.
+token game of one net object on ints (`PTNet.oim_graph`), on which every
+fc/cn search, validator and explorer called on it plays, so a marking's
+moves are built once however many calls reach it.  It holds the net's
+kernel and transitions, not the net, so it is freed with the net by
+reference counting.
 """
 
 from __future__ import annotations
@@ -196,20 +184,14 @@ class OIMGraph:
     `step_rows`; masks before the target id are over the source's
     positions, the created mask over the target's.  `images` is the
     move's memo of `image(x, to)`, a plain dict of ints.
-    A marking's moves and each label's bucket of them are tuples.  As
-    each move holds its `images` dict, the cyclic collector keeps
-    tracking the moves and every tuple that holds them.  The graph is
-    also its net's codec (`oim`, `relation`, `step`, `encode`): it keeps
-    the decoded form and the token -> position table of an interned
-    marking once made, the token pairs decoded relations share, and
-    `known`, the `id()` of each object in `decoded` -> its id (`decoded`
-    keeps them alive, so no other object has that `id()`).  `canon` maps
-    an int triple to its canonical triple (`engine._Search.canonical`),
-    filled and read by every fc/cn decision on the net; a validator's
-    search keeps its own and never reads it.  The graph grows with the
-    calls that play on it.  A call holds `lock` while it plays
-    (`holding_graph`), which also guards these tables and the images a
-    move stores."""
+    A marking's moves and each label's bucket of them are tuples; as each
+    move holds its `images` dict, the cyclic collector keeps tracking
+    them.  The graph is also the net's codec of markings and steps
+    (`certificates`): `known` maps the `id()` of each object in
+    `decoded`, which keeps it alive, to its id.  `canon` is the fc/cn
+    searches' memo of canonical triples (`engine._Search`).  A call holds
+    `lock` while it plays (`holding_graph`), which also guards these
+    tables and the images a move stores."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
@@ -307,14 +289,17 @@ class OIMGraph:
         tokens = tuple(sorted(o.tokens))
         at = {tok: i for i, tok in enumerate(tokens)}
         rows = encode_rows(at, o.order, at)
-        return None if rows is None else self.intern(tokens, rows)
+        if rows is None:
+            return None
+        x = self.intern(tokens, rows)
+        self.at.setdefault(x, at)  # for `at_of`
+        return x
 
 
 def holding_graph(fn):
-    """fn(net, ...) run holding the lock of the net's `OIMGraph`, the one
-    graph of the net object (`PTNet.oim_graph`).  Interning a marking or
-    storing an image in a move's memo is a read-modify-write, so calls
-    from several threads take turns."""
+    """fn(net, ...) run holding the lock of the net's `OIMGraph`.
+    Interning a marking or storing an image in a move's memo is a
+    read-modify-write, so calls from several threads take turns."""
     @wraps(fn)
     def call(net: PTNet, *args, **kwargs):
         with net.oim_graph.lock:

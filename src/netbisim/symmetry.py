@@ -23,16 +23,9 @@ leaf's code is the digraph relabelled by its vertex order, so the least
 code is the canonical triple itself, read off its rows.
 
 The functions here read the markings of the `ordered.OIMGraph` the search
-plays on and intern the renamed markings there.  The vertices are the
-positions of the left tokens, then those of the right tokens offset by
-the left side's size, and sets of them are int masks.  A renaming is a
-position map, as a move is: an order of positions is a plan (new
-position j holds old position order[j]), `ordered.invert` turns it into
-a map and `ordered.image` sends masks through it.  The memo of canonical
-triples (`engine._Search.canonical`) is the graph's (`OIMGraph.canon`),
-shared by the fc/cn searches on one net, except in a validator, which
-keeps one of its own per call.  The time limit that a canonical search
-checks as it goes is its search's; a search it stops stores nothing.
+plays on and intern the renamed markings there.  Sets of vertices are int
+masks, and a renaming is a position map, as a move is, from a plan (new
+position j holds old position order[j]).
 """
 
 from __future__ import annotations

@@ -225,9 +225,9 @@ def test_one_enabledness_test(seed, counts):
 def test_kernel_is_built_on_first_use_and_kept():
     net = PTNet.make(["a", "b"], [Transition("t", "x", Multiset.of("a"),
                                              Multiset.of("b"))])
-    assert "kernel" not in vars(net)
+    assert "_kernel" not in vars(net)
     reachable(NetSystem(net, Multiset.of("a")), 1)
-    kernel = vars(net)["kernel"]
+    kernel = vars(net)["_kernel"]
     decide_interleaving(net, Multiset.of("a"), Multiset.of("b"), 1)
     assert net.kernel is kernel
 

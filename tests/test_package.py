@@ -1,6 +1,6 @@
 """What the package ships: its public names resolve, the process-sequence
-reference stays on the test side, and every function the benchmark's
-tracer wraps still exists."""
+reference stays on the test side, every function the benchmark's tracer
+wraps still exists, and certificates and the oracle import no game."""
 
 import ast
 import importlib
@@ -42,3 +42,21 @@ def test_every_traced_function_resolves():
     assert traced
     for modname, fname in traced:
         assert callable(getattr(getattr(netbisim, modname), fname)), (modname, fname)
+
+
+def imported_modules(module: str) -> set[str]:
+    """The netbisim modules that module imports, read from its source."""
+    path = Path(netbisim.__file__).parent / f"{module}.py"
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module
+                       else [alias.name for alias in node.names])
+    return out
+
+
+def test_certificates_and_oracle_do_not_import_the_game():
+    """The certificate layer sits below the game and its symmetry
+    reduction, and the oracle checks verdicts without the engine."""
+    assert not imported_modules("certificates") & {"engine", "symmetry"}
+    assert "engine" not in imported_modules("oracle")

@@ -25,6 +25,7 @@ from netbisim import (
     symmetry, validate_refutation, validate_witness,
 )
 from netbisim.engine import _Search
+from netbisim.nets import Kernel
 from netbisim.randnets import mutation_corpus
 
 from test_engine import alarm_pair, buffer, digest, initial_triple, validated
@@ -334,6 +335,26 @@ def test_marking_table_answers_as_the_checked_encode(flavor):
     answers(shared)
 
 
+def test_position_tables_are_built_once_per_marking(monkeypatch):
+    """Validating a witness rebuilt from new objects checks and encodes
+    each of its markings, building its token -> position table; beta is
+    encoded with those tables, and `at_of` builds none again."""
+    net, m0 = buffer(3)
+    witness = frozenset(map(rebuilt, decide_oim(copy(net), m0, m0, 3).witness))
+    at_of = ordered.OIMGraph.at_of
+    built = [0]
+
+    def counting(self, o):
+        built[0] += o not in self.at
+        return at_of(self, o)
+
+    monkeypatch.setattr(ordered.OIMGraph, "at_of", counting)
+    assert validate_witness(net, witness, initial_triple(m0, m0), "fc")
+    markings = {o for t in witness for o in (t.left, t.right)}
+    assert len(net.oim_graph.at) == len(markings)
+    assert built[0] == 0
+
+
 def test_witness_check_stops_at_the_first_triple_that_fails_to_encode():
     """validate_witness returns False at a triple that does not encode,
     before it encodes, and so interns, its right marking or any triple
@@ -442,20 +463,27 @@ def unlocked_get(self, instance, owner=None):
     return val
 
 
-def test_threads_racing_first_use_play_on_one_graph(monkeypatch):
-    """Four threads first use a fresh buf(3) at once, under the lock-free
-    `cached_property` of Python 3.12+ and with a graph taking 5 ms to
-    build: every search plays on the one graph the net keeps, so none
-    plays on a graph whose lock another holds, and each finds the 15
-    triples of the game."""
-    monkeypatch.setattr(functools.cached_property, "__get__", unlocked_get)
-    build = ordered.OIMGraph.__init__
+def slowed(monkeypatch, cls):
+    """cls's constructor, made 5 ms slower."""
+    build = cls.__init__
 
     def slow(self, net):
         time.sleep(0.005)
         build(self, net)
 
-    monkeypatch.setattr(ordered.OIMGraph, "__init__", slow)
+    monkeypatch.setattr(cls, "__init__", slow)
+
+
+def test_threads_racing_first_use_play_on_one_graph(monkeypatch):
+    """Four threads first use a fresh buf(3) at once, under the lock-free
+    `cached_property` of Python 3.12+ and with a kernel and a graph each
+    taking 5 ms to build: every search plays on the one graph the net
+    keeps, so none plays on a graph whose lock another holds, the graph
+    runs on the one kernel the net keeps, and each finds the 15 triples
+    of the game."""
+    monkeypatch.setattr(functools.cached_property, "__get__", unlocked_get)
+    slowed(monkeypatch, Kernel)
+    slowed(monkeypatch, ordered.OIMGraph)
     init = _Search.__init__
     played = []
 
@@ -474,7 +502,8 @@ def test_threads_racing_first_use_play_on_one_graph(monkeypatch):
             for net, m0 in nets:
                 start.wait()
                 v = (decide_oim, decide_oimc)[i % 2](net, m0, m0, 3)
-                verdicts.append((v.outcome, v.stats["triples"]))
+                verdicts.append((v.outcome, v.stats["triples"],
+                                 net.oim_graph.kernel is net.kernel))
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
@@ -486,6 +515,6 @@ def test_threads_racing_first_use_play_on_one_graph(monkeypatch):
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert verdicts == [("equivalent", 15)] * workers * len(nets)
+    assert verdicts == [("equivalent", 15, True)] * workers * len(nets)
     assert len(played) == len(verdicts)
     assert all(graph is net.oim_graph for net, graph in played)

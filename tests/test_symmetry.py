@@ -5,6 +5,7 @@ unreduced one, with valid certificates."""
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from netbisim import (
     validate_witness,
 )
 from netbisim import symmetry
+from netbisim.certificates import decode_triple, encode_triple
 from netbisim.engine import ResourceLimitReached, _Search
 from netbisim.indexed import is_closed
 from netbisim.randnets import mutation_corpus, mutation_instance
@@ -158,7 +160,8 @@ def arbitrary(seed):
     beta = frozenset((a, b) for a in left.tokens for b in right.tokens
                      if rng.random() < 0.5)
     search = _Search(net, "fc", Limits(), {})
-    return net, search, [search.encode(GameTriple(left, right, beta))]
+    return net, search, [encode_triple(search.graph,
+                                       GameTriple(left, right, beta))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,22 +173,24 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
     triple.  Where the sides' place tuples differ or no place holds two
     tokens, the exchanged copies have it too."""
     net, search, triples = triples_of(seed)
+    encode = partial(encode_triple, search.graph)
+    decode = partial(decode_triple, search.graph)
     rng = random.Random(seed)
     for t in triples:
         c = search.canonical(t)
-        g, h = search.triple(t), search.triple(c)
+        g, h = decode(t), decode(c)
         assert search.canonical(c) == c
         assert is_closed(h.left.tokens) and is_closed(h.right.tokens)
         assert isomorphic(g, h) or isomorphic(exchanged_triple(g), h)
-        assert search.triple(exchanged(search, t)) == exchanged_triple(g)
+        assert decode(exchanged(search, t)) == exchanged_triple(g)
         merged = merged_with_exchange(g)
         if merged:
             assert search.canonical(exchanged(search, t)) == c
         for _ in range(2):
-            copy = search.encode(renamed(g, rng))
+            copy = encode(renamed(g, rng))
             assert search.canonical(copy) == c
             if merged:
-                copy = search.encode(renamed(exchanged_triple(g), rng))
+                copy = encode(renamed(exchanged_triple(g), rng))
                 assert search.canonical(copy) == c
         # a copy of the net has a graph of its own, in which the markings
         # of renamed copies were interned first, in random order
@@ -196,11 +201,11 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
         rng.shuffle(sides)
         for o in sides:
             other.graph.encode(o)
-        copy = other.encode(copies[0])
-        assert other.triple(other.canonical(copy)) == h
+        copy = encode_triple(other.graph, copies[0])
+        assert decode_triple(other.graph, other.canonical(copy)) == h
         if merged:
-            copy = other.encode(exchanged_triple(copies[1]))
-            assert other.triple(other.canonical(copy)) == h
+            copy = encode_triple(other.graph, exchanged_triple(copies[1]))
+            assert decode_triple(other.graph, other.canonical(copy)) == h
 
 
 def test_canonical_tries_every_vertex_of_a_tied_cell():
@@ -223,11 +228,12 @@ def test_canonical_tries_every_vertex_of_a_tied_cell():
     net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
                                         Multiset.of("p"))])
     search = _Search(net, "fc", Limits(), {})
-    c = search.canonical(search.encode(g))
-    assert isomorphic(g, search.triple(c))
+    encode = partial(encode_triple, search.graph)
+    c = search.canonical(encode(g))
+    assert isomorphic(g, decode_triple(search.graph, c))
     rng = random.Random(1)
     for _ in range(20):
-        assert search.canonical(search.encode(renamed(g, rng))) == c
+        assert search.canonical(encode(renamed(g, rng))) == c
 
 
 def counted_visits(monkeypatch) -> list:
