@@ -35,7 +35,8 @@ from typing import Iterable, Literal, Optional
 
 from .nets import Multiset, NetError, PTNet, ResourceLimitReached
 from .ordered import (
-    decode_rows, encode_rows, holding_graph, image, step_rows, transpose,
+    decode_rows, encode_rows, holding_graph, image, step_plan, step_rows,
+    transpose,
 )
 # format_* only so that perfbench can call and trace `engine.format_*`.
 from .certificates import (
@@ -57,8 +58,8 @@ def _next_beta(beta: tuple, plan: tuple, images: dict, to: tuple,
                created: int) -> tuple:
     """beta on masks: the row of each left target token is its source row
     sent through the right move's position map `to` by `ordered.image`,
-    kept in the move's memo `images`, which drops the deleted right
-    tokens; or, if the left firing created it, `created`, the right
+    kept in the graph's memo `images` of that map, which drops the deleted
+    right tokens; or, if the left firing created it, `created`, the right
     firing's created mask."""
     out = []
     for i in plan:
@@ -151,11 +152,9 @@ def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> B
     left, right = tuple(sorted(untouched1)), tuple(sorted(untouched2))
     kept = [(a, b) for a, b in beta if a in untouched1 and b in untouched2]
     at1, at2 = ({t: i for i, t in enumerate(xs)} for xs in (left, right))
-    target1, _, plan, _, _ = step_rows(left, (0,) * len(left), 0,
-                                       tuple(sorted(generated1)))
-    target2, _, _, to, made = step_rows(right, (0,) * len(right), 0,
-                                        tuple(sorted(generated2)))
-    rows = _next_beta(encode_rows(at1, kept, at2), plan, {}, to, made)
+    target1, plan, _, _ = step_plan(left, 0, tuple(sorted(generated1)))
+    target2, _, to, made = step_plan(right, 0, tuple(sorted(generated2)))
+    rows = step_rows(encode_rows(at1, kept, at2), 0, plan, to, made)
     return decode_rows(target1, rows, target2, {})
 
 

@@ -74,8 +74,15 @@ def victims(at: dict, m: Multiset) -> list[int]:
         present = at.get(place, ())
         if n > len(present):
             raise InsufficientTokensError(place)
-        picks = [sum(1 << j for j in c) for c in combinations(present, n)]
-        choices = [r | c for r in choices for c in picks]
+        if n == 1:
+            picks = [1 << j for j in present]
+        elif n == len(present):
+            # a place's tokens are adjacent in the sorted tuple
+            picks = [((1 << n) - 1) << present[0]]
+        else:
+            picks = [sum(1 << j for j in c) for c in combinations(present, n)]
+        choices = (picks if choices == [0]
+                   else [r | c for r in choices for c in picks])
     return choices
 
 

@@ -7,7 +7,8 @@ The preorder records precedence in token generation.  After a firing:
   3. an untouched token precedes every generated token iff it preceded,
      in the pre-firing order, some token the firing deleted.
 
-The update is computed on positions (`step_rows`): a marking is the
+The update is computed on positions (`step_plan` places the tokens, which
+the order does not change, and `step_rows` orders them): a marking is the
 sorted tuple of its tokens, a token is its position there, a token set is
 an int mask of positions, and the preorder is one up-set mask per token.
 No numbering reaches past one marking: a move maps the positions of its
@@ -101,14 +102,13 @@ def transpose(rows: tuple, width: int) -> tuple:
     return tuple(out)
 
 
-def step_rows(tokens: tuple, rows: tuple, removed: int,
-              created: tuple) -> tuple[tuple, tuple, tuple, tuple, int]:
-    """The order update on positions.  `rows[i]` is the up-set mask of
-    tokens[i], `removed` the mask of the deleted positions and `created`
-    the sorted tokens the firing makes.  Returns the target tokens, their
-    rows, the plan (for each target position, its source position, or -1
-    if the firing created it), its position map `to` (`invert`) and the
-    mask of the created target positions."""
+def step_plan(tokens: tuple, removed: int,
+              created: tuple) -> tuple[tuple, tuple, tuple, int]:
+    """Where a firing puts the tokens: `removed` is the mask of the
+    deleted positions, `created` the sorted tokens the firing makes.
+    Returns the target tokens, the plan (for each target position, its
+    source position, or -1 if the firing created it), its position map
+    `to` (`invert`) and the mask of the created target positions."""
     target, plan = [], []
     for i, tok in enumerate(tokens):
         if not removed >> i & 1:
@@ -120,11 +120,17 @@ def step_rows(tokens: tuple, rows: tuple, removed: int,
         target.insert(j, tok)
         plan.insert(j, -1)
         made |= 1 << j
-    to = invert(plan, len(tokens))
+    return tuple(target), tuple(plan), invert(plan, len(tokens)), made
+
+
+def step_rows(rows: tuple, removed: int, plan: tuple, to: tuple,
+              made: int) -> tuple:
+    """The order update on positions: the target's rows of a firing from
+    a marking with the up-set masks `rows`, given the `removed` mask and
+    the plan, position map and created mask of `step_plan`."""
     # Clause (3) is evaluated against the pre-firing order.
-    new_rows = tuple([made if i < 0 else image(rows[i], to) | (
+    return tuple([made if i < 0 else image(rows[i], to) | (
         made if rows[i] & removed else 0) for i in plan])
-    return tuple(target), new_rows, tuple(plan), to, made
 
 
 def encode_rows(at: dict, pairs, to: dict) -> Optional[tuple]:
@@ -181,12 +187,17 @@ class OIMGraph:
 
     built once per marking, with a (position, bit, up-set) entry per
     deleted token and the created mask, plan and position map `to` of
-    `step_rows`; masks before the target id are over the source's
-    positions, the created mask over the target's.  `images` is the
-    move's memo of `image(x, to)`, a plain dict of ints.
-    A marking's moves and each label's bucket of them are tuples; as each
-    move holds its `images` dict, the cyclic collector keeps tracking
-    them.  The graph is also the net's codec of markings and steps
+    `step_plan`; masks before the target id are over the source's
+    positions, the created mask over the target's.  The firings depend on
+    the tokens alone, so they are run once per token tuple and kept as its
+    shapes (`shapes`), each (label, tid, removed mask, target tokens, plan,
+    to, created mask); a marking's moves add the deleted entries and the
+    target id from its order (`step_rows`).  `images` is the memo of
+    `image(x, to)`, a plain dict of ints, one per distinct `to` (`images`),
+    which every move with that map holds.  A marking's moves and each
+    label's bucket of them are tuples; as each move holds a dict, the
+    cyclic collector keeps tracking them, but not the shapes, which hold
+    no container.  The graph is also the net's codec of markings and steps
     (`certificates`): `known` maps the `id()` of each object in
     `decoded`, which keeps it alive, to its id.  `canon` is the fc/cn
     searches' memo of canonical triples (`engine._Search`).  A call holds
@@ -202,6 +213,8 @@ class OIMGraph:
         self.plain: list[bool] = []  # id -> every token has index 1
         self.places: list[tuple] = []  # id -> the places of its tokens
         self.moves: list = []  # id -> (moves, moves by label), or None
+        self.shapes: dict[tuple, tuple] = {}  # tokens -> firing shapes
+        self.images: dict[tuple, dict] = {}  # to -> x -> image(x, to)
         self.pairs: dict = {}  # token a -> token b -> (a, b)
         self.decoded: dict[int, OrderedIndexedMarking] = {}
         self.at: dict[int, dict] = {}  # id -> token -> position
@@ -233,17 +246,24 @@ class OIMGraph:
         entry = self.moves[o]
         if entry is None:
             tokens, rows = self.oims[o]
+            shapes = self.shapes.get(tokens)
+            if shapes is None:
+                shapes = self.shapes[tokens] = tuple([
+                    (t.label, t.tid, removed,
+                     *step_plan(tokens, removed, created))
+                    for t, removed, created in firings(
+                        self.kernel, self.transitions, tokens)])
             moves, by_label = [], {}
-            for t, removed, created in firings(self.kernel, self.transitions,
-                                               tokens):
-                target, target_rows, plan, to, made = step_rows(
-                    tokens, rows, removed, created)
-                deleted = tuple([(i, 1 << i, rows[i])
-                                 for i, b in enumerate(to) if not b])
-                move = (t.label, t.tid, removed, deleted,
-                        self.intern(target, target_rows), made, plan, {}, to)
+            images = self.images
+            for label, tid, removed, target, plan, to, made in shapes:
+                move = (label, tid, removed,
+                        tuple([(i, 1 << i, rows[i]) for i, b in enumerate(to)
+                               if not b]),
+                        self.intern(target, step_rows(rows, removed, plan,
+                                                      to, made)),
+                        made, plan, images.setdefault(to, {}), to)
                 moves.append(move)
-                by_label[t.label] = by_label.get(t.label, ()) + (move,)
+                by_label[label] = by_label.get(label, ()) + (move,)
             entry = self.moves[o] = (tuple(moves), by_label)
         return entry
 

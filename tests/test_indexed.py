@@ -1,12 +1,14 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from netbisim import (
     BoundExceededError, Multiset, NetError, alpha, boxminus, boxplus,
     initial_indexed, is_closed, im_successors, reachable_im,
 )
-from netbisim.indexed import InsufficientTokensError
+from netbisim.indexed import InsufficientTokensError, positions, victims
 
 
 def k(*tokens):
@@ -95,3 +97,42 @@ def test_reachable_im_finite_and_capped(fig2_net, fig2_m0):
             assert count <= 5
     with pytest.raises(BoundExceededError):
         reachable_im(fig2_net, k0, 4)
+
+
+@st.composite
+def victim_cases(draw):
+    """(tokens, m): a sorted token tuple with up to five tokens, indices
+    with holes, on each of places p, q and r, and a multiset asking for up
+    to one more token of each place than it holds."""
+    tokens = tuple(sorted(
+        (place, i) for place in "pqr"
+        for i in draw(st.sets(st.integers(1, 7), max_size=5))))
+    counts = {place: draw(st.integers(0, sum(p == place for p, _ in tokens)
+                                      + 1)) for place in "pqr"}
+    return tokens, Multiset({p: n for p, n in counts.items() if n})
+
+
+@given(victim_cases())
+def test_victims_match_combinations(case):
+    """`victims`, with its paths for one token of a place and for all of
+    them, lists the masks that picking each place's tokens by
+    `itertools.combinations` lists, in that order, and `boxminus` deletes
+    exactly those."""
+    tokens, m = case
+    expected = [0]
+    try:
+        for place, n in m.items():
+            present = [j for j, (p, _) in enumerate(tokens) if p == place]
+            if n > len(present):
+                raise InsufficientTokensError(place)
+            expected = [r | sum(1 << j for j in c) for r in expected
+                        for c in combinations(present, n)]
+    except InsufficientTokensError as exc:
+        with pytest.raises(InsufficientTokensError) as raised:
+            victims(positions(tokens), m)
+        assert raised.value.place == exc.place
+        return
+    assert victims(positions(tokens), m) == expected
+    assert boxminus(frozenset(tokens), m) == {
+        frozenset(t for j, t in enumerate(tokens) if not r >> j & 1)
+        for r in expected}
