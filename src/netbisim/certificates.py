@@ -89,17 +89,13 @@ class BisimVerdict:
     """A decider's answer: `outcome` ("equivalent" | "not-equivalent" |
     "unknown"), `stats`, and at most one certificate, `witness`
     (frozenset[GameTriple]) or `refutation`; the oracle and `il` ship
-    none.  A verdict `from_game` keeps the search's payload, its winning
-    int triples or its int refutation node, and the graph, until the
-    first read of either certificate."""
+    none.  Only a verdict `from_game` has one: it keeps the search's
+    payload, its winning int triples or its int refutation node, and the
+    graph, until the first read of either certificate."""
 
-    def __init__(self, outcome: str, witness: Optional[frozenset] = None,
-                 refutation: Optional[Refutation] = None,
-                 stats: Optional[dict] = None):
+    def __init__(self, outcome: str, stats: Optional[dict] = None):
         self.outcome = outcome
         self.stats = {} if stats is None else stats
-        if witness is not None or refutation is not None:
-            self._decoded = witness, refutation
 
     @classmethod
     def from_game(cls, outcome: str, graph: OIMGraph, payload,
@@ -168,13 +164,23 @@ def encode_triple(graph: OIMGraph, t: GameTriple) -> Optional[tuple]:
     return None if beta is None else (left, right, beta)
 
 
+def _well_typed_oim(o) -> bool:
+    return (isinstance(o, OrderedIndexedMarking)
+            and isinstance(o.tokens, frozenset) and isinstance(o.order, frozenset))
+
+
 def _well_typed(t) -> bool:
     """Whether t is a GameTriple of OrderedIndexedMarkings whose token sets
     and relations are frozensets, so that it can be hashed and encoded."""
     return (isinstance(t, GameTriple) and isinstance(t.beta, frozenset)
-            and all(isinstance(o, OrderedIndexedMarking) and isinstance(
-                o.tokens, frozenset) and isinstance(o.order, frozenset)
-                for o in (t.left, t.right)))
+            and _well_typed_oim(t.left) and _well_typed_oim(t.right))
+
+
+def _well_typed_step(s) -> bool:
+    """Whether s is an OIMStep with a str tid, a frozenset of removed
+    tokens and a well-typed target, so that it can be hashed."""
+    return (isinstance(s, OIMStep) and isinstance(s.tid, str)
+            and isinstance(s.removed, frozenset) and _well_typed_oim(s.target))
 
 
 def _fmt_oim(o: OrderedIndexedMarking) -> str:

@@ -22,26 +22,26 @@ token indices, and under exchanging its two sides with beta transposed
 one), so every successor is renamed, and its sides exchanged if need
 be, before it is looked up, pushed or stored (`_Search.canonical`).  The
 root is played as given; `stats["triples"]` counts canonical triples,
-and the certificates hold them.  A move (`OIMGraph.successors`) carries
-beta rows to its target through its position map (`_next_beta`), as a
-renaming carries them to the canonical frame.
+and the certificates hold them.  A pair of moves carries beta with
+`ordered.step_rows`, as a move carries its order: the left move's plan
+places the rows, and the right move's map and memo send them to the right
+target's positions, as a renaming carries them to the canonical frame.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Collection, Iterable, Literal, Optional
 
 from .nets import Multiset, NetError, PTNet, ResourceLimitReached
 from .ordered import (
-    decode_rows, encode_rows, holding_graph, image, step_plan, step_rows,
-    transpose,
+    decode_rows, encode_rows, holding_graph, step_plan, step_rows, transpose,
 )
 # format_* only so that perfbench can call and trace `engine.format_*`.
 from .certificates import (
-    Beta, BisimVerdict, GameTriple, Refutation, _well_typed, encode_triple,
-    format_refutation, format_witness,
+    Beta, BisimVerdict, GameTriple, Refutation, _well_typed, _well_typed_step,
+    encode_triple, format_refutation, format_witness,
 )
 from .symmetry import least_relabel
 
@@ -52,22 +52,6 @@ Flavor = Literal["fc", "cn"]
 class Limits:
     max_triples: int = 2_000_000
     max_seconds: Optional[float] = None
-
-
-def _next_beta(beta: tuple, plan: tuple, images: dict, to: tuple,
-               created: int) -> tuple:
-    """beta on masks: the row of each left target token is its source row
-    sent through the right move's position map `to` by `ordered.image`,
-    kept in the graph's memo `images` of that map, which drops the deleted
-    right tokens; or, if the left firing created it, `created`, the right
-    firing's created mask."""
-    out = []
-    for i in plan:
-        y = created if i < 0 else images.get(beta[i])
-        if y is None:
-            y = images[beta[i]] = image(beta[i], to)
-        out.append(y)
-    return tuple(out)
 
 
 def _fc_holds(beta: tuple, left: tuple, right_removed: int, right: tuple) -> bool:
@@ -154,7 +138,7 @@ def beta_update(untouched1, generated1, untouched2, generated2, beta: Beta) -> B
     at1, at2 = ({t: i for i, t in enumerate(xs)} for xs in (left, right))
     target1, plan, _, _ = step_plan(left, 0, tuple(sorted(generated1)))
     target2, _, to, made = step_plan(right, 0, tuple(sorted(generated2)))
-    rows = step_rows(encode_rows(at1, kept, at2), 0, plan, to, made)
+    rows = step_rows(encode_rows(at1, kept, at2), 0, plan, {}, to, made)
     return decode_rows(target1, rows, target2, {})
 
 
@@ -286,8 +270,8 @@ class _Search:
         left, right = (attack, resp) if attacker_left else (resp, attack)
         if not self.holds(beta, left[3], right[2], right[3]):
             return None
-        return self.canonical((left[4], right[4], _next_beta(
-            beta, left[6], right[7], right[8], right[5])))
+        return self.canonical((left[4], right[4], step_rows(
+            beta, 0, left[6], right[7], right[8], right[5])))
 
     def run(self, root: tuple) -> tuple:
         """(True, winning triples) or (False, refutation of the root).  A
@@ -438,8 +422,10 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
     not found among them as they are, as when a defender's first
     admissible response is refuted and a later one wins.  A triple whose
     token sets or relations are not frozensets fails it, as does a
-    witness that is not iterable."""
-    if not (isinstance(witness, Iterable) and _well_typed(root)
+    witness that is not iterable; a one-shot iterable is read once."""
+    if isinstance(witness, Iterable) and not isinstance(witness, Collection):
+        witness = tuple(witness)
+    if not (isinstance(witness, Collection) and _well_typed(root)
             and all(map(_well_typed, witness))):
         return False
     helper = _Search(net, flavor, Limits(), {})
@@ -488,9 +474,9 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
     or exchanged where the canonical form merges the two sides.  A node's
     side names a side of its own triple.  Each distinct node is replayed
     once.  A refutation that leads back to one of its nodes is rejected,
-    as is a node whose triple is not well typed or whose responses are
-    not (step, node) pairs.  It proves only that `ref.triple` loses: a
-    caller checks that this is the root it asked about."""
+    as is a node whose triple or steps are not well typed or whose
+    responses are not (step, node) pairs.  It proves only that
+    `ref.triple` loses; a caller checks it is the root it asked about."""
     helper = _Search(net, flavor, Limits(), {})
     if not isinstance(ref, Refutation):
         return False
@@ -509,7 +495,9 @@ def validate_refutation(net: PTNet, ref: Refutation, flavor: Flavor) -> bool:
         triple = node.triple
         if node.reason == "size-gate":
             return flavor == "cn" and len(triple.left.tokens) != len(triple.right.tokens)
-        if node.reason != "move" or node.side not in ("left", "right"):
+        if not (node.reason == "move" and node.side in ("left", "right")
+                and _well_typed_step(node.attacker)
+                and all(_well_typed_step(resp) for resp, _ in node.responses)):
             return False
         t = encoded[id(node)]
         if t is None:

@@ -8,18 +8,18 @@ The preorder records precedence in token generation.  After a firing:
      in the pre-firing order, some token the firing deleted.
 
 The update is computed on positions (`step_plan` places the tokens, which
-the order does not change, and `step_rows` orders them): a marking is the
-sorted tuple of its tokens, a token is its position there, a token set is
-an int mask of positions, and the preorder is one up-set mask per token.
-No numbering reaches past one marking: a move maps the positions of its
-source to those of its target by one position map (`invert`), and a mask
-reaches the target only through `image`; a canonical renaming in
-`symmetry` is a position map of the same kind.  `OIMGraph` is the ordered
-token game of one net object on ints (`PTNet.oim_graph`), on which every
-fc/cn search, validator and explorer called on it plays, so a marking's
-moves are built once however many calls reach it.  It holds the net's
-kernel and transitions, not the net, so it is freed with the net by
-reference counting.
+the order does not change, and `step_rows` carries their rows, the order's
+and the game's beta alike): a marking is the sorted tuple of its tokens, a
+token is its position there, a token set is an int mask of positions, and
+the preorder is one up-set mask per token.  No numbering reaches past one
+marking: a move maps the positions of its source to those of its target by
+one position map (`invert`), and a mask reaches the target only through
+`image`; a canonical renaming in `symmetry` is a position map of the same
+kind.  `OIMGraph` is the ordered token game of one net object on ints
+(`PTNet.oim_graph`), on which every fc/cn search, validator and explorer
+called on it plays, so a marking's moves are built once however many calls
+reach it.  It holds the net's kernel and transitions, not the net, so it is
+freed with the net by reference counting.
 """
 
 from __future__ import annotations
@@ -123,14 +123,25 @@ def step_plan(tokens: tuple, removed: int,
     return tuple(target), tuple(plan), invert(plan, len(tokens)), made
 
 
-def step_rows(rows: tuple, removed: int, plan: tuple, to: tuple,
-              made: int) -> tuple:
-    """The order update on positions: the target's rows of a firing from
-    a marking with the up-set masks `rows`, given the `removed` mask and
-    the plan, position map and created mask of `step_plan`."""
-    # Clause (3) is evaluated against the pre-firing order.
-    return tuple([made if i < 0 else image(rows[i], to) | (
-        made if rows[i] & removed else 0) for i in plan])
+def step_rows(rows: tuple, removed: int, plan: tuple, images: dict,
+              to: tuple, made: int) -> tuple:
+    """The rows of a move's target, given the plan, map `to` and created
+    mask `made` of `step_plan`: a kept row is sent through `to`, memoized
+    in `images` (x -> `image(x, to)`), and a created position gets `made`.
+    For the order, `rows` are the up-sets, and a kept row that meets the
+    deleted mask `removed` also gains `made` (clause 3, evaluated against
+    the pre-firing order); for beta, `removed` is 0."""
+    out = []
+    for i in plan:
+        if i < 0:
+            out.append(made)
+            continue
+        x = rows[i]
+        y = images.get(x)
+        if y is None:
+            y = images[x] = image(x, to)
+        out.append(y | made if x & removed else y)
+    return tuple(out)
 
 
 def encode_rows(at: dict, pairs, to: dict) -> Optional[tuple]:
@@ -194,15 +205,16 @@ class OIMGraph:
     to, created mask); a marking's moves add the deleted entries and the
     target id from its order (`step_rows`).  `images` is the memo of
     `image(x, to)`, a plain dict of ints, one per distinct `to` (`images`),
-    which every move with that map holds.  A marking's moves and each
-    label's bucket of them are tuples; as each move holds a dict, the
-    cyclic collector keeps tracking them, but not the shapes, which hold
-    no container.  The graph is also the net's codec of markings and steps
-    (`certificates`): `known` maps the `id()` of each object in
+    held by every move with that map; it holds the order rows and the
+    searches' beta rows that `step_rows` sent through it.  A marking's
+    moves and each label's bucket of them are tuples; as each move holds a
+    dict, the cyclic collector keeps tracking them, but not the shapes,
+    which hold no container.  The graph is also the net's codec of markings
+    and steps (`certificates`): `known` maps the `id()` of each object in
     `decoded`, which keeps it alive, to its id.  `canon` is the fc/cn
     searches' memo of canonical triples (`engine._Search`).  A call holds
-    `lock` while it plays (`holding_graph`), which also guards these
-    tables and the images a move stores."""
+    `lock` while it plays (`holding_graph`), which also guards these tables
+    and the images a move stores."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
@@ -254,14 +266,14 @@ class OIMGraph:
                     for t, removed, created in firings(
                         self.kernel, self.transitions, tokens)])
             moves, by_label = [], {}
-            images = self.images
             for label, tid, removed, target, plan, to, made in shapes:
+                memo = self.images.setdefault(to, {})
                 move = (label, tid, removed,
                         tuple([(i, 1 << i, rows[i]) for i, b in enumerate(to)
                                if not b]),
                         self.intern(target, step_rows(rows, removed, plan,
-                                                      to, made)),
-                        made, plan, images.setdefault(to, {}), to)
+                                                      memo, to, made)),
+                        made, plan, memo, to)
                 moves.append(move)
                 by_label[label] = by_label.get(label, ()) + (move,)
             entry = self.moves[o] = (tuple(moves), by_label)

@@ -462,6 +462,49 @@ def test_relation_that_is_not_a_frozenset_is_rejected(bad, where, fig1_net):
         fig1_net, replace(ref, responses=((resp, gated),)), "cn")
 
 
+@pytest.mark.parametrize("one_shot", [lambda w: (t for t in w), iter],
+                         ids=["generator", "iterator"])
+def test_witness_given_as_a_one_shot_iterable_is_read_once(one_shot):
+    """A witness given as a generator or an iterator is read once, so it
+    is judged as the frozenset of its triples is: buf(3)'s fc witness
+    passes, and fails without any one of its 15 triples."""
+    net, m0 = buffer(3)
+    root = initial_triple(m0, m0)
+    witness = decide_oim(net, m0, m0, 3).witness
+    assert len(witness) == 15
+    assert validate_witness(net, one_shot(witness), root, "fc")
+    for t in witness:
+        assert not validate_witness(net, one_shot(witness - {t}), root, "fc")
+
+
+# Steps that cannot be hashed, made from the step they replace.
+UNHASHABLE_STEPS = {
+    "list": lambda s: ["x"],
+    "dict": lambda s: {},
+    "set": lambda s: set(),
+    "removed-list": lambda s: replace(s, removed=sorted(s.removed)),
+    "target-dict": lambda s: replace(s, target={}),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(UNHASHABLE_STEPS))
+def test_step_that_is_not_well_typed_is_rejected(bad, fig1_net):
+    """A refutation whose response step or attacker step is not an
+    `OIMStep` with a str tid, a frozenset of removed tokens and a well
+    typed target makes `validate_refutation` return False, not raise:
+    fig1's cn refutation with its one response step, or its attacker,
+    replaced."""
+    ref = decide_oimc(fig1_net, Multiset.of("s1"), Multiset.of("s3"),
+                      4).refutation
+    assert validate_refutation(fig1_net, ref, "cn")
+    (resp, sub), = ref.responses
+    make = UNHASHABLE_STEPS[bad]
+    assert not validate_refutation(
+        fig1_net, replace(ref, responses=((make(resp), sub),)), "cn")
+    assert not validate_refutation(
+        fig1_net, replace(ref, attacker=make(ref.attacker)), "cn")
+
+
 def test_validators_reject_foreign_roots_and_wrong_successors(fig1_net):
     """A witness root that names a token on an undeclared place, and a
     refutation whose sub-node replays but names a foreign token or is

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netbisim import (
-    Multiset, NetError, PTNet, Transition, initial_indexed, init_oim,
-    oim_successors, parse_net, reachable_oim,
+    Multiset, NetError, PTNet, Transition, decide_oim, decide_oimc,
+    initial_indexed, init_oim, oim_successors, parse_net, reachable_oim,
+    validate_refutation, validate_witness,
 )
 from netbisim import ordered
 from netbisim.indexed import firings
@@ -15,7 +16,7 @@ from netbisim.ordered import (
 )
 from netbisim.randnets import corpus
 
-from test_engine import alarm_pair, buffer, ring
+from test_engine import alarm_pair, buffer, initial_triple, ring
 
 NETS = Path(__file__).resolve().parent.parent / "nets"
 
@@ -261,3 +262,29 @@ def test_moves_with_one_position_map_share_one_memo():
     assert (len(built), len(moves), len(memos)) == (89, 267, 12)
     assert all(len(ids) == 1 for ids in memos.values())
     assert len(graph.images) == 12
+
+
+def memo_cases():
+    (buf, b0), (toggles, p0) = buffer(4), par(4)
+    return [("buf(4)", buf, b0, b0, 4), ("par(4)", toggles, p0, p0, 1),
+            ("pair(3,2)", *alarm_pair(3, 2), 3), ("ring(150)", *ring(150), 1)]
+
+
+@pytest.mark.parametrize("case", memo_cases(), ids=lambda c: c[0])
+def test_each_memo_holds_only_images_through_its_map(case):
+    """One memo per position map holds every row sent through that map,
+    the order's rows of the moves and the beta rows of the searches and
+    validators: after fc and cn decisions and the validation of their
+    certificates, each entry x -> y of the memo of `to` is
+    y == image(x, to)."""
+    _, net, m1, m2, cap = case
+    root = initial_triple(m1, m2)
+    for flavor, decide in (("fc", decide_oim), ("cn", decide_oimc)):
+        v = decide(net, m1, m2, cap)
+        assert (validate_witness(net, v.witness, root, flavor)
+                if v.witness is not None
+                else validate_refutation(net, v.refutation, flavor))
+    memos = net.oim_graph.images
+    assert memos
+    assert all(y == image(x, to)
+               for to, memo in memos.items() for x, y in memo.items())
