@@ -457,10 +457,11 @@ def validate_witness(net: PTNet, witness: frozenset, root: GameTriple,
         for attacker_left, attacks, labels in ((True, moves1, labels2),
                                                (False, moves2, labels1)):
             for attack in attacks:
-                if not any(
-                        (nxt := successor(triple[2], attack, resp, attacker_left))
-                        is not None and (nxt in encoded or member(nxt))
-                        for resp in labels.get(attack[0], ())):
+                for resp in labels.get(attack[0], ()):
+                    nxt = successor(triple[2], attack, resp, attacker_left)
+                    if nxt is not None and (nxt in encoded or member(nxt)):
+                        break
+                else:
                     return False
     return True
 

@@ -20,7 +20,14 @@ that is not a singleton splits into singletons if its vertices are twins
 (their swaps are automorphisms), and otherwise by individualising one
 vertex of each twin class in turn, keeping the least-coded leaf.  A
 leaf's code is the digraph relabelled by its vertex order, so the least
-code is the canonical triple itself, read off its rows.
+code is the canonical triple itself, read off its rows.  Two leaves of
+equal code, with orders a and b, give the automorphism a[j] -> b[j],
+kept as a position map.  The search skips a vertex that the kept
+automorphisms fixing the node's individualised vertices pointwise map
+from a tried one, as its subtree holds the same codes; automorphisms
+that move one of those vertices are not used there, as they need not
+map the node onto itself.  So the least code, and the canonical triple,
+are those of the search without them.
 
 The functions here read the markings of the `ordered.OIMGraph` the search
 plays on and intern the renamed markings there.  Sets of vertices are int
@@ -87,13 +94,19 @@ def least_order(cells: list, out: list, inn: list,
     singletons in vertex order, needing no refinement since the other
     vertices see all of it or none; any other by individualising one vertex
     per twin class in turn, with refinement, as twins have image subtrees.
-    Given `deadline`, a `time.monotonic()` value, the search checks it
-    every 1,024 nodes and raises ResourceLimitReached("max_seconds") once
-    it has passed."""
+    Two leaves of equal code, with orders a and b, give the automorphism
+    a[j] -> b[j]; a vertex that the automorphisms fixing the individualised
+    prefix map from a tried one has an image subtree too, and is skipped
+    (`_visit`).  Given `deadline`, a `time.monotonic()` value, the search
+    checks it every 1,024 nodes and raises
+    ResourceLimitReached("max_seconds") once it has passed."""
     # [code or None while it is the only leaf, order or None,
-    #  nodes counted while a deadline is set, deadline or None]
-    best: list = [None, None, 0, deadline]
-    _visit(cells, cells, out, inn, best)
+    #  nodes counted while a deadline is set, deadline or None,
+    #  automorphisms found, as the orders (a, b) of two leaves of equal
+    #  code, and the same as (position map, mask of the vertices it moves),
+    #  made only once a node would prune with them]
+    best: list = [None, None, 0, deadline, [], []]
+    _visit(cells, cells, out, inn, best, 0)
     return best[0] if best[0] is not None else _code(best[1], out)
 
 
@@ -102,8 +115,15 @@ def _code(order: list, out: list) -> list:
     return [image(out[v], to) for v in order]
 
 
-def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
-    """One node of `least_order`: recurses once per twin class."""
+def _visit(cells: list, fresh: list, out: list, inn: list, best: list,
+           prefix: int):
+    """One node of `least_order`, below the individualised vertices of the
+    mask `prefix`: recurses once per twin class, on its least vertex,
+    unless the found automorphisms that fix `prefix` pointwise map a tried
+    vertex to it.  Such an automorphism, taken with the twin swaps that
+    undo it on the cells split as twins on the way, keeps every cell of
+    this node, so it maps a tried child's subtree onto the skipped one,
+    with the same codes."""
     if best[3] is not None:
         best[2] += 1
         if not best[2] & 1023 and time.monotonic() > best[3]:
@@ -129,10 +149,14 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
             cells[k:k + 1] = bits
             k += len(bits)
             continue
+        tried = 0
         for v in reps:
             b = 1 << v
+            if tried and best[4] and _reached(tried, prefix, best) & b:
+                continue
             _visit(cells[:k] + [b, cell ^ b] + cells[k + 1:],
-                   [b, cell ^ b], out, inn, best)
+                   [b, cell ^ b], out, inn, best, prefix | b)
+            tried |= b
         return
     order = [c.bit_length() - 1 for c in cells]
     if best[1] is None:
@@ -143,6 +167,32 @@ def _visit(cells: list, fresh: list, out: list, inn: list, best: list):
     c = _code(order, out)
     if c < best[0]:
         best[0], best[1] = c, order
+    elif c == best[0]:
+        best[4].append((best[1], order))
+
+
+def _reached(tried: int, prefix: int, best: list) -> int:
+    """The vertices that the automorphisms found by `least_order`'s search
+    `best` that fix the vertices of `prefix` map the vertices of `tried`
+    to, in any number of steps."""
+    maps = best[5]
+    for a, b in best[4][len(maps):]:
+        to = [0] * len(a)
+        moved = 0
+        for x, y in zip(a, b):
+            to[x] = 1 << y
+            if x != y:
+                moved |= 1 << x
+        maps.append((to, moved))
+    gens = [to for to, moved in maps if not moved & prefix]
+    reached = front = tried
+    while front and gens:
+        grown = 0
+        for to in gens:
+            grown |= image(front, to)
+        front = grown & ~reached
+        reached |= front
+    return reached
 
 
 def least_relabel(graph: OIMGraph, left: int, right: int, beta: tuple,

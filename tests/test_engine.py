@@ -477,6 +477,34 @@ def test_witness_given_as_a_one_shot_iterable_is_read_once(one_shot):
         assert not validate_witness(net, one_shot(witness - {t}), root, "fc")
 
 
+@pytest.mark.parametrize("flavor", ["fc", "cn"])
+def test_witness_answers_an_attack_with_a_later_response(flavor):
+    """p has two a-moves, `dead` to q, where nothing fires, and `live` to
+    r, where b fires.  The defender's first admissible response to the
+    attack `live` is `dead`, whose successor, an r token against a q
+    token, loses and is in no witness; its second, `live`, leads to the
+    witness's r against r.  So the p self-check's witness validates only
+    if the check reads past the first response, and fails without that
+    triple."""
+    net = PTNet.make(["p", "q", "r"], [
+        Transition("dead", "a", Multiset.of("p"), Multiset.of("q")),
+        Transition("live", "a", Multiset.of("p"), Multiset.of("r")),
+        Transition("loop", "b", Multiset.of("r"), Multiset.of("r")),
+    ])
+    m = Multiset.of("p")
+    root = initial_triple(m, m)
+    decide = decide_oim if flavor == "fc" else decide_oimc
+    witness = decide(net, m, m, 1).witness
+
+    def places(o):
+        return {p for p, _ in o.tokens}
+
+    assert all(places(t.left) == places(t.right) for t in witness)
+    later, = [t for t in witness if places(t.left) == {"r"}]
+    assert validate_witness(net, witness, root, flavor)
+    assert not validate_witness(net, witness - {later}, root, flavor)
+
+
 # Steps that cannot be hashed, made from the step they replace.
 UNHASHABLE_STEPS = {
     "list": lambda s: ["x"],

@@ -29,6 +29,7 @@ from netbisim.nets import Kernel
 from netbisim.randnets import mutation_corpus
 
 from test_engine import alarm_pair, buffer, digest, initial_triple, validated
+from test_symmetry import cycles_triple
 
 DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
 
@@ -179,15 +180,19 @@ def assert_memo_whole(net: PTNet, renamed: int):
 
 
 def test_stopped_searches_leave_the_memo_whole(monkeypatch):
-    """A decision stopped by `max_seconds` inside a canonical search (a
-    six-token loop, one of whose renamings takes 1,237 nodes, under a
-    clock past the deadline inside `symmetry`), and one stopped by
-    `max_triples` on buf(4), add no entry for the triple they were
-    renaming or any incomplete one; a later decision without limits on
-    the same net answers as on a fresh copy."""
+    """A decision stopped by `max_seconds` inside a canonical search (on a
+    one-place loop, from a root of 27 unordered tokens a side that beta
+    relates in cycles of 7, 6, ..., 2 pairs: the first successor breaks
+    the 7-cycle and is renamed, and renaming the next takes more than
+    1,024 nodes, under a clock past the deadline inside `symmetry`), and
+    one stopped by `max_triples` on buf(4), add no entry for the triple
+    they were renaming or any incomplete one; a later decision without
+    limits on the same net answers as on a fresh copy.  No pair of
+    markings roots such a triple: theirs relate all tokens."""
     loop = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
                                          Multiset.of("p"))])
-    six = Multiset({"p": 6})
+    six, many = Multiset({"p": 6}), Multiset({"p": 27})
+    tied = cycles_triple(loop.oim_graph, (7, 6, 5, 4, 3, 2))
     buf, m0 = buffer(4)
     args = []
     relabel = engine.least_relabel
@@ -200,8 +205,10 @@ def test_stopped_searches_leave_the_memo_whole(monkeypatch):
         m.setattr(engine, "least_relabel", recording)
         m.setattr(symmetry, "time", types.SimpleNamespace(
             monotonic=lambda: math.inf))
-        v = decide_oim(loop, six, six, 6, Limits(max_seconds=3600.0))
+        m.setattr(_Search, "root", lambda self, m1, m2: tied)
+        v = decide_oim(loop, many, many, 27, Limits(max_seconds=3600.0))
     assert (v.outcome, v.stats["limit"]) == ("unknown", "max_seconds")
+    assert len(args) == 2
     assert_memo_whole(loop, len(args) - 1)
     search = _Search(loop, "fc", Limits(), {})
     for triple in (args[-1], search.exchanged(args[-1])):

@@ -19,8 +19,10 @@ from netbisim import symmetry
 from netbisim.certificates import decode_triple, encode_triple
 from netbisim.engine import ResourceLimitReached, _Search
 from netbisim.indexed import is_closed
+from netbisim.ordered import transpose
 from netbisim.randnets import mutation_corpus, mutation_instance
 
+import reference_symmetry
 from test_engine import buffer, initial_triple, validated
 
 DECIDERS = {"fc": decide_oim, "cn": decide_oimc}
@@ -269,39 +271,62 @@ def test_a_cell_of_twins_is_split_at_one_node(monkeypatch):
 
 def test_the_twins_of_a_tried_vertex_are_not_tried(monkeypatch):
     """Four tokens a side whose order is two 2-cliques, and no beta: the
-    search individualises one token per clique, at the root and again on
-    the right side below each, for 1 + 2 * (1 + 2) = 7 nodes; trying every
-    token would take 1 + 4 * (1 + 4) = 21."""
+    search individualises one token per clique, at the root and on the
+    right side below the first, where the two leaves give the swap of the
+    right cliques.  That swap fixes the left side, so below the second it
+    skips the second right clique, for 1 + (1 + 2) + (1 + 1) = 6 nodes;
+    twin pruning alone takes 1 + 2 * (1 + 2) = 7, and trying every token
+    1 + 4 * (1 + 4) = 21."""
     graph = one_place_graph()
     o = graph.intern(tuple(("s1", i) for i in range(1, 5)),
                      (0b0011, 0b0011, 0b1100, 0b1100))
     calls = counted_visits(monkeypatch)
     lo, ro, beta = symmetry.least_relabel(graph, o, o, (0,) * 4)
-    assert calls == [7]
+    assert calls == [6]
     assert lo == ro and beta == (0,) * 4
     assert symmetry.least_relabel(graph, lo, ro, beta) == (lo, ro, beta)
 
 
+def unordered_triple(graph, beta) -> tuple:
+    """The int triple of len(beta) unordered tokens a side on place p of
+    graph's net, with the given beta rows."""
+    n = len(beta)
+    o = graph.intern(tuple(("p", i) for i in range(1, n + 1)),
+                     tuple(1 << i for i in range(n)))
+    return o, o, tuple(beta)
+
+
+def cycles_triple(graph, lengths, left=None, right=None) -> tuple:
+    """`unordered_triple` of sum(lengths) tokens a side, in which beta
+    relates the left tokens to the right ones in disjoint cycles of
+    2 * length edges, for each of `lengths`, on the left and right
+    positions listed in `left` and `right` (in order by default): every
+    token has two beta neighbours, so refinement ties them all."""
+    n = sum(lengths)
+    left, right = left or range(n), right or range(n)
+    beta = [0] * n
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            beta[left[start + i]] = (1 << right[start + i]) | (
+                1 << right[start + (i + 1) % length])
+        start += length
+    return unordered_triple(graph, beta)
+
+
 def test_time_limit_holds_inside_one_canonical_search(monkeypatch):
-    """Fourteen unordered tokens a side, related by beta in cycles of 2, 3,
-    4 and 5 pairs: refinement ties them all, and one canonical search takes
-    19,446 nodes.  A search whose time limit has passed stops it at node
-    1,024, its first check, with ResourceLimitReached("max_seconds"), and
-    leaves the net's memo it was handed empty; one without a limit, as
-    the validators make, runs it to the end."""
+    """27 unordered tokens a side, related by beta in cycles of 2 to 7
+    pairs: refinement ties them all, and tokens of cycles of different
+    lengths are not interchangeable, so one canonical search takes 3,991
+    nodes although it skips the rotations of each cycle.  A search whose
+    time limit has passed stops it at node 1,024, its first check, with
+    ResourceLimitReached("max_seconds"), and leaves the net's memo it was
+    handed empty; one without a limit, as the validators make, runs it to
+    the end."""
     net = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
                                         Multiset.of("p"))])
     graph = net.oim_graph
-    o = graph.intern(tuple(("p", i) for i in range(1, 15)),
-                     tuple(1 << i for i in range(14)))
-    beta = [0] * 14
-    start = 0
-    for length in (2, 3, 4, 5):
-        for i in range(length):
-            beta[start + i] = (1 << start + i) | (
-                1 << start + (i + 1) % length)
-        start += length
-    triple = (o, o, tuple(beta))
+    triple = cycles_triple(graph, (2, 3, 4, 5, 6, 7))
     calls = counted_visits(monkeypatch)
     with pytest.raises(ResourceLimitReached) as stop:
         _Search(net, "fc", Limits(max_seconds=0.0),
@@ -311,8 +336,74 @@ def test_time_limit_holds_inside_one_canonical_search(monkeypatch):
     assert graph.canon == {}
     calls[0] = 0
     c = _Search(net, "fc", Limits(), {}).canonical(triple)
-    assert calls == [19_446]
+    assert calls == [3_991]
     assert c == symmetry.least_relabel(graph, *triple)
+
+
+def differential_triples():
+    """(graph, int triple) pairs on which the pruned canonical search is
+    compared with the unpruned one: 40 unions of beta cycles and 40
+    circulant betas (left token i related to right token i + s mod n for
+    each s of a random set), on tokens numbered at random (seed 30), and
+    the buf(6) and buf(7) fc witness triples, each also renamed at
+    random."""
+    rng = random.Random(30)
+    graph = PTNet.make(["p"], [Transition("t", "a", Multiset.of("p"),
+                                          Multiset.of("p"))]).oim_graph
+    out = []
+    for _ in range(40):
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        n = sum(lengths)
+        out.append((graph, cycles_triple(graph, lengths, rng.sample(
+            range(n), n), rng.sample(range(n), n))))
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        shifts = rng.sample(range(n), rng.randint(1, 3))
+        out.append((graph, unordered_triple(graph, [
+            sum(1 << (i + s) % n for s in shifts) for i in range(n)])))
+    for k in (6, 7):
+        net, m0 = buffer(k)
+        for t in decide_oim(net, m0, m0, k).witness:
+            for u in (t, renamed(t, rng)):
+                out.append((net.oim_graph, encode_triple(net.oim_graph, u)))
+    return out
+
+
+def test_pruned_search_renames_as_the_unpruned_one(monkeypatch):
+    """`least_relabel` returns the same triple as with the canonical
+    search that prunes twins only (`reference_symmetry.least_order`, the
+    search before it pruned by automorphisms), which visits every leaf
+    but twins' and so finds the least code by definition."""
+    cases = differential_triples()
+    pruned = [symmetry.least_relabel(graph, *t) for graph, t in cases]
+    monkeypatch.setattr(symmetry, "least_order", reference_symmetry.least_order)
+    assert [symmetry.least_relabel(graph, *t) for graph, t in cases] == pruned
+
+
+def test_automorphisms_that_move_the_prefix_do_not_prune():
+    """Two disjoint Shrikhande graphs (Cayley graphs of Z4 x Z4 with
+    connection set +-(1, 0), +-(0, 1), +-(1, 1)), as one cell of a
+    symmetric digraph, numbered in 8 ways (seed 1): all get one code.
+    Once the search has individualised vertices of one copy and a vertex
+    y of the other, the 9 vertices of y's copy not adjacent to y stay one
+    cell, which the automorphisms fixing y split 3 + 6.  Automorphisms
+    found by then include some that move y, and pruning with those too
+    skips every least leaf, the first numbering included."""
+    shifts = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    vertices = [(c, i, j) for c in range(2) for i in range(4) for j in range(4)]
+    n = len(vertices)
+    rng = random.Random(1)
+    codes = set()
+    for trial in range(8):
+        at = rng.sample(range(n), n) if trial else list(range(n))
+        out = [0] * n
+        for u, (c, i, j) in enumerate(vertices):
+            for v, (d, k, m) in enumerate(vertices):
+                if c == d and ((k - i) % 4, (m - j) % 4) in shifts:
+                    out[at[u]] |= 1 << at[v]
+        codes.add(tuple(symmetry.least_order([(1 << n) - 1], out,
+                                             transpose(out, n))))
+    assert len(codes) == 1
 
 
 def decide_both(net, m1, m2, cap, flavor, monkeypatch):
