@@ -158,17 +158,18 @@ class _Search:
     """One call's game on the ints of the net's `OIMGraph`.  A triple is
     (left id, right id, beta), beta holding the mask of right tokens
     related to each left token; moves are the graph's, and refutation
-    nodes hold int triples and moves.  `canon`, int triple -> canonical
-    triple, is the memo its caller hands it: a decider the graph's
-    (`OIMGraph.canon`), so that cn after fc on one net renames no triple
-    twice; a validator a new one, so that a certificate check reads
-    nothing a decider computed.  `deadline` is the `time.monotonic()`
-    value past which `max_seconds` stops the search, or None."""
+    nodes hold int triples and moves.  `canon`, form triple -> canonical
+    triple (`canonical`), is the memo its caller hands it: a decider the
+    graph's (`OIMGraph.canon`), so that cn after fc on one net renames no
+    form triple twice; a validator a new one, so that a certificate check
+    reads nothing a decider computed.  `deadline` is the
+    `time.monotonic()` value past which `max_seconds` stops the search, or
+    None."""
 
     def __init__(self, net: PTNet, flavor: Flavor, limits: Limits,
                  canon: dict):
         self.graph = net.oim_graph
-        self.canon = canon  # triple -> canonical triple
+        self.canon = canon  # form triple -> canonical triple
         self.transposes: dict[tuple, tuple] = {}  # (beta, width) -> converse
         self.holds = {"fc": _fc_holds, "cn": _cn_holds}.get(flavor)
         if self.holds is None:
@@ -198,14 +199,27 @@ class _Search:
         token per place, `orient` keeps the smaller of the renamed triple
         and its exchange; where a place holds two tokens the sides stay,
         so only renamings share the image.  A triple whose tokens all have
-        index 1 needs no renaming; any other is renamed once per `canon`,
-        and its renaming stops at the search's time limit, which then
+        index 1 needs no renaming.  Any other is renamed once per form
+        triple in `canon`: each side's form (`OIMGraph.form_of`), its
+        place tuple and rows, and beta.  The renaming reads nothing else
+        (the side that goes left, the digraph of both orders and beta and
+        its cells of equal places) and names its tokens (place, 1..n), so
+        triples of one form triple, whose tokens differ by an
+        order-preserving change of indices within each place, share the
+        image.  A renaming stops at the search's time limit, which then
         stores nothing, so every entry is a complete renaming."""
         graph = self.graph
         plain = graph.plain
         if plain[triple[0]] and plain[triple[1]]:
             return self.orient(triple)
-        c = self.canon.get(triple)
+        form = graph.form
+        f1, f2 = form[triple[0]], form[triple[1]]
+        if f1 is None:
+            f1 = graph.form_of(triple[0])
+        if f2 is None:
+            f2 = graph.form_of(triple[1])
+        key = (f1, f2, triple[2])
+        c = self.canon.get(key)
         if c is None:
             places = graph.places
             c = least_relabel(graph, *(
@@ -213,7 +227,7 @@ class _Search:
                 else triple), self.deadline)
             if plain[c[0]] and plain[c[1]]:
                 c = self.orient(c)
-            self.canon[triple] = c
+            self.canon[key] = c
         return c
 
     def orient(self, triple: tuple) -> tuple:

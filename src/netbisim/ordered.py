@@ -212,9 +212,14 @@ class OIMGraph:
     which hold no container.  The graph is also the net's codec of markings
     and steps (`certificates`): `known` maps the `id()` of each object in
     `decoded`, which keeps it alive, to its id.  `canon` is the fc/cn
-    searches' memo of canonical triples (`engine._Search`).  A call holds
-    `lock` while it plays (`holding_graph`), which also guards these tables
-    and the images a move stores."""
+    searches' memo of canonical triples (`engine._Search.canonical`),
+    keyed by the forms of the two sides and beta.  A marking's form is its
+    place tuple and rows, interned to an id on first read (`form_of`):
+    markings whose tokens differ only by an order-preserving change of
+    indices within each place share it, and the renaming reads nothing
+    else of them, so one entry serves every triple of a form triple.  A
+    call holds `lock` while it plays (`holding_graph`), which also guards
+    these tables and the images a move stores."""
 
     def __init__(self, net: PTNet):
         self.kernel = net.kernel
@@ -231,7 +236,9 @@ class OIMGraph:
         self.decoded: dict[int, OrderedIndexedMarking] = {}
         self.at: dict[int, dict] = {}  # id -> token -> position
         self.known: dict[int, int] = {}  # id(decoded[o]) -> o
-        self.canon: dict[tuple, tuple] = {}  # triple -> canonical triple
+        self.forms: dict[tuple, int] = {}  # (places, rows) -> form id
+        self.form: list = []  # id -> form id, or None until `form_of` ran
+        self.canon: dict[tuple, tuple] = {}  # form triple -> canonical triple
 
     def intern(self, tokens: tuple, rows: tuple) -> int:
         key = (tokens, rows)
@@ -243,7 +250,15 @@ class OIMGraph:
             self.plain.append(indices.count(1) == len(indices))
             self.places.append(places)
             self.moves.append(None)
+            self.form.append(None)
         return o
+
+    def form_of(self, o: int) -> int:
+        """The id of marking o's form, its place tuple and rows, interned
+        on first read and kept in `form`."""
+        f = self.form[o] = self.forms.setdefault(
+            (self.places[o], self.oims[o][1]), len(self.forms))
+        return f
 
     def initial(self, m: Multiset) -> int:
         """The id of init_oim of the closed indexed marking of m: every

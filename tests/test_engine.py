@@ -287,6 +287,45 @@ def test_parallel_against_interleaved_is_il_but_not_fc_or_cn(n):
             assert validated_anew(net, m1, m2, flavor, v)
 
 
+def mutex_buffer(k):
+    """buf(k) beside a second k-slot buffer whose put and get both take and
+    give back one `mx` token, so that they never overlap: (net, buf(k)'s
+    marking, the second buffer's)."""
+    net = PTNet.make(
+        ["pr", "free", "full", "qr", "fr", "fu", "mx"],
+        [
+            Transition("put", "a", Multiset.of("pr", "free"),
+                       Multiset.of("pr", "full")),
+            Transition("get", "b", Multiset.of("full"), Multiset.of("free")),
+            Transition("pq", "a", Multiset.of("qr", "mx", "fr"),
+                       Multiset.of("qr", "mx", "fu")),
+            Transition("gq", "b", Multiset.of("mx", "fu"),
+                       Multiset.of("mx", "fr")),
+        ],
+    )
+    return (net, Multiset({"pr": 1, "free": k}),
+            Multiset({"qr": 1, "mx": 1, "fr": k}))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_mutex_buffer_is_il_but_not_fc_or_cn(k):
+    """A known answer that only concurrency separates, in both argument
+    orders: `mutex_buffer(k)`'s two buffers are il-equivalent; fc refutes
+    them in k + 2 triples, and cn at the root's size gate (k + 1 tokens
+    against k + 2).  The depth-4 oracle agrees, and every refutation
+    validates on the deciding net and on a new copy."""
+    net, m_buf, m_mx = mutex_buffer(k)
+    for m1, m2 in ((m_buf, m_mx), (m_mx, m_buf)):
+        assert decide_interleaving(net, m1, m2, k).outcome == "equivalent"
+        fc, cn = decide_oim(net, m1, m2, k), decide_oimc(net, m1, m2, k)
+        assert (fc.outcome, fc.stats["triples"]) == ("not-equivalent", k + 2)
+        assert (cn.outcome, cn.refutation.reason) == ("not-equivalent",
+                                                      "size-gate")
+        for flavor, v in (("fc", fc), ("cn", cn)):
+            assert oracle_game(net, m1, m2, flavor, 4).outcome == v.outcome
+            assert validated(net, m1, m2, flavor, v)
+            assert validated_anew(net, m1, m2, flavor, v)
+
 def test_bound_exceeded_propagates(fig2_net, fig2_m0):
     with pytest.raises(BoundExceededError):
         decide_oim(fig2_net, fig2_m0, fig2_m0, 2)

@@ -170,13 +170,21 @@ def test_validators_read_nothing_from_the_graphs_memo(name, net, m1, m2,
 
 
 def assert_memo_whole(net: PTNet, renamed: int):
-    """The net's memo holds one entry per renaming that returned, each the
-    canonical triple a search with a memo of its own computes."""
-    canon = net.oim_graph.canon
-    assert len(canon) == renamed
-    check = _Search(net, "fc", Limits(), {})
-    for triple, c in canon.items():
-        assert check.canonical(triple) == c
+    """The net's memo holds one entry per renaming that returned, under the
+    form triple of the triple renamed (`OIMGraph.form_of`), and each entry
+    is the canonical triple that a search with a memo of its own computes
+    for every triple of that form over the markings the graph interned."""
+    graph = net.oim_graph
+    assert len(graph.canon) == renamed
+    of_form = {}  # (places, rows) -> the ids of the markings of that form
+    for o, (_, rows) in enumerate(graph.oims):
+        of_form.setdefault((graph.places[o], rows), []).append(o)
+    form = {f: key for key, f in graph.forms.items()}
+    for (f1, f2, beta), c in graph.canon.items():
+        for left in of_form[form[f1]]:
+            for right in of_form[form[f2]]:
+                check = _Search(net, "fc", Limits(), {})
+                assert check.canonical((left, right, beta)) == c
 
 
 def test_stopped_searches_leave_the_memo_whole(monkeypatch):
@@ -211,8 +219,10 @@ def test_stopped_searches_leave_the_memo_whole(monkeypatch):
     assert len(args) == 2
     assert_memo_whole(loop, len(args) - 1)
     search = _Search(loop, "fc", Limits(), {})
-    for triple in (args[-1], search.exchanged(args[-1])):
-        assert triple not in loop.oim_graph.canon
+    graph = loop.oim_graph
+    for left, right, beta in (args[-1], search.exchanged(args[-1])):
+        assert None not in (graph.form[left], graph.form[right])
+        assert (graph.form[left], graph.form[right], beta) not in graph.canon
     renamings = counted_renamings(monkeypatch)
     v = decide_oim(buf, m0, m0, 4, Limits(max_triples=10))
     assert (v.outcome, v.stats["limit"]) == ("unknown", "max_triples")

@@ -80,9 +80,9 @@ def merged_with_exchange(t: GameTriple) -> bool:
     return lp != rp or len(set(lp)) == len(lp)
 
 
-def renamed(t: GameTriple, rng) -> GameTriple:
+def renamed(t: GameTriple, rng, ordered: bool = False) -> GameTriple:
     """t with each side's tokens renamed to random distinct indices of
-    their places."""
+    their places, in the order of the old ones if `ordered`."""
     def renaming(tokens):
         by_place = {}
         for p, i in sorted(tokens):
@@ -90,6 +90,8 @@ def renamed(t: GameTriple, rng) -> GameTriple:
         out = {}
         for p, toks in by_place.items():
             new = rng.sample(range(1, len(toks) + 4), len(toks))
+            if ordered:
+                new.sort()
             out.update({tok: (p, i) for tok, i in zip(toks, new)})
         return out
 
@@ -209,6 +211,55 @@ def test_canonical_is_an_invariant_renaming(seed, triples_of):
             copy = encode_triple(other.graph, exchanged_triple(copies[1]))
             assert decode_triple(other.graph, other.canonical(copy)) == h
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([play, arbitrary]))
+def test_canonical_depends_on_forms_only(seed, triples_of):
+    """A triple whose tokens move to other indices of their places in the
+    same order keeps each side's form (places and rows,
+    `OIMGraph.form_of`) and beta, so it has the same `least_relabel` image
+    and canonical triple: a search that renamed the first answers it from
+    its memo if it renamed the first (whose tokens need not all have index
+    1, as a root's do), and a search with a memo of its own computes it
+    anew."""
+    net, search, triples = triples_of(seed)
+    graph = search.graph
+    rng = random.Random(seed)
+    for t in triples:
+        copy = encode_triple(graph, renamed(decode_triple(graph, t), rng,
+                                            ordered=True))
+        assert copy[2] == t[2]
+        for a, b in zip(copy[:2], t[:2]):
+            assert graph.form_of(a) == graph.form_of(b)
+        assert (symmetry.least_relabel(graph, *copy)
+                == symmetry.least_relabel(graph, *t))
+        c = search.canonical(t)
+        entries = len(search.canon)
+        assert search.canonical(copy) == c
+        if not (graph.plain[t[0]] and graph.plain[t[1]]):
+            assert len(search.canon) == entries
+        assert _Search(net, "fc", Limits(), {}).canonical(copy) == c
+
+
+def test_other_places_or_rows_are_other_forms():
+    """Markings that differ only in their places, or only in their rows,
+    have forms of their own: after renaming a triple on one, a search
+    renames a triple on the other as a search with a memo of its own
+    does."""
+    net = PTNet.make(["p", "q"], [Transition("t", "a", Multiset.of("p"),
+                                             Multiset.of("p"))])
+    graph = net.oim_graph
+    unordered, chain = (0b01, 0b10), (0b11, 0b10)
+    pp = graph.intern((("p", 1), ("p", 2)), unordered)
+    pq = graph.intern((("p", 1), ("q", 2)), unordered)
+    pp_chain = graph.intern((("p", 1), ("p", 2)), chain)
+    beta = (0b01, 0b10)
+    for a, b in ((pp, pq), (pp, pp_chain)):
+        search = _Search(net, "fc", Limits(), {})
+        search.canonical((a, a, beta))
+        alone = _Search(net, "fc", Limits(), {}).canonical((b, b, beta))
+        assert search.canonical((b, b, beta)) == alone
+        assert len(search.canon) == 2
 
 def test_canonical_tries_every_vertex_of_a_tied_cell():
     """Five unordered tokens a side, with beta a 4-cycle beside a 6-cycle:
